@@ -9,7 +9,11 @@ yielding Eq. 2:
     P_wil(w, s) = sum_i  P_w(w, s_i) * (d(s_i, s) + 1)^(-pi_w)
 """
 
-from repro.willingness.rwr import StationaryDistribution, random_walk_with_restart
+from repro.willingness.rwr import (
+    StationaryDistribution,
+    random_walk_with_restart,
+    stationary_distributions,
+)
 from repro.willingness.pareto import fit_pareto_shape, pareto_tail_probability
 from repro.willingness.historical_acceptance import HistoricalAcceptance, WorkerMobilityModel
 from repro.willingness.movement import (
@@ -26,6 +30,7 @@ from repro.willingness.movement import (
 __all__ = [
     "StationaryDistribution",
     "random_walk_with_restart",
+    "stationary_distributions",
     "fit_pareto_shape",
     "pareto_tail_probability",
     "HistoricalAcceptance",

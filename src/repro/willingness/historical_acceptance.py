@@ -10,6 +10,11 @@ and a vectorized bulk API (:meth:`HistoricalAcceptance.willingness_all`) that
 evaluates every worker against one task location in a handful of numpy
 operations — the influence model needs willingness of *all* workers for each
 task, which would be quadratically slow pairwise.
+
+Fitting solves every eligible worker's RWR in one batched sparse power
+iteration (:func:`~repro.willingness.rwr.stationary_distributions`);
+:func:`~repro.willingness.rwr.random_walk_with_restart` is its per-worker
+reference.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from repro.entities import TaskHistory
 from repro.exceptions import NotFittedError
 from repro.geo import Point
 from repro.willingness.pareto import fit_pareto_shape
-from repro.willingness.rwr import StationaryDistribution, random_walk_with_restart
+from repro.willingness.rwr import StationaryDistribution, stationary_distributions
 
 
 @dataclass(frozen=True)
@@ -82,16 +87,16 @@ class HistoricalAcceptance:
         shape_chunks: list[np.ndarray] = []
         owner_chunks: list[np.ndarray] = []
 
-        for worker_id in self._worker_ids:
-            history = histories[worker_id]
-            if len(history) < self.min_history:
-                continue
-            locations = history.locations
+        eligible = [
+            w for w in self._worker_ids if len(histories[w]) >= self.min_history
+        ]
+        sequences = [histories[w].locations for w in eligible]
+        stationaries = stationary_distributions(sequences, restart=self.restart)
+        for worker_id, locations, stationary in zip(eligible, sequences, stationaries):
             jumps = [
                 a.distance_to(b) for a, b in zip(locations, locations[1:])
             ]
             shape = fit_pareto_shape(jumps)
-            stationary = random_walk_with_restart(locations, restart=self.restart)
             model = WorkerMobilityModel(
                 worker_id=worker_id, stationary=stationary, pareto_shape=shape
             )

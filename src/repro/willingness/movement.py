@@ -34,7 +34,7 @@ from repro.entities import TaskHistory
 from repro.exceptions import NotFittedError
 from repro.geo import Point
 from repro.willingness.pareto import MAX_SHAPE, fit_pareto_shape
-from repro.willingness.rwr import StationaryDistribution, random_walk_with_restart
+from repro.willingness.rwr import StationaryDistribution, stationary_distributions
 
 
 def _validate_jumps(jumps: Sequence[float]) -> np.ndarray:
@@ -197,15 +197,14 @@ class GeneralizedHistoricalAcceptance:
         self._stationary.clear()
         self._movement.clear()
         self._worker_ids = sorted(histories)
-        for worker_id in self._worker_ids:
-            history = histories[worker_id]
-            if len(history) < self.min_history:
-                continue
-            locations = history.locations
+        eligible = [
+            w for w in self._worker_ids if len(histories[w]) >= self.min_history
+        ]
+        sequences = [histories[w].locations for w in eligible]
+        stationaries = stationary_distributions(sequences, restart=self.restart)
+        for worker_id, locations, stationary in zip(eligible, sequences, stationaries):
             jumps = [a.distance_to(b) for a, b in zip(locations, locations[1:])]
-            self._stationary[worker_id] = random_walk_with_restart(
-                locations, restart=self.restart
-            )
+            self._stationary[worker_id] = stationary
             self._movement[worker_id] = make_movement_model(self.family).fit(jumps)
         self._fitted = True
         return self

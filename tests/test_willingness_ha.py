@@ -2,10 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.entities import PerformedTask, TaskHistory
 from repro.exceptions import NotFittedError
 from repro.geo import Point
-from repro.willingness import HistoricalAcceptance
+from repro.willingness import HistoricalAcceptance, random_walk_with_restart
+
+
+def _history(worker_id: int, coords) -> TaskHistory:
+    performed = [
+        PerformedTask(
+            location=Point(float(x), float(y)),
+            arrival_time=float(t),
+            completion_time=float(t),
+            categories=("cafe",),
+            venue_id=None,
+        )
+        for t, (x, y) in enumerate(coords)
+    ]
+    return TaskHistory(worker_id=worker_id, performed=performed)
+
+
+_cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
+#: A worker's chronological visits: a walk on a 4x4 grid (revisits and
+#: never-left terminal states are common), or one point repeated.
+_visits = st.one_of(
+    st.lists(_cell, min_size=0, max_size=20),
+    st.builds(lambda cell, n: [cell] * n, _cell, st.integers(1, 6)),
+)
 
 
 class TestHistoricalAcceptance:
@@ -93,3 +119,46 @@ class TestHistoricalAcceptance:
         assert bulk.shape == (len(tiny_instance.all_worker_ids),)
         assert (bulk >= 0).all() and (bulk <= 1.0 + 1e-9).all()
         assert bulk.max() > 0.0  # someone has willingness toward some task
+
+
+class TestBatchedFitMatchesReference:
+    """``fit`` solves all workers' RWR in one batched power iteration; each
+    worker must match the per-worker dense reference."""
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(_visits, min_size=1, max_size=8),
+        st.floats(0.05, 1.0),
+        st.integers(2, 3),
+    )
+    @example([[(1, 1)] * 4], 0.15, 2)  # a single location, repeated
+    @example([[(0, 0), (1, 0), (2, 0)]], 0.15, 2)  # never-left terminal state
+    @example([[(0, 0), (1, 0), (0, 0), (2, 0), (0, 0), (1, 0)]], 0.15, 2)  # revisits
+    def test_stationary_and_bulk_match(self, workers, restart, min_history):
+        histories = {w: _history(w, coords) for w, coords in enumerate(workers)}
+        model = HistoricalAcceptance(restart=restart, min_history=min_history).fit(histories)
+        for worker_id, coords in enumerate(workers):
+            if len(coords) < min_history:
+                assert worker_id not in model.models
+                continue
+            expected = random_walk_with_restart(
+                histories[worker_id].locations, restart=restart
+            )
+            fitted = model.models[worker_id].stationary
+            assert fitted.locations == expected.locations
+            np.testing.assert_allclose(
+                fitted.probabilities, expected.probabilities, rtol=0, atol=1e-12
+            )
+        target = Point(1.5, 0.5)
+        bulk = model.willingness_all(target)
+        for worker_id in histories:
+            assert bulk[model.row_of(worker_id)] == pytest.approx(
+                model.willingness(worker_id, target), abs=1e-12
+            )
+
+    def test_every_worker_below_min_history(self):
+        histories = {w: _history(w, [(w, 0)] * w) for w in range(3)}
+        model = HistoricalAcceptance(min_history=3).fit(histories)
+        assert model.models == {}
+        assert model.worker_ids == [0, 1, 2]
+        np.testing.assert_array_equal(model.willingness_all(Point(0, 0)), np.zeros(3))

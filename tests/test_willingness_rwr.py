@@ -6,19 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo import Point
-from repro.willingness import random_walk_with_restart
+from repro.willingness import random_walk_with_restart, stationary_distributions
+
+
+# The one-worker reference and the batched solver validate alike.
+SOLVERS = (
+    random_walk_with_restart,
+    lambda locations, **kw: stationary_distributions([locations], **kw)[0],
+)
 
 
 class TestRWR:
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            random_walk_with_restart([])
+        for solve in SOLVERS:
+            with pytest.raises(ValueError):
+                solve([])
 
     def test_bad_restart_rejected(self):
-        with pytest.raises(ValueError):
-            random_walk_with_restart([Point(0, 0)], restart=0.0)
-        with pytest.raises(ValueError):
-            random_walk_with_restart([Point(0, 0)], restart=1.5)
+        for solve in SOLVERS:
+            with pytest.raises(ValueError):
+                solve([Point(0, 0)], restart=0.0)
+            with pytest.raises(ValueError):
+                solve([Point(0, 0)], restart=1.5)
 
     def test_single_location_gets_all_mass(self):
         result = random_walk_with_restart([Point(1, 1), Point(1, 1)])
@@ -72,3 +81,4 @@ class TestRWR:
         result = random_walk_with_restart(locations, restart=restart, tol=1e-12)
         assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-6)
         assert (result.probabilities >= -1e-12).all()
+
