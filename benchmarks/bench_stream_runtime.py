@@ -7,11 +7,12 @@ hybrid, latency-adaptive).  A cross-check against the batched
 :class:`~repro.framework.OnlineSimulator` pins the equivalence configuration
 at bench scale.
 
-Two further column groups cover the pipelined executor on a clustered
-8-shard world: **pipelined vs serial** (the overlapped per-shard
-prepare+solve path must beat the serial sharded path by >= 1.3x round p50
-at the 100x rate) and **rebalance on vs off** (the EWMA repacker must not
-regress round latency while producing identical output).
+Further column groups cover a clustered 8-shard world: **pipelined vs
+serial** (the overlapped per-shard prepare+solve path must beat the serial
+sharded path by >= 1.3x round p50 at the 100x rate), **rebalance on vs
+off** (the EWMA repacker must not regress round latency while producing
+identical output), and the **lexicographic round solve** (round-solve
+p50/p99 of the production solver).
 
 ``REPRO_BENCH_SCALE`` scales the stream volumes like the other benches
 (default 0.15; CI smoke runs 0.05; 1.0 is the full 10-100x grid).
@@ -25,22 +26,15 @@ from figutil import bench_artifact
 
 from repro.assignment import MTAAssigner, NearestNeighborAssigner
 from repro.assignment.lexico import LexicographicCostAssigner
-from repro.data.instance import SCInstance
-from repro.entities import Task, Worker
 from repro.framework import OnlineSimulator, WorkerArrival
-from repro.geo import Point
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.stream import (
     AdaptiveTrigger,
     CountTrigger,
-    EventLog,
     HybridTrigger,
     ShardRebalancer,
     StreamRuntime,
-    TaskPublishEvent,
     TimeWindowTrigger,
-    WorkerArrivalEvent,
-    expiry_events,
     log_from_arrivals,
     synthetic_stream,
 )
@@ -305,124 +299,51 @@ def test_rebalance_on_vs_off(benchmark, rate_factor):
     assert on_summary.assigned == off_summary.assigned > 0
 
 
-class SubstrateDistanceAssigner(LexicographicCostAssigner):
-    """Tie-free distance-cost lexicographic assigner on the substrate engine.
-
-    Continuous pairwise distances make the optimum unique, so warm and cold
-    runs must return identical pairs (not just equal objectives).  Both
-    sides of the warm column pin ``engine="substrate"`` — the only
-    carry-capable engine — so the measured ratio isolates the warm-start
-    mechanism from engine selection.  Module-level for pickling.
-    """
+class DistanceLexAssigner(LexicographicCostAssigner):
+    """Lexicographic matching over raw distances (production solver)."""
 
     name = "DistLex"
-
-    def __init__(self):
-        super().__init__(engine="substrate")
 
     def edge_costs(self, prepared):
         return prepared.feasible.distance_km
 
 
-#: District geometry for the warm column (mirrors the flow-level bench):
-#: every city pairs a worker-surplus district with a task-surplus district
-#: farther apart than any worker's reach.  The surpluses survive in place
-#: round after round — the retired-pair carry the warm solver prunes.
-#: Uniform worlds like ``make_clustered_stream`` clear their scarce side
-#: every round, leaving no carry for warm starts to exploit.
-DISTRICT_GAP_KM = 12.0
-DISTRICT_REACH_KM = 5.0
-
-
-def make_district_stream(rate_factor: int, seed: int = 37):
-    rng = np.random.default_rng(seed)
-    num_workers = max(int(PAPER_DAY_WORKERS * rate_factor * BENCH_SCALE), 80)
-    num_tasks = max(int(PAPER_DAY_TASKS * rate_factor * BENCH_SCALE), 80)
-    events = []
-    for worker_id in range(num_workers):
-        city_x = 80.0 * (worker_id % CLUSTERS)
-        offset = 0.0 if rng.random() < 0.85 else DISTRICT_GAP_KM
-        location = Point(
-            city_x + offset + float(rng.normal(0.0, 1.5)),
-            float(rng.normal(0.0, 1.5)),
-        )
-        events.append(WorkerArrivalEvent(
-            time=float(rng.uniform(0.0, 24.0)),
-            worker=Worker(
-                worker_id=worker_id, location=location,
-                reachable_km=DISTRICT_REACH_KM,
-            ),
-        ))
-    tasks = []
-    for task_id in range(num_tasks):
-        city_x = 80.0 * (task_id % CLUSTERS)
-        offset = DISTRICT_GAP_KM if rng.random() < 0.85 else 0.0
-        tasks.append(Task(
-            task_id=task_id,
-            location=Point(
-                city_x + offset + float(rng.normal(0.0, 1.5)),
-                float(rng.normal(0.0, 1.5)),
-            ),
-            publication_time=float(rng.uniform(0.0, 24.0)),
-            valid_hours=4.0,
-        ))
-    events.extend(TaskPublishEvent(time=t.publication_time, task=t) for t in tasks)
-    events.extend(expiry_events(tasks))
-    base = SCInstance(
-        name="district-stream", current_time=0.0, tasks=[], workers=[],
-        histories={}, social_edges=[],
-        all_worker_ids=tuple(range(num_workers)),
-    )
-    return base, EventLog(events)
-
-
 @pytest.mark.parametrize("rate_factor", [10, 100])
-def test_warm_vs_cold_rounds(benchmark, rate_factor):
-    """The warm column: carried duals + retired-pair pruning per shard.
+def test_lexicographic_round_solve_latency(benchmark, rate_factor):
+    """Round-solve p50/p99 of the production lexicographic solver.
 
-    Warm and cold runs must be bit-identical — pairs and per-round
-    assigned counts — before any timing claim; the column then compares
-    the p50 of per-round solve time.  The floor arms where the carry is
-    meaningful: default scale and the 100x rate, whose per-shard pools
-    hold hundreds of surviving entities between rounds.
+    The solve percentiles come from ``RoundRecord.solve_seconds`` of an
+    8-shard run; ``tests/scenarios`` pins its pairs to the unsharded run.
     """
-    base, log = make_district_stream(rate_factor)
+    base, log = make_clustered_stream(rate_factor)
 
-    def run(warm):
+    def run():
         with StreamRuntime(
-            SubstrateDistanceAssigner(), None, CountTrigger(PIPELINE_BATCH),
-            base, log, patience_hours=6.0, shards=CLUSTERS, warm=warm,
+            DistanceLexAssigner(), None, TimeWindowTrigger(0.5),
+            base, log, patience_hours=6.0, shards=CLUSTERS,
         ) as runtime:
             return runtime.run()
 
-    cold = run(False)
-    warm = benchmark.pedantic(lambda: run(True), rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    assert sorted_pairs(warm) == sorted_pairs(cold)
-    assert [r.assigned for r in warm.rounds] == [
-        r.assigned for r in cold.rounds
+    assert result.total_assigned > 0
+    seconds = [
+        r.solve_seconds for r in result.rounds
+        if r.online_workers and r.open_tasks
     ]
-
-    cold_p50 = float(np.percentile([r.solve_seconds for r in cold.rounds], 50))
-    warm_p50 = float(np.percentile([r.solve_seconds for r in warm.rounds], 50))
-    speedup = cold_p50 / warm_p50 if warm_p50 > 0 else float("inf")
+    p50 = float(np.percentile(seconds, 50))
+    p99 = float(np.percentile(seconds, 99))
     print(
         f"\n{rate_factor:>3}x rate, {CLUSTERS} shards: "
-        f"cold solve p50 {cold_p50 * 1e3:.2f} ms, "
-        f"warm solve p50 {warm_p50 * 1e3:.2f} ms ({speedup:.2f}x), "
-        f"{warm.summary().rounds} rounds, {warm.total_assigned} assigned"
+        f"solve p50 {p50 * 1e3:.2f} ms / p99 {p99 * 1e3:.2f} ms, "
+        f"{len(seconds)} solved rounds, {result.total_assigned} assigned"
     )
     bench_artifact(
-        f"stream_warm_{rate_factor}x",
+        f"stream_lexicographic_solve_{rate_factor}x",
         {"rate_factor": rate_factor, "bench_scale": BENCH_SCALE,
-         "solve_p50_cold_s": cold_p50, "solve_p50_warm_s": warm_p50,
-         "speedup": speedup, "cold": summary_payload(cold.summary()),
-         "warm": summary_payload(warm.summary())},
+         "shards": CLUSTERS, "solve_p50_s": p50, "solve_p99_s": p99,
+         "summary": summary_payload(result.summary())},
     )
-    if BENCH_SCALE >= 0.15 and rate_factor >= 100:
-        assert speedup >= 1.3, (
-            f"warm-started round solves regressed: {speedup:.2f}x < 1.3x"
-        )
 
 
 @pytest.mark.parametrize("rate_factor", [10, 100])

@@ -1,36 +1,35 @@
-"""Substrate bench: array-native flow core vs the legacy object-graph one.
+"""Flow bench: production assignment solvers vs the paper's flow references.
 
-PR 2 rewrote ``repro.flow`` around flat-CSR arrays (vectorized Dinic BFS,
-Johnson-potential shortest paths, and the dense bipartite SSP engine).  To
-keep the before/after comparison honest and reproducible, a compact copy of
-the *pre-rewrite* solvers (adjacency-list network, recursive Dinic,
-per-edge SPFA MCMF) is embedded below as the baseline; the headline test
-solves the largest seeded instance with both and asserts the new substrate
-is at least 5x faster at equal objective value.
+Each problem has one production solver and one reference, the paper's own
+algorithm on its Figure-4 network:
+
+* lexicographic (IA/EIA/DIA): per-component scipy LSAP
+  (:func:`repro.assignment.solve_lexicographic`) vs successive shortest
+  paths (:func:`repro.assignment.solve_lexicographic_mcmf`);
+* max cardinality (MTA): scipy Hopcroft-Karp, the call
+  :class:`~repro.assignment.MTAAssigner` makes, vs :class:`~repro.flow.Dinic`.
+
+The table asserts equal cardinality and objective on every row before it
+reports any time.  A second column times Dinic's vectorized blocking flow
+against the per-edge walk it replaced.
 
 Instance sizes scale with ``REPRO_BENCH_SCALE`` like the rest of the bench
-suite (default 0.15 — the paper-scale grid); the speedup assertion only
-applies at the default scale or above, since tiny instances under-use the
-vectorized kernels.
+suite (default 0.15 — the paper-scale grid); the blocking-flow speedup
+assertion only applies at the default scale or above, since tiny instances
+under-use the vectorized kernels.
 """
 
 import os
 import time
-from collections import deque
 
 import numpy as np
 import pytest
 from figutil import bench_artifact
+from scipy import sparse
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from repro.assignment import (
-    MTAAssigner,
-    solve_lexicographic_dense,
-    solve_lexicographic_hungarian,
-    solve_lexicographic_mcmf,
-    solve_lexicographic_substrate,
-)
+from repro.assignment import solve_lexicographic, solve_lexicographic_mcmf
 from repro.assignment.solvers import build_figure4_network
-from repro.flow import WarmStart, min_cost_matching
 from repro.flow.maxflow import Dinic
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
@@ -40,145 +39,6 @@ def scaled(base: int) -> int:
     return max(8, int(round(base * BENCH_SCALE / 0.15)))
 
 
-# --------------------------------------------------------------------------
-# Legacy (pre-rewrite) substrate, verbatim in behaviour: object-graph
-# residual network, recursive Dinic, SPFA min-cost max-flow.
-# --------------------------------------------------------------------------
-class _LegacyNetwork:
-    def __init__(self, num_nodes):
-        self.num_nodes = num_nodes
-        self.edge_to = []
-        self.edge_cap = []
-        self.edge_cost = []
-        self.adjacency = [[] for _ in range(num_nodes)]
-
-    def add_edge(self, source, target, capacity, cost=0.0):
-        edge_id = len(self.edge_to)
-        self.edge_to.append(target)
-        self.edge_cap.append(capacity)
-        self.edge_cost.append(cost)
-        self.adjacency[source].append(edge_id)
-        self.edge_to.append(source)
-        self.edge_cap.append(0)
-        self.edge_cost.append(-cost)
-        self.adjacency[target].append(edge_id + 1)
-        return edge_id
-
-    def push(self, edge_id, amount):
-        self.edge_cap[edge_id] -= amount
-        self.edge_cap[edge_id ^ 1] += amount
-
-
-class _LegacyDinic:
-    def __init__(self, network):
-        self.network = network
-        self._level = []
-        self._iter = []
-
-    def _bfs(self, source, sink):
-        network = self.network
-        self._level = [-1] * network.num_nodes
-        self._level[source] = 0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for edge_id in network.adjacency[node]:
-                target = network.edge_to[edge_id]
-                if network.edge_cap[edge_id] > 0 and self._level[target] < 0:
-                    self._level[target] = self._level[node] + 1
-                    queue.append(target)
-        return self._level[sink] >= 0
-
-    def _dfs(self, node, sink, limit):
-        if node == sink:
-            return limit
-        network = self.network
-        adjacency = network.adjacency[node]
-        while self._iter[node] < len(adjacency):
-            edge_id = adjacency[self._iter[node]]
-            target = network.edge_to[edge_id]
-            if network.edge_cap[edge_id] > 0 and self._level[target] == self._level[node] + 1:
-                pushed = self._dfs(target, sink, min(limit, network.edge_cap[edge_id]))
-                if pushed > 0:
-                    network.push(edge_id, pushed)
-                    return pushed
-            self._iter[node] += 1
-        return 0
-
-    def max_flow(self, source, sink):
-        total = 0
-        while self._bfs(source, sink):
-            self._iter = [0] * self.network.num_nodes
-            while True:
-                pushed = self._dfs(source, sink, 1 << 60)
-                if pushed == 0:
-                    break
-                total += pushed
-        return total
-
-
-def _legacy_mcmf(network, source, sink):
-    infinity = float("inf")
-    total_flow, total_cost = 0, 0.0
-    while True:
-        distance = [infinity] * network.num_nodes
-        in_edge = [-1] * network.num_nodes
-        in_queue = [False] * network.num_nodes
-        distance[source] = 0.0
-        queue = deque([source])
-        in_queue[source] = True
-        while queue:
-            node = queue.popleft()
-            in_queue[node] = False
-            node_distance = distance[node]
-            for edge_id in network.adjacency[node]:
-                if network.edge_cap[edge_id] <= 0:
-                    continue
-                target = network.edge_to[edge_id]
-                candidate = node_distance + network.edge_cost[edge_id]
-                if candidate < distance[target] - 1e-12:
-                    distance[target] = candidate
-                    in_edge[target] = edge_id
-                    if not in_queue[target]:
-                        in_queue[target] = True
-                        if queue and candidate < distance[queue[0]]:
-                            queue.appendleft(target)
-                        else:
-                            queue.append(target)
-        if in_edge[sink] == -1:
-            return total_flow, total_cost
-        bottleneck = None
-        node = sink
-        while node != source:
-            edge_id = in_edge[node]
-            residual = network.edge_cap[edge_id]
-            bottleneck = residual if bottleneck is None else min(bottleneck, residual)
-            node = network.edge_to[edge_id ^ 1]
-        node = sink
-        while node != source:
-            edge_id = in_edge[node]
-            network.push(edge_id, bottleneck)
-            node = network.edge_to[edge_id ^ 1]
-        total_flow += bottleneck
-        total_cost += bottleneck * distance[sink]
-
-
-def _legacy_figure4(cost, mask):
-    num_left, num_right = mask.shape
-    network = _LegacyNetwork(num_left + num_right + 2)
-    sink = num_left + num_right + 1
-    for i in range(num_left):
-        network.add_edge(0, 1 + i, 1, 0.0)
-    for j in range(num_right):
-        network.add_edge(1 + num_left + j, sink, 1, 0.0)
-    for i, j in zip(*np.nonzero(mask)):
-        network.add_edge(1 + int(i), 1 + num_left + int(j), 1, float(cost[i, j]))
-    return network, 0, sink
-
-
-# --------------------------------------------------------------------------
-# Instances
-# --------------------------------------------------------------------------
 def make_instance(num_workers, num_tasks, density=0.3, seed=0):
     rng = np.random.default_rng(seed)
     cost = rng.random((num_workers, num_tasks))
@@ -186,119 +46,68 @@ def make_instance(num_workers, num_tasks, density=0.3, seed=0):
     return cost, feasible
 
 
-SIZES_SMALL = [(scaled(40), scaled(50)), (scaled(80), scaled(100))]
-LARGEST = (scaled(400), scaled(500))
+SIZES = [(scaled(40), scaled(50)), (scaled(80), scaled(100)), (scaled(400), scaled(500))]
+LARGEST = SIZES[-1]
 
 
-# --------------------------------------------------------------------------
-# Engine micro-benchmarks (unchanged contract from the pre-rewrite bench)
-# --------------------------------------------------------------------------
-@pytest.mark.parametrize("size", SIZES_SMALL)
-def test_mcmf_engine(benchmark, size):
-    cost, feasible = make_instance(*size)
-    pairs = benchmark.pedantic(
-        lambda: solve_lexicographic_mcmf(cost, feasible), rounds=1, iterations=1
+def hopcroft_karp(feasible):
+    """Matched-pair count of the production MTA solve."""
+    graph = sparse.csr_matrix(feasible.astype(np.int8))
+    return int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+
+
+def dinic(feasible):
+    """Max flow of the reference MTA solve on the Figure-4 network."""
+    network, _, _, _ = build_figure4_network(feasible)
+    return Dinic(network).max_flow(0, network.num_nodes - 1)
+
+
+def timed(solve, repeats):
+    """Best-of-``repeats`` wall time and the last result."""
+    result, seconds = None, float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = solve()
+        seconds = min(seconds, time.perf_counter() - started)
+    return result, seconds
+
+
+def test_production_vs_reference_table(benchmark):
+    """Production and reference agree on every size; then the times."""
+    rows = []
+    for size in SIZES:
+        cost, feasible = make_instance(*size)
+        lsap, lsap_s = timed(lambda: solve_lexicographic(cost, feasible), 3)
+        mcmf, mcmf_s = timed(lambda: solve_lexicographic_mcmf(cost, feasible), 1)
+        assert lsap, size
+        assert len(lsap) == len(mcmf), size
+        lsap_cost = float(sum(cost[w, t] for w, t in lsap))
+        mcmf_cost = float(sum(cost[w, t] for w, t in mcmf))
+        assert lsap_cost == pytest.approx(mcmf_cost, rel=1e-9), size
+        matched, hk_s = timed(lambda: hopcroft_karp(feasible), 3)
+        flow, dinic_s = timed(lambda: dinic(feasible), 1)
+        assert matched == flow, size
+        rows.append({
+            "size": list(size), "cardinality": len(lsap), "cost": lsap_cost,
+            "lsap_s": lsap_s, "mcmf_s": mcmf_s,
+            "max_cardinality": matched, "hopcroft_karp_s": hk_s,
+            "dinic_s": dinic_s,
+        })
+    cost, feasible = make_instance(*LARGEST)
+    benchmark.pedantic(
+        lambda: solve_lexicographic(cost, feasible), rounds=1, iterations=1
     )
-    assert pairs
-
-
-@pytest.mark.parametrize("size", SIZES_SMALL + [LARGEST])
-def test_substrate_engine(benchmark, size):
-    cost, feasible = make_instance(*size)
-    pairs = benchmark.pedantic(
-        lambda: solve_lexicographic_substrate(cost, feasible), rounds=1, iterations=1
+    print(f"\n{'size':>10} {'pairs':>6} {'LSAP':>9} {'MCMF':>9} "
+          f"{'HK':>9} {'Dinic':>9}")
+    for row in rows:
+        print(f"{'x'.join(map(str, row['size'])):>10} {row['cardinality']:>6} "
+              f"{row['lsap_s'] * 1e3:>7.2f}ms {row['mcmf_s'] * 1e3:>7.1f}ms "
+              f"{row['hopcroft_karp_s'] * 1e3:>7.2f}ms "
+              f"{row['dinic_s'] * 1e3:>7.1f}ms")
+    bench_artifact(
+        "flow_production_vs_reference",
+        {"bench_scale": BENCH_SCALE, "rows": rows},
     )
-    assert pairs
-
-
-@pytest.mark.parametrize("size", SIZES_SMALL + [LARGEST])
-def test_dense_engine(benchmark, size):
-    cost, feasible = make_instance(*size)
-    pairs = benchmark.pedantic(
-        lambda: solve_lexicographic_dense(cost, feasible), rounds=1, iterations=1
-    )
-    assert pairs
-
-
-@pytest.mark.parametrize("size", [(scaled(40), scaled(50)), (scaled(120), scaled(150))])
-def test_hungarian_engine(benchmark, size):
-    cost, feasible = make_instance(*size)
-    pairs = benchmark.pedantic(
-        lambda: solve_lexicographic_hungarian(cost, feasible), rounds=1, iterations=1
-    )
-    assert pairs
-
-
-@pytest.mark.parametrize("size", SIZES_SMALL + [LARGEST])
-def test_dinic_mta(benchmark, size):
-    _, feasible = make_instance(*size)
-    pairs = benchmark.pedantic(
-        lambda: MTAAssigner._solve_flow(feasible), rounds=1, iterations=1
-    )
-    assert pairs
-
-
-def test_engines_equal_objective(benchmark):
-    cost, feasible = make_instance(scaled(60), scaled(75), seed=4)
-
-    def run_all():
-        return (
-            solve_lexicographic_mcmf(cost, feasible),
-            solve_lexicographic_substrate(cost, feasible),
-            solve_lexicographic_dense(cost, feasible),
-            solve_lexicographic_hungarian(cost, feasible),
-        )
-
-    mcmf_pairs, substrate_pairs, dense_pairs, hungarian_pairs = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
-    lengths = {len(p) for p in (mcmf_pairs, substrate_pairs, dense_pairs, hungarian_pairs)}
-    assert len(lengths) == 1
-    costs = [
-        sum(cost[w, t] for w, t in pairs)
-        for pairs in (mcmf_pairs, substrate_pairs, dense_pairs, hungarian_pairs)
-    ]
-    print(f"\ncardinality={len(mcmf_pairs)}, costs={[f'{c:.4f}' for c in costs]}")
-    for other in costs[1:]:
-        assert costs[0] == pytest.approx(other, abs=1e-6)
-
-
-# --------------------------------------------------------------------------
-# Headline: legacy substrate vs array substrate on the largest instance
-# --------------------------------------------------------------------------
-def test_speedup_vs_legacy_on_largest_instance(benchmark):
-    """The acceptance gate: >= 5x on the largest seeded instance.
-
-    Both sides solve the identical lexicographic MCMF problem; objective
-    equality is asserted before any timing claim.
-    """
-    cost, feasible = make_instance(*LARGEST, density=0.3, seed=42)
-
-    started = time.perf_counter()
-    network, source, sink = _legacy_figure4(cost, feasible)
-    legacy_flow, legacy_cost = _legacy_mcmf(network, source, sink)
-    legacy_seconds = time.perf_counter() - started
-
-    def solve_new():
-        return solve_lexicographic_substrate(cost, feasible)
-
-    started = time.perf_counter()
-    pairs = solve_new()
-    new_seconds = time.perf_counter() - started
-    benchmark.pedantic(solve_new, rounds=1, iterations=1)
-
-    new_cost = sum(cost[w, t] for w, t in pairs)
-    assert len(pairs) == legacy_flow
-    assert new_cost == pytest.approx(legacy_cost, abs=1e-6)
-
-    speedup = legacy_seconds / new_seconds
-    print(
-        f"\nlargest instance {LARGEST}: legacy={legacy_seconds:.3f}s "
-        f"substrate={new_seconds:.3f}s speedup={speedup:.1f}x "
-        f"(flow={legacy_flow}, cost={legacy_cost:.4f})"
-    )
-    if BENCH_SCALE >= 0.15:
-        assert speedup >= 5.0, f"substrate speedup regressed: {speedup:.1f}x < 5x"
 
 
 class _WalkDinic(Dinic):
@@ -404,172 +213,3 @@ def test_blocking_flow_vectorized_vs_walk(benchmark):
         assert speedup >= 2.0, (
             f"vectorized blocking flow regressed: {speedup:.1f}x < 2x"
         )
-
-
-#: District geometry for the warm column: a worker-surplus district and a
-#: task-surplus district farther apart than any worker's reach.  Surplus
-#: entities survive round after round *in place* — exactly the carry shape
-#: whose retired-pair geometry the warm solver prunes (module docstring of
-#: ``repro.flow.bipartite``); uniform-turnover worlds leave nothing alive
-#: between rounds and warm solves degenerate to cold ones there.
-_REACH_KM = 5.0
-_DISTRICT_GAP_KM = 12.0
-
-
-class _DistrictDrift:
-    """Streaming-shaped rounds over the two-district city.
-
-    Each round: matched pairs leave the pool, free survivors stay put
-    (static geometry — the stream runtime invalidates its carry on any
-    relocation), fresh arrivals land 80/20 across the districts, and pool
-    caps emulate worker patience / task expiry by retiring the oldest
-    free entities.
-    """
-
-    def __init__(self, seed=7):
-        self.rng = np.random.default_rng(seed)
-        self.pool_w, self.pool_t = scaled(500), scaled(350)
-        self.fresh_w, self.fresh_t = scaled(120), scaled(120)
-        self.w_pos = self._spawn(self.pool_w, 0.0)
-        self.t_pos = self._spawn(self.pool_t, _DISTRICT_GAP_KM)
-        self.w_ids = list(range(len(self.w_pos)))
-        self.t_ids = [10_000_000 + j for j in range(len(self.t_pos))]
-        self.next_w = len(self.w_pos)
-        self.next_t = len(self.t_pos)
-
-    def _spawn(self, count, heavy_x, heavy_frac=0.8):
-        rng = self.rng
-        heavy = int(round(count * heavy_frac))
-        light_x = _DISTRICT_GAP_KM - heavy_x
-
-        def district(n, cx):
-            return np.column_stack(
-                [rng.normal(cx, 1.5, n), rng.normal(0.0, 1.5, n)]
-            )
-
-        return np.vstack(
-            [district(heavy, heavy_x), district(count - heavy, light_x)]
-        )
-
-    def instance(self):
-        cost = np.hypot(
-            self.w_pos[:, None, 0] - self.t_pos[None, :, 0],
-            self.w_pos[:, None, 1] - self.t_pos[None, :, 1],
-        )
-        return cost, cost <= _REACH_KM
-
-    def retire_and_arrive(self, rows, cols):
-        keep_w = np.ones(len(self.w_pos), dtype=bool)
-        keep_w[rows] = False
-        keep_t = np.ones(len(self.t_pos), dtype=bool)
-        keep_t[cols] = False
-        # Oldest free entities run out of patience / expire first.
-        for excess, keep in (
-            (int(keep_w.sum()) - self.pool_w, keep_w),
-            (int(keep_t.sum()) - self.pool_t, keep_t),
-        ):
-            if excess > 0:
-                keep[np.flatnonzero(keep)[:excess]] = False
-        self.w_pos = np.vstack([self.w_pos[keep_w], self._spawn(self.fresh_w, 0.0)])
-        self.t_pos = np.vstack(
-            [self.t_pos[keep_t], self._spawn(self.fresh_t, _DISTRICT_GAP_KM)]
-        )
-        self.w_ids = [i for i, k in zip(self.w_ids, keep_w) if k] + [
-            self.next_w + n for n in range(self.fresh_w)
-        ]
-        self.t_ids = [j for j, k in zip(self.t_ids, keep_t) if k] + [
-            10_000_000 + self.next_t + n for n in range(self.fresh_t)
-        ]
-        self.next_w += self.fresh_w
-        self.next_t += self.fresh_t
-
-
-def test_warm_matcher_column(benchmark):
-    """The warm column: carried duals + retired-pair geometry vs cold.
-
-    Every round is solved twice on identical inputs — cold and with the
-    carried :class:`WarmStart` — and the matchings must be bit-identical
-    (distance costs are tie-free) before any timing claim.  Augmentation
-    counts are reported for the artifact: the carry cannot reduce them
-    (every surviving entity was free, so every new match still needs its
-    augmentation); the win is the pruned stale-stale sweep work.
-    """
-    drift = _DistrictDrift()
-    num_rounds = 6
-    cold_seconds = warm_seconds = 0.0
-    cold_augment = warm_augment = 0
-    matched_total = 0
-    carry: WarmStart | None = None
-
-    def run_rounds():
-        nonlocal cold_seconds, warm_seconds, cold_augment, warm_augment
-        nonlocal matched_total, carry
-        for _ in range(num_rounds):
-            cost, feasible = drift.instance()
-            started = time.perf_counter()
-            cold = min_cost_matching(cost, feasible)
-            cold_seconds += time.perf_counter() - started
-            started = time.perf_counter()
-            warm = min_cost_matching(
-                cost, feasible,
-                warm=carry if carry is not None else WarmStart(),
-                worker_ids=drift.w_ids, task_ids=drift.t_ids,
-            )
-            warm_seconds += time.perf_counter() - started
-            carry = warm.warm
-            assert np.array_equal(warm.rows, cold.rows)
-            assert np.array_equal(warm.cols, cold.cols)
-            assert warm.total_cost == cold.total_cost
-            cold_augment += cold.augmentations
-            warm_augment += warm.augmentations
-            matched_total += cold.rows.size
-            drift.retire_and_arrive(cold.rows, cold.cols)
-
-    benchmark.pedantic(run_rounds, rounds=1, iterations=1)
-    assert matched_total > 0
-    speedup = cold_seconds / warm_seconds
-    print(
-        f"\n{num_rounds} district rounds (pool {drift.pool_w}x{drift.pool_t}): "
-        f"cold={cold_seconds:.3f}s warm={warm_seconds:.3f}s ({speedup:.2f}x); "
-        f"augmentations cold {cold_augment} / warm {warm_augment}, "
-        f"{matched_total} matched"
-    )
-    bench_artifact(
-        "flow_warm_matcher",
-        {"pool": [drift.pool_w, drift.pool_t], "rounds": num_rounds,
-         "bench_scale": BENCH_SCALE, "cold_seconds": cold_seconds,
-         "warm_seconds": warm_seconds, "speedup": speedup,
-         "cold_augmentations": int(cold_augment),
-         "warm_augmentations": int(warm_augment),
-         "matched": int(matched_total)},
-    )
-    if BENCH_SCALE >= 0.15:
-        assert speedup >= 1.3, (
-            f"warm-started solves regressed: {speedup:.2f}x < 1.3x"
-        )
-
-
-def test_dinic_speedup_vs_legacy(benchmark):
-    """Secondary: array Dinic vs recursive object-graph Dinic, max flow."""
-    _, feasible = make_instance(*LARGEST, density=0.3, seed=42)
-
-    started = time.perf_counter()
-    network, source, sink = _legacy_figure4(
-        np.zeros(feasible.shape), feasible
-    )
-    legacy_value = _LegacyDinic(network).max_flow(source, sink)
-    legacy_seconds = time.perf_counter() - started
-
-    def solve_new():
-        return MTAAssigner._solve_flow(feasible)
-
-    started = time.perf_counter()
-    pairs = solve_new()
-    new_seconds = time.perf_counter() - started
-    benchmark.pedantic(solve_new, rounds=1, iterations=1)
-
-    assert len(pairs) == legacy_value
-    print(
-        f"\nlargest instance {LARGEST}: legacy dinic={legacy_seconds:.3f}s "
-        f"array dinic={new_seconds:.3f}s speedup={legacy_seconds/new_seconds:.1f}x"
-    )

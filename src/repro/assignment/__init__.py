@@ -1,6 +1,7 @@
 """Task-assignment algorithms (paper Section IV).
 
-* :class:`MTAAssigner` — Maximum Task Assignment baseline (max flow only);
+* :class:`MTAAssigner` — Maximum Task Assignment baseline (max cardinality
+  only);
 * :class:`IAAssigner` — basic Influence-aware Assignment (MCMF with cost
   ``1/(if + 1)``);
 * :class:`EIAAssigner` — Entropy-based IA (cost ``(s.e + 1)/(if + 1)``);
@@ -8,21 +9,15 @@
 * :class:`MIAssigner` — Maximum Influence baseline (greedy on influence);
 * :class:`NearestNeighborAssigner` — the naive greedy of Figure 1.
 
-All MCMF-based assigners accept an ``engine``:
+One exact solver per problem runs in production, and the paper's flow
+algorithms are kept as the references the tests check it against:
 
-* ``"mcmf"`` — the from-scratch successive-shortest-path solver on the
-  general flow network (:mod:`repro.flow`), exact, readable — the
-  correctness reference;
-* ``"substrate"`` — the same SSP optimum through the array-native
-  bipartite engine (:mod:`repro.flow.bipartite`), an order of magnitude
-  faster than ``"mcmf"``;
-* ``"dense"`` — a lexicographic reduction to the rectangular assignment
-  problem solved by the Jonker-Volgenant implementation in scipy; the
-  fallback for very large instances;
-* ``"auto"`` (default) — from-scratch substrate up to a size threshold,
-  dense beyond it.
-
-All engines are equivalence-tested against each other in the test suite.
+* IA / EIA / DIA — :func:`solve_lexicographic`: per connected component of
+  the feasibility graph, scipy's Jonker-Volgenant LSAP with a
+  cardinality-first penalty pad; reference :func:`solve_lexicographic_mcmf`
+  (successive shortest paths on the Figure-4 network);
+* MTA — scipy's Hopcroft-Karp matching; reference :class:`~repro.flow.Dinic`
+  on :func:`~repro.assignment.solvers.build_figure4_network`.
 """
 
 from repro.assignment.base import (
@@ -33,14 +28,10 @@ from repro.assignment.base import (
     compute_feasible,
 )
 from repro.assignment.candidates import CandidatePair, candidate_pairs
-from repro.assignment.hungarian import hungarian, solve_lexicographic_hungarian
 from repro.assignment.lexico import LexicographicCostAssigner
 from repro.assignment.solvers import (
     solve_lexicographic,
-    solve_lexicographic_dense,
-    solve_lexicographic_matching,
     solve_lexicographic_mcmf,
-    solve_lexicographic_substrate,
 )
 from repro.assignment.mta import MTAAssigner
 from repro.assignment.ia import IAAssigner
@@ -58,14 +49,9 @@ __all__ = [
     "compute_feasible",
     "CandidatePair",
     "candidate_pairs",
-    "hungarian",
     "LexicographicCostAssigner",
     "solve_lexicographic",
-    "solve_lexicographic_dense",
-    "solve_lexicographic_hungarian",
-    "solve_lexicographic_matching",
     "solve_lexicographic_mcmf",
-    "solve_lexicographic_substrate",
     "MTAAssigner",
     "IAAssigner",
     "EIAAssigner",

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.data.instance import SCInstance
 from repro.entities import Assignment, Task, Worker
-from repro.flow.bipartite import MatchingResult
 from repro.geo import pairwise_euclidean
 from repro.influence import InfluenceModel, entropy_of_tasks
 
@@ -119,18 +118,15 @@ class PreparedInstance:
 
     def build_assignment(
         self,
-        pairs: "list[tuple[int, int]] | tuple[np.ndarray, np.ndarray] | MatchingResult",
+        pairs: "list[tuple[int, int]] | tuple[np.ndarray, np.ndarray]",
     ) -> Assignment:
         """Materialize an :class:`Assignment` from (worker_row, task_column)
         index pairs, validating feasibility and one-to-one matching.
 
-        Accepts a list of index tuples, a ``(rows, cols)`` pair of index
-        arrays, or a :class:`~repro.flow.MatchingResult` directly — the
-        array forms validate vectorized and only fall back to the scalar
-        walk to reproduce its precise error messages.
+        Accepts a list of index tuples or a ``(rows, cols)`` pair of index
+        arrays — the array form validates vectorized and only falls back to
+        the scalar walk to reproduce its precise error messages.
         """
-        if isinstance(pairs, MatchingResult):
-            pairs = (pairs.rows, pairs.cols)
         if (
             isinstance(pairs, tuple)
             and len(pairs) == 2

@@ -2,18 +2,8 @@
 
 IA, EIA and DIA differ only in how they price a worker-task edge; the
 solve itself — lexicographic max-cardinality-then-min-cost matching over
-the feasibility mask — is identical.  :class:`LexicographicCostAssigner`
-hosts that solve once, in two flavours:
-
-* :meth:`~LexicographicCostAssigner.assign` — the batch entry point every
-  :class:`~repro.assignment.base.Assigner` has;
-* :meth:`~LexicographicCostAssigner.assign_warm` — the streaming entry
-  point: takes the previous round's :class:`~repro.flow.WarmStart`
-  (duals + surviving matching keyed by worker/task ids), returns the
-  assignment *and* the full :class:`~repro.flow.MatchingResult`, whose
-  ``warm`` field is the carry-over state for the next round.  The warm
-  solve is pinned to the same objective value and cardinality as a cold
-  solve of the same instance — only the augmentation count changes.
+the feasibility mask, :func:`~repro.assignment.solvers.solve_lexicographic`
+— is identical, so :class:`LexicographicCostAssigner` hosts it once.
 """
 
 from __future__ import annotations
@@ -23,24 +13,12 @@ import abc
 import numpy as np
 
 from repro.assignment.base import Assigner, PreparedInstance
-from repro.assignment.solvers import solve_lexicographic_matching
+from repro.assignment.solvers import solve_lexicographic
 from repro.entities import Assignment
-from repro.flow.bipartite import MatchingResult, WarmStart
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _empty_result() -> MatchingResult:
-    return MatchingResult(
-        rows=_EMPTY, cols=_EMPTY, total_cost=0.0, warm=WarmStart()
-    )
 
 
 class LexicographicCostAssigner(Assigner):
     """An assigner defined entirely by its dense edge-cost matrix."""
-
-    def __init__(self, engine: str = "auto") -> None:
-        self.engine = engine
 
     @abc.abstractmethod
     def edge_costs(self, prepared: PreparedInstance) -> np.ndarray:
@@ -50,28 +28,6 @@ class LexicographicCostAssigner(Assigner):
         feasible = prepared.feasible
         if feasible.num_feasible == 0:
             return Assignment()
-        result = solve_lexicographic_matching(
-            self.edge_costs(prepared), feasible.mask, engine=self.engine
+        return prepared.build_assignment(
+            solve_lexicographic(self.edge_costs(prepared), feasible.mask)
         )
-        return prepared.build_assignment(result)
-
-    def assign_warm(
-        self, prepared: PreparedInstance, warm: WarmStart | None
-    ) -> tuple[Assignment, MatchingResult]:
-        """Solve carrying ``warm`` duals/matching from the previous round.
-
-        ``warm=None`` runs a tracked cold solve (first round of a stream);
-        the returned result always carries the refreshed ``warm`` state on
-        the substrate engine (``None`` on engines without one, in which
-        case the caller simply stays cold).
-        """
-        feasible = prepared.feasible
-        if feasible.num_feasible == 0:
-            return Assignment(), _empty_result()
-        result = solve_lexicographic_matching(
-            self.edge_costs(prepared), feasible.mask, engine=self.engine,
-            warm=warm,
-            worker_ids=[w.worker_id for w in feasible.workers],
-            task_ids=[t.task_id for t in feasible.tasks],
-        )
-        return prepared.build_assignment(result), result

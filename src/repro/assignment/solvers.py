@@ -1,40 +1,58 @@
 """Lexicographic (max cardinality, then min cost) matching solvers.
 
 The ITA objective is lexicographic: maximize ``|A|`` first, minimize total
-edge cost second.  Three exact solvers are provided:
+edge cost second.  One production solver and one reference are provided:
 
-* :func:`solve_lexicographic_mcmf` — builds the paper's Figure-4 flow graph
-  (bulk :meth:`~repro.flow.FlowNetwork.add_edges`, no Python loops) and
-  runs the from-scratch successive-shortest-path MCMF
+* :func:`solve_lexicographic` — the production path.  It splits the
+  feasibility graph into connected components and embeds each component in
+  a rectangular assignment problem: infeasible pairs get a penalty ``BIG``
+  chosen so that one avoided penalty always outweighs the sum of all the
+  component's real costs; scipy's Jonker-Volgenant solver then returns a
+  matching that first maximizes the number of feasible pairs and then
+  minimizes their cost.  Solving per component keeps each LSAP small and
+  makes the result independent of what else shares the matrix, so a
+  sharded round (shards never split a component) returns exactly the
+  unsharded pairs, ties included.
+
+* :func:`solve_lexicographic_mcmf` — the reference: builds the paper's
+  Figure-4 flow graph (:func:`build_figure4_network`) and runs the
+  from-scratch successive-shortest-path MCMF
   (:class:`repro.flow.MinCostMaxFlow`).  Since every augmentation increases
   flow by one and SSP minimizes cost at maximum flow, the result is exactly
-  the lexicographic optimum.
-
-* :func:`solve_lexicographic_substrate` — the same SSP optimum through the
-  vectorized bipartite engine (:mod:`repro.flow.bipartite`), which skips
-  the generic residual-graph walk; the fast from-scratch path.
-
-* :func:`solve_lexicographic_dense` — embeds the problem in a rectangular
-  assignment problem: infeasible pairs get a penalty ``BIG`` chosen so that
-  one avoided penalty always outweighs the sum of all real costs; scipy's
-  Jonker-Volgenant solver then returns a matching that first maximizes the
-  number of feasible pairs and then minimizes their cost.  Equivalent to
-  the from-scratch solvers (tested); the fallback for huge instances.
+  the lexicographic optimum.  Tests and benches check production against it.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
-
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
-from repro.exceptions import FlowError
 from repro.flow import FlowNetwork, MinCostMaxFlow
-from repro.flow.bipartite import MatchingResult, WarmStart, min_cost_matching
 
 
-def solve_lexicographic_dense(
+def _validated(
+    cost: np.ndarray, feasible: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce the inputs and reject what no solver can price."""
+    cost = np.asarray(cost, dtype=float)
+    feasible = np.asarray(feasible, dtype=bool)
+    if cost.shape != feasible.shape:
+        raise ValueError(f"shape mismatch: cost {cost.shape} vs mask {feasible.shape}")
+    real = cost[feasible]
+    if not np.isfinite(real).all():
+        bad = np.argwhere(feasible & ~np.isfinite(cost))[0]
+        raise ValueError(
+            f"costs must be finite on feasible pairs: cost[{bad[0]}, {bad[1]}] "
+            f"is {cost[bad[0], bad[1]]}"
+        )
+    if np.any(real < 0):
+        raise ValueError("costs must be non-negative")
+    return cost, feasible
+
+
+def solve_lexicographic(
     cost: np.ndarray, feasible: np.ndarray
 ) -> list[tuple[int, int]]:
     """Solve max-cardinality-then-min-cost matching on a dense cost matrix.
@@ -42,32 +60,52 @@ def solve_lexicographic_dense(
     Parameters
     ----------
     cost:
-        ``C x T`` non-negative costs (entries at infeasible positions are
-        ignored).
+        ``C x T`` non-negative costs, finite on feasible pairs (entries at
+        infeasible positions are ignored).
     feasible:
         ``C x T`` boolean mask of allowed pairs.
 
     Returns
     -------
-    list of ``(worker_row, task_column)`` pairs, feasible only.
+    list of ``(worker_row, task_column)`` pairs, feasible only, ascending.
     """
-    cost = np.asarray(cost, dtype=float)
-    feasible = np.asarray(feasible, dtype=bool)
-    if cost.shape != feasible.shape:
-        raise ValueError(f"shape mismatch: cost {cost.shape} vs mask {feasible.shape}")
-    if cost.size == 0 or not feasible.any():
+    cost, feasible = _validated(cost, feasible)
+    if not feasible.any():
         return []
-    finite_costs = cost[feasible]
-    if np.any(finite_costs < 0):
-        raise ValueError("costs must be non-negative")
-    max_real = float(finite_costs.max(initial=0.0))
-    matchable = min(cost.shape)
-    big = (max_real + 1.0) * (matchable + 1)
-    padded = np.where(feasible, cost, big)
-    rows, columns = linear_sum_assignment(padded)
-    return [
-        (int(r), int(c)) for r, c in zip(rows, columns) if feasible[r, c]
-    ]
+    n_workers, n_tasks = feasible.shape
+    rows, columns = np.nonzero(feasible)
+    graph = sparse.coo_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, n_workers + columns)),
+        shape=(n_workers + n_tasks,) * 2,
+    )
+    _, labels = connected_components(graph, directed=False)
+    # Group both axes by component; stable sorts keep each component's
+    # rows and columns in matrix order.
+    worker_order = np.argsort(labels[:n_workers], kind="stable")
+    task_order = np.argsort(labels[n_workers:], kind="stable")
+    worker_labels = labels[:n_workers][worker_order]
+    task_labels = labels[n_workers:][task_order]
+    matched_rows: list[np.ndarray] = []
+    matched_columns: list[np.ndarray] = []
+    for component in np.unique(labels[rows]):
+        lo, hi = np.searchsorted(worker_labels, [component, component + 1])
+        block_rows = worker_order[lo:hi]
+        lo, hi = np.searchsorted(task_labels, [component, component + 1])
+        block_columns = task_order[lo:hi]
+        block = np.ix_(block_rows, block_columns)
+        block_feasible = feasible[block]
+        padded = cost[block]
+        padded[~block_feasible] = (
+            (padded[block_feasible].max() + 1.0) * (min(padded.shape) + 1)
+        )
+        picked_rows, picked_columns = linear_sum_assignment(padded)
+        keep = block_feasible[picked_rows, picked_columns]
+        matched_rows.append(block_rows[picked_rows[keep]])
+        matched_columns.append(block_columns[picked_columns[keep]])
+    out_rows = np.concatenate(matched_rows)
+    out_columns = np.concatenate(matched_columns)
+    order = np.argsort(out_rows)
+    return list(zip(out_rows[order].tolist(), out_columns[order].tolist()))
 
 
 def build_figure4_network(
@@ -80,7 +118,7 @@ def build_figure4_network(
     given costs (zero when ``cost`` is ``None``); source/sink edges cost 0.
     Returns ``(network, rows, columns, pair_edges)`` with the feasible pairs
     in row-major order aligned with their forward edge ids — the shared
-    scaffolding of the max-flow and MCMF consumers.
+    scaffolding of the max-flow and MCMF references.
     """
     n_workers, n_tasks = feasible.shape
     sink = n_workers + n_tasks + 1
@@ -109,116 +147,10 @@ def solve_lexicographic_mcmf(
     cost: np.ndarray, feasible: np.ndarray
 ) -> list[tuple[int, int]]:
     """Solve the same problem through the Figure-4 flow network."""
-    cost = np.asarray(cost, dtype=float)
-    feasible = np.asarray(feasible, dtype=bool)
-    if cost.shape != feasible.shape:
-        raise ValueError(f"shape mismatch: cost {cost.shape} vs mask {feasible.shape}")
-    if cost.size == 0 or not feasible.any():
+    cost, feasible = _validated(cost, feasible)
+    if not feasible.any():
         return []
-    if np.any(cost[feasible] < 0):
-        raise ValueError("costs must be non-negative")
-
     network, rows, columns, pair_edges = build_figure4_network(feasible, cost)
     MinCostMaxFlow(network).solve(0, network.num_nodes - 1)
     used = network.flows(pair_edges) > 0
     return list(zip(rows[used].tolist(), columns[used].tolist()))
-
-
-def solve_lexicographic_substrate(
-    cost: np.ndarray, feasible: np.ndarray
-) -> list[tuple[int, int]]:
-    """Solve through the array-native bipartite SSP engine.
-
-    Same exact optimum as :func:`solve_lexicographic_mcmf` (the matcher is
-    the network solver specialized to the Figure-4 structure), an order of
-    magnitude faster; pairs come back ascending by worker row.
-    """
-    try:
-        return min_cost_matching(cost, feasible).pairs
-    except FlowError as error:
-        # Siblings in this module report bad inputs as ValueError.
-        raise ValueError(str(error)) from error
-
-
-def solve_lexicographic(
-    cost: np.ndarray,
-    feasible: np.ndarray,
-    engine: str = "auto",
-    dense_threshold: int = 60_000,
-) -> list[tuple[int, int]]:
-    """Dispatch between the solvers.
-
-    ``"auto"`` uses the from-scratch array substrate below
-    ``dense_threshold`` matrix cells and the dense scipy reduction above it
-    (the threshold tripled when the substrate went array-native);
-    ``"substrate"`` forces the vectorized bipartite SSP engine, ``"mcmf"``
-    the general flow-network solver, and ``"hungarian"`` the from-scratch
-    Kuhn-Munkres engine (scipy-free, same optimum).
-    """
-    if engine not in ("auto", "dense", "mcmf", "hungarian", "substrate"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "hungarian":
-        from repro.assignment.hungarian import solve_lexicographic_hungarian
-
-        return solve_lexicographic_hungarian(cost, feasible)
-    if engine == "mcmf":
-        return solve_lexicographic_mcmf(cost, feasible)
-    if engine == "substrate" or (
-        engine == "auto" and np.asarray(cost).size <= dense_threshold
-    ):
-        return solve_lexicographic_substrate(cost, feasible)
-    return solve_lexicographic_dense(cost, feasible)
-
-
-def solve_lexicographic_matching(
-    cost: np.ndarray,
-    feasible: np.ndarray,
-    engine: str = "auto",
-    dense_threshold: int = 60_000,
-    *,
-    warm: WarmStart | None = None,
-    worker_ids: Sequence[Hashable] | None = None,
-    task_ids: Sequence[Hashable] | None = None,
-) -> MatchingResult:
-    """Array-native variant of :func:`solve_lexicographic`.
-
-    Returns the full :class:`~repro.flow.MatchingResult` — ``(rows, cols)``
-    int64 arrays instead of a list of tuples — so downstream merge paths
-    never re-loop over Python pairs.  On the substrate engine the optional
-    ``warm`` state (with its worker/task ids) is threaded straight through
-    to :func:`~repro.flow.min_cost_matching`; the list-based engines have no
-    incremental structure to seed, so they ignore it and report their
-    cardinality as the augmentation count (each SSP augmentation matches
-    exactly one more pair, so the two measures coincide on cold solves).
-
-    A *tracked* solve — one passing ``warm`` or the id vectors — pins
-    ``"auto"`` to the substrate engine even above ``dense_threshold``:
-    falling through to the scipy reduction there would drop the carry and
-    turn warm streaming into a silent no-op exactly at the instance sizes
-    where it pays.  Explicit engine choices are honored as given (and
-    return ``warm=None``, which callers treat as staying cold).
-    """
-    if engine not in ("auto", "dense", "mcmf", "hungarian", "substrate"):
-        raise ValueError(f"unknown engine {engine!r}")
-    tracked = (
-        warm is not None or worker_ids is not None or task_ids is not None
-    )
-    if engine == "substrate" or (
-        engine == "auto"
-        and (tracked or np.asarray(cost).size <= dense_threshold)
-    ):
-        try:
-            return min_cost_matching(
-                cost, feasible,
-                warm=warm, worker_ids=worker_ids, task_ids=task_ids,
-            )
-        except FlowError as error:
-            raise ValueError(str(error)) from error
-    pairs = solve_lexicographic(cost, feasible, engine, dense_threshold)
-    rows = np.fromiter((r for r, _ in pairs), dtype=np.int64, count=len(pairs))
-    cols = np.fromiter((c for _, c in pairs), dtype=np.int64, count=len(pairs))
-    cost = np.asarray(cost, dtype=float)
-    total = float(cost[rows, cols].sum()) if rows.size else 0.0
-    return MatchingResult(
-        rows=rows, cols=cols, total_cost=total, augmentations=len(pairs)
-    )

@@ -492,7 +492,6 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
                 shards=args.shards, executor=args.executor,
                 admission=admission,
                 pipeline=args.pipeline, rebalance=rebalance, obs=obs,
-                warm=args.warm,
             )
         except DataError as error:
             print(f"cannot resume from {args.resume}: {error}", file=sys.stderr)
@@ -504,7 +503,6 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
             shards=args.shards, executor=args.executor,
             admission=admission,
             pipeline=args.pipeline, rebalance=rebalance, obs=obs,
-            warm=args.warm,
         )
     # Context-managed so pipelined executors never leak worker threads,
     # whatever path exits the block (including validation errors below).
@@ -679,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="overlap per-shard prepare/solve on the "
                              "executor pool (requires --shards; "
                              "bit-identical results, lower round latency)")
-    stream.add_argument("--warm", action="store_true",
-                        help="carry solver duals between rounds to warm-start "
-                             "lexicographic solves (IA/EIA/DIA; bit-identical "
-                             "assignments, lower solve latency)")
     stream.add_argument("--rebalance", action="store_true",
                         help="repack shard components from an EWMA of "
                              "observed solve latency at deterministic "

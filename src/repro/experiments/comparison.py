@@ -33,13 +33,11 @@ def comparison_algorithms(
     All five algorithms use the full influence model (``None``); they
     differ only in their assignment strategy.
     """
-    # Engines are pinned (scipy matching / dense JV reduction) so CPU-time
-    # curves reflect instance size, not the auto-dispatch threshold.
     return {
-        "MTA": (MTAAssigner(engine="matching"), None),
-        "IA": (IAAssigner(engine="dense"), None),
-        "EIA": (EIAAssigner(engine="dense"), None),
-        "DIA": (DIAAssigner(engine="dense"), None),
+        "MTA": (MTAAssigner(), None),
+        "IA": (IAAssigner(), None),
+        "EIA": (EIAAssigner(), None),
+        "DIA": (DIAAssigner(), None),
         "MI": (MIAssigner(), None),
     }
 

@@ -21,13 +21,13 @@ propagation engine uses):
   instead of hanging;
 * :class:`PotentialMinCostMaxFlow` — the historical name of the
   Dijkstra-with-potentials engine, now a thin wrapper that additionally
-  rejects negative original costs eagerly;
-* :func:`min_cost_matching` — the SSP machinery specialized to the
-  three-layer bipartite assignment graphs: a dense reduced-cost matrix
-  plus vectorized sweeps, 15-40x faster than the general solver on the
-  Figure-4 instances (same exact optimum, oracle-tested); accepts a
-  :class:`WarmStart` carrying a previous solve's duals + matching so
-  streaming rounds re-augment only what changed.
+  rejects negative original costs eagerly.
+
+These are the paper's algorithms, kept as readable references: production
+assignment solves run through scipy (:mod:`repro.assignment.solvers`,
+:class:`~repro.assignment.MTAAssigner`), and the test suite and benches
+check them against :class:`Dinic` and :class:`MinCostMaxFlow` on the
+Figure-4 network.
 """
 
 from repro.flow.network import FlowNetwork
@@ -39,7 +39,6 @@ from repro.flow.potentials import (
     dijkstra_reduced,
     scan_shortest_paths,
 )
-from repro.flow.bipartite import MatchingResult, WarmStart, min_cost_matching
 
 __all__ = [
     "FlowNetwork",
@@ -51,7 +50,4 @@ __all__ = [
     "bellman_ford_potentials",
     "dijkstra_reduced",
     "scan_shortest_paths",
-    "MatchingResult",
-    "WarmStart",
-    "min_cost_matching",
 ]

@@ -1,8 +1,9 @@
 """Maximum-flow algorithms: Edmonds-Karp and Dinic.
 
 Edmonds-Karp is the BFS instantiation of Ford-Fulkerson the paper cites; it
-is kept as the readable reference.  Dinic is the fast path used by the MTA
-baseline on large assignment graphs (unit capacities make it O(E * sqrt(V))).
+is kept as the readable reference.  Dinic is the reference the MTA baseline's
+Hopcroft-Karp matching is checked against (unit capacities make it
+O(E * sqrt(V))).
 
 Dinic runs over the :meth:`~repro.flow.network.FlowNetwork.csr` arrays: the
 level BFS advances whole frontiers with one vectorized capacity mask per

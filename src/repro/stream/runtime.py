@@ -61,7 +61,6 @@ from typing import Any
 import numpy as np
 
 from repro.assignment.base import Assigner, PreparedInstance, RoundState
-from repro.assignment.lexico import LexicographicCostAssigner
 from repro.assignment.partitioned import bucket_pools, merge_assignments
 from repro.data.instance import SCInstance
 from repro.entities import Assignment
@@ -296,37 +295,19 @@ def _span_tuple(start_ns: int, end_ns: int) -> tuple[int, int, int, int]:
 
 
 def _solve_shard(
-    assigner: Assigner,
-    shard: int,
-    prepared: PreparedInstance,
-    warm=None,
-    use_warm: bool = False,
-) -> tuple[int, Assignment, float, tuple[int, int, int, int], Any]:
+    assigner: Assigner, shard: int, prepared: PreparedInstance
+) -> tuple[int, Assignment, float, tuple[int, int, int, int]]:
     """One shard's timed solve — module-level so process pools can pickle it.
 
     The span tuple places the solve on the wall-clock timeline (worker
     pid/tid included), so the parent's tracer can attribute it even when
-    the solve ran in a pool process.  With ``use_warm=True`` the solve
-    routes through the assigner's ``assign_warm`` and the final element
-    becomes ``(warm_out, augmentations, seeded, matched)`` — the caller's
-    per-shard dual carry plus solver-effort counters; it is ``None`` on
-    cold solves.
+    the solve ran in a pool process.
     """
     started = time.perf_counter()
     start_ns = time.time_ns()
-    stats = None
-    if use_warm:
-        part, matching = assigner.assign_warm(prepared, warm)
-        stats = (
-            matching.warm,
-            matching.augmentations,
-            matching.seeded,
-            int(matching.rows.size),
-        )
-    else:
-        part = assigner.assign(prepared)
+    part = assigner.assign(prepared)
     elapsed = time.perf_counter() - started
-    return shard, part, elapsed, _span_tuple(start_ns, time.time_ns()), stats
+    return shard, part, elapsed, _span_tuple(start_ns, time.time_ns())
 
 
 @dataclass(frozen=True)
@@ -346,17 +327,6 @@ class RoundExecution:
     solve_seconds: float
     merge_seconds: float
     shard_seconds: dict[int, float] = field(default_factory=dict)
-    #: Successful augmenting paths across all shard solves (0 when the
-    #: solves ran cold — the counters only exist on the warm path).
-    solve_augmentations: int = 0
-    #: Matched pairs carried over intact from the previous round's warm
-    #: state, summed across shards.
-    warm_seeded: int = 0
-    #: Total matched pairs this round across warm shard solves (the
-    #: denominator of the warm-hit ratio).
-    warm_matched: int = 0
-    #: Whether any shard solved through the warm path this round.
-    warmed: bool = False
 
 
 class ShardExecutor:
@@ -425,7 +395,6 @@ class ShardExecutor:
         rebalancer: ShardRebalancer | None = None,
         log: EventLog | None = None,
         obs: Observability | None = None,
-        warm: bool = False,
     ) -> None:
         if backend not in EXECUTOR_BACKENDS:
             raise ValueError(
@@ -448,13 +417,6 @@ class ShardExecutor:
             layout.num_shards, os.cpu_count() or 1
         )
         self.round_states: dict[int, RoundState] = {}
-        #: Warm-start duals carried between rounds, per shard.  Purely an
-        #: accelerator: solves seeded from these states are pinned
-        #: bit-identical to cold solves, and the dict is dropped whenever
-        #: shard membership can shift under an entity (repack, relocation)
-        #: — never persisted in checkpoints, so resumes rebuild cold.
-        self.warm = warm
-        self.warm_states: dict[int, Any] = {}
         if rng is not None:
             spawned = rng.spawn(layout.num_shards)
             self.rngs: dict[int, np.random.Generator] = dict(enumerate(spawned))
@@ -616,35 +578,22 @@ class ShardExecutor:
         state: StreamState,
         sub_instance: SCInstance,
         assigner: Assigner,
-        warm=None,
-        use_warm: bool = False,
     ) -> tuple[
         int, Assignment, float, float,
-        tuple[int, int, int, int], tuple[int, int, int, int], Any,
+        tuple[int, int, int, int], tuple[int, int, int, int],
     ]:
         """One shard's prepare+solve unit (the pipelined thread-pool task).
 
         The two span tuples are the prepare and solve spans — this unit
         runs on a pool thread, so the spans carry their own tid for the
-        parent tracer to attribute.  The final element is the warm-solve
-        stats tuple (see :func:`_solve_shard`), ``None`` on cold solves.
+        parent tracer to attribute.
         """
         started = time.perf_counter()
         prepare_start_ns = time.time_ns()
         prepared = self._prepare_shard(shard, state, sub_instance)
         prepared_at = time.perf_counter()
         solve_start_ns = time.time_ns()
-        stats = None
-        if use_warm:
-            part, matching = assigner.assign_warm(prepared, warm)
-            stats = (
-                matching.warm,
-                matching.augmentations,
-                matching.seeded,
-                int(matching.rows.size),
-            )
-        else:
-            part = assigner.assign(prepared)
+        part = assigner.assign(prepared)
         solved = time.perf_counter() - prepared_at
         end_ns = time.time_ns()
         return (
@@ -654,7 +603,6 @@ class ShardExecutor:
             solved,
             _span_tuple(prepare_start_ns, solve_start_ns),
             _span_tuple(solve_start_ns, end_ns),
-            stats,
         )
 
     def _component_entities(self, state: StreamState) -> dict[int, int]:
@@ -708,54 +656,34 @@ class ShardExecutor:
 
         prepare_seconds = 0.0
         solve_seconds = 0.0
-        solve_augmentations = 0
-        warm_seeded = 0
-        warm_matched = 0
         shard_seconds: dict[int, float] = {}
         parts: list[Assignment] = []
         tracer = self.obs.tracer
-        # Warm starts only make sense for assigners whose solve exposes the
-        # dual-carrying interface; anything else stays on the cold path.
-        use_warm = self.warm and isinstance(assigner, LexicographicCostAssigner)
 
-        def emit(
-            name: str, span: tuple[int, int, int, int], shard: int, extra=None
-        ) -> None:
-            args = {"shard": shard, "round": round_index}
-            if extra:
-                args.update(extra)
+        def emit(name: str, span: tuple[int, int, int, int], shard: int) -> None:
             tracer.complete(
                 name, span[0], span[1], cat="shard", pid=span[2], tid=span[3],
-                args=args,
+                args={"shard": shard, "round": round_index},
             )
 
         def collect(
-            shard: int, part: Assignment, solved: float, span=None, stats=None
+            shard: int, part: Assignment, solved: float, span=None
         ) -> None:
-            nonlocal solve_seconds, solve_augmentations, warm_seeded, warm_matched
+            nonlocal solve_seconds
             parts.append(part)
             solve_seconds += solved
             shard_seconds[shard] = shard_seconds.get(shard, 0.0) + solved
-            extra = None
-            if stats is not None:
-                self.warm_states[shard] = stats[0]
-                solve_augmentations += stats[1]
-                warm_seeded += stats[2]
-                warm_matched += stats[3]
-                extra = {"augmentations": stats[1], "warm_seeded": stats[2]}
             if span is not None and tracer.enabled:
-                emit("shard.solve", span, shard, extra)
+                emit("shard.solve", span, shard)
 
         def collect_shared(shard, prepared, future) -> None:
             # Workers return (row, column) index arrays; materialize them
             # against the caller's full-fidelity prepared instance (which
             # re-validates feasibility and one-to-one matching).
-            shard_, index_pairs, solved, span, stats = self._shard_result(
+            shard_, index_pairs, solved, span = self._shard_result(
                 future, shard, round_index
             )
-            collect(
-                shard, prepared.build_assignment(index_pairs), solved, span, stats
-            )
+            collect(shard, prepared.build_assignment(index_pairs), solved, span)
 
         pipelined = (
             pipeline and self.backend != "serial" and len(shard_instances) > 1
@@ -767,19 +695,18 @@ class ShardExecutor:
             pool = self._pool_executor()
             futures = [
                 pool.submit(
-                    self._prepare_and_solve, shard, state, sub, assigner,
-                    self.warm_states.get(shard), use_warm,
+                    self._prepare_and_solve, shard, state, sub, assigner
                 )
                 for shard, sub in shard_instances
             ]
             for (shard, _), future in zip(shard_instances, futures):
-                shard, part, prep, solved, prep_span, solve_span, stats = (
+                shard, part, prep, solved, prep_span, solve_span = (
                     self._shard_result(future, shard, round_index)
                 )
                 prepare_seconds += prep
                 if tracer.enabled:
                     emit("shard.prepare", prep_span, shard)
-                collect(shard, part, solved, solve_span, stats)
+                collect(shard, part, solved, solve_span)
         elif pipelined:
             # Process backend: prepare in-caller (the influence caches live
             # here), but submit each shard the moment it is prepared so
@@ -801,15 +728,9 @@ class ShardExecutor:
                     )
                 if shared:
                     header = self._publish_shard(shard, prepared, now)
-                    future = pool.submit(
-                        solve_shared_shard, assigner, header,
-                        self.warm_states.get(shard), use_warm,
-                    )
+                    future = pool.submit(solve_shared_shard, assigner, header)
                 else:
-                    future = pool.submit(
-                        _solve_shard, assigner, shard, prepared,
-                        self.warm_states.get(shard), use_warm,
-                    )
+                    future = pool.submit(_solve_shard, assigner, shard, prepared)
                 prepare_seconds += time.perf_counter() - started
                 futures.append((shard, prepared, future))
             for shard, prepared, future in futures:
@@ -832,12 +753,7 @@ class ShardExecutor:
                     )
             if self.backend == "serial" or len(work) <= 1:
                 for shard, prepared in work:
-                    collect(
-                        *_solve_shard(
-                            assigner, shard, prepared,
-                            self.warm_states.get(shard), use_warm,
-                        )
-                    )
+                    collect(*_solve_shard(assigner, shard, prepared))
             elif self.shares_memory:
                 pool = self._pool_executor()
                 futures = [
@@ -848,8 +764,6 @@ class ShardExecutor:
                             solve_shared_shard,
                             assigner,
                             self._publish_shard(shard, prepared, now),
-                            self.warm_states.get(shard),
-                            use_warm,
                         ),
                     )
                     for shard, prepared in work
@@ -859,10 +773,7 @@ class ShardExecutor:
             else:
                 pool = self._pool_executor()
                 futures = [
-                    pool.submit(
-                        _solve_shard, assigner, shard, prepared,
-                        self.warm_states.get(shard), use_warm,
-                    )
+                    pool.submit(_solve_shard, assigner, shard, prepared)
                     for shard, prepared in work
                 ]
                 for (shard, _), future in zip(work, futures):
@@ -887,29 +798,14 @@ class ShardExecutor:
             solve_seconds=solve_seconds,
             merge_seconds=merge_seconds,
             shard_seconds=shard_seconds,
-            solve_augmentations=solve_augmentations,
-            warm_seeded=warm_seeded,
-            warm_matched=warm_matched,
-            warmed=use_warm,
         )
-
-    def invalidate_warm(self) -> None:
-        """Drop every shard's carried warm state (next solves run cold).
-
-        Called whenever shard membership can shift under an entity — a
-        layout repack or a relocation wave — since carried duals are keyed
-        by entity id *within* a shard's sub-problem.
-        """
-        self.warm_states.clear()
 
     def maybe_repack(self, round_index: int) -> int:
         """Apply a latency-driven repack at this round boundary.
 
         Returns the number of repacks applied (0 or 1).  Delegates the
         decision to the configured :class:`ShardRebalancer`; without one
-        the layout is immutable and this is a no-op.  An applied repack
-        moves components between shards, so carried warm states are
-        invalidated with it.
+        the layout is immutable and this is a no-op.
         """
         if self.rebalancer is None:
             return 0
@@ -917,7 +813,6 @@ class ShardExecutor:
         if repacked is None:
             return 0
         self.layout = repacked
-        self.invalidate_warm()
         return 1
 
     # ------------------------------------------------------------- lifecycle
@@ -1036,16 +931,6 @@ class StreamRuntime:
         inert; telemetry is pure observation either way — instruments only
         read values the runtime already computed, so obs-on and obs-off
         runs produce bit-identical results (pinned by differential tests).
-    warm:
-        Carry the previous round's solver duals and surviving matches into
-        the next round's solve (per shard when sharded).  Applies only to
-        assigners built on :class:`~repro.assignment.LexicographicCostAssigner`
-        (IA/EIA/DIA and subclasses); others silently run cold.  Purely an
-        accelerator: warm solves are pinned bit-identical (objective value
-        and cardinality) to cold solves, warm state is invalidated on
-        layout repacks and relocation waves, and it is never checkpointed
-        — a resumed runtime rebuilds it cold, keeping the v6 checkpoint
-        format untouched.
     """
 
     def __init__(
@@ -1067,7 +952,6 @@ class StreamRuntime:
         pipeline: bool = False,
         rebalance: ShardRebalancer | None = None,
         obs: Observability | None = None,
-        warm: bool = False,
     ) -> None:
         if patience_hours is not None and patience_hours < 0:
             raise ValueError(
@@ -1084,14 +968,8 @@ class StreamRuntime:
         self.rng = rng
         self.admission = admission
         self.pipeline = pipeline
-        self.warm = warm
         self.obs = obs if obs is not None else NULL_OBS
         self._instruments: dict[str, Any] | None = None
-        #: Unsharded warm carry + the last round's solver-effort stats
-        #: (``(augmentations, seeded, matched)`` or ``None`` on cold
-        #: rounds) for the observability hook.  Never checkpointed.
-        self._warm_state: Any = None
-        self._last_solver_stats: tuple[int, int, int] | None = None
         self.shard_executor: ShardExecutor | None = None
         #: The *requested* shard configuration (vs the planned layout, which
         #: may use fewer bins); persisted in checkpoints so a resume with a
@@ -1101,7 +979,7 @@ class StreamRuntime:
             layout = ShardLayout.plan(log, shards, cell_km=shard_cell_km)
             self.shard_executor = ShardExecutor(
                 layout, influence=influence_model, backend=executor, rng=rng,
-                rebalancer=rebalance, log=log, obs=self.obs, warm=warm,
+                rebalancer=rebalance, log=log, obs=self.obs,
             )
             self.shard_request = {"shards": shards, "cell_km": shard_cell_km}
         self.state = StreamState(
@@ -1247,20 +1125,12 @@ class StreamRuntime:
                 "round.drain", round_start_ns, time.time_ns(), cat="stream",
                 args={"round": round_index, "events": drained},
             )
-        if relocated:
-            # A relocation wave can move entities across shard boundaries
-            # (and perturbs distances everywhere), so carried duals no
-            # longer describe the next sub-problems — drop them.
-            self._warm_state = None
-            if self.shard_executor is not None:
-                self.shard_executor.invalidate_warm()
         state = self.state
         pool_workers = state.num_online_workers
         pool_tasks = state.num_open_tasks
         assigned = 0
         elapsed = 0.0
         prepare_seconds = solve_seconds = merge_seconds = 0.0
-        solver_stats: tuple[int, int, int] | None = None
         if pool_workers and pool_tasks:
             started = time.perf_counter()
             if self.shard_executor is not None:
@@ -1272,32 +1142,13 @@ class StreamRuntime:
                 prepare_seconds = execution.prepare_seconds
                 solve_seconds = execution.solve_seconds
                 merge_seconds = execution.merge_seconds
-                if execution.warmed:
-                    solver_stats = (
-                        execution.solve_augmentations,
-                        execution.warm_seeded,
-                        execution.warm_matched,
-                    )
             else:
                 # The unsharded composition of run_assignment, phase-timed.
                 prepare_start_ns = time.time_ns()
                 prepared = state.prepare_round(fire_time)
                 prepare_seconds = time.perf_counter() - started
                 solve_start_ns = time.time_ns()
-                if self.warm and isinstance(
-                    self.assigner, LexicographicCostAssigner
-                ):
-                    assignment, matching = self.assigner.assign_warm(
-                        prepared, self._warm_state
-                    )
-                    self._warm_state = matching.warm
-                    solver_stats = (
-                        matching.augmentations,
-                        matching.seeded,
-                        int(matching.rows.size),
-                    )
-                else:
-                    assignment = self.assigner.assign(prepared)
+                assignment = self.assigner.assign(prepared)
                 solve_seconds = time.perf_counter() - started - prepare_seconds
                 merge_started = time.perf_counter()
                 merge_start_ns = time.time_ns()
@@ -1305,20 +1156,13 @@ class StreamRuntime:
                 merge_seconds = time.perf_counter() - merge_started
                 if tracer.enabled:
                     phase_args = {"round": round_index}
-                    solve_args = phase_args
-                    if solver_stats is not None:
-                        solve_args = {
-                            "round": round_index,
-                            "augmentations": solver_stats[0],
-                            "warm_seeded": solver_stats[1],
-                        }
                     tracer.complete(
                         "round.prepare", prepare_start_ns, solve_start_ns,
                         cat="stream", args=phase_args,
                     )
                     tracer.complete(
                         "round.solve", solve_start_ns, merge_start_ns,
-                        cat="stream", args=solve_args,
+                        cat="stream", args=phase_args,
                     )
                     tracer.complete(
                         "round.merge", merge_start_ns, time.time_ns(),
@@ -1330,7 +1174,6 @@ class StreamRuntime:
                 self._result.assignment.add(pair.task, pair.worker)
                 self._result.metrics.on_assigned(task_wait, worker_wait)
             assigned = len(assignment)
-        self._last_solver_stats = solver_stats
         repacks = 0
         if self.shard_executor is not None:
             # Latency-driven repacking fires at deterministic round-index
@@ -1452,15 +1295,6 @@ class StreamRuntime:
                     "repro_stream_repacks_total",
                     "Shard-layout repacks applied at round boundaries.",
                 ),
-                "augmentations": registry.counter(
-                    "repro_stream_solve_augmentations",
-                    "Augmenting paths run by warm-capable round solves.",
-                ),
-                "warm_hit": registry.gauge(
-                    "repro_stream_warm_hit",
-                    "Fraction of the last warm round's matches carried over "
-                    "intact from the previous round's warm state.",
-                ),
                 "workers": registry.gauge(
                     "repro_stream_online_workers",
                     "Online workers at the last round's start.",
@@ -1493,11 +1327,6 @@ class StreamRuntime:
         instruments["workers"].set(record.online_workers)
         instruments["tasks"].set(record.open_tasks)
         instruments["round_seconds"].record(record.round_seconds)
-        stats = self._last_solver_stats
-        if stats is not None:
-            augmentations, seeded, matched = stats
-            instruments["augmentations"].inc(augmentations)
-            instruments["warm_hit"].set(seeded / max(matched, 1))
         phases = instruments["phase_seconds"]
         for phase in ("drain", "prepare", "solve", "merge"):
             phases.labels(phase).record(getattr(record, f"{phase}_seconds"))
@@ -1570,7 +1399,6 @@ class StreamRuntime:
         pipeline: bool = False,
         rebalance: ShardRebalancer | None = None,
         obs: Observability | None = None,
-        warm: bool = False,
     ) -> "StreamRuntime":
         """Reconstruct a runtime from a checkpoint and the original log.
 
@@ -1604,7 +1432,6 @@ class StreamRuntime:
             pipeline=pipeline,
             rebalance=rebalance,
             obs=obs,
-            warm=warm,
         )
         restore_runtime(runtime, path)
         return runtime

@@ -286,13 +286,8 @@ def _attach_scratch(shard: int, name: str) -> shared_memory.SharedMemory:
 
 
 def solve_shared_shard(
-    assigner: Assigner,
-    header: dict,
-    warm=None,
-    use_warm: bool = False,
-) -> tuple[
-    int, tuple[np.ndarray, np.ndarray], float, tuple[int, int, int, int], object
-]:
+    assigner: Assigner, header: dict
+) -> tuple[int, tuple[np.ndarray, np.ndarray], float, tuple[int, int, int, int]]:
     """One shard's solve against shared state; runs in the pool worker.
 
     Entities are rebuilt from the slab rows the header's slot vectors
@@ -304,14 +299,6 @@ def solve_shared_shard(
     influence/entropy rectangles, ids and publication times, all of which
     ride along) — and the caller materializes the returned index pairs
     against its own full-fidelity prepared instance anyway.
-
-    ``use_warm=True`` routes the solve through the assigner's
-    ``assign_warm`` with the (possibly ``None``) carried ``warm`` state —
-    warm dicts are keyed by real worker/task ids, which the rebuilt
-    entities preserve, so carry-over is process-safe.  The final element
-    is then ``(warm_out, augmentations, seeded, matched)`` for the
-    caller's per-shard carry and solver-effort metrics; ``None`` on cold
-    solves.
 
     The ``(start_ns, end_ns, pid, tid)`` tuple is the solve span on the
     worker's wall clock: the parent's tracer (when one is live) replays it
@@ -380,17 +367,7 @@ def solve_shared_shard(
     }
     started = time.perf_counter()
     start_ns = time.time_ns()
-    stats = None
-    if use_warm:
-        part, matching = assigner.assign_warm(prepared, warm)
-        stats = (
-            matching.warm,
-            matching.augmentations,
-            matching.seeded,
-            int(matching.rows.size),
-        )
-    else:
-        part = assigner.assign(prepared)
+    part = assigner.assign(prepared)
     solved = time.perf_counter() - started
     span = (start_ns, time.time_ns(), os.getpid(), threading.get_ident())
     row_of = {worker.worker_id: row for row, worker in enumerate(workers)}
@@ -403,4 +380,4 @@ def solve_shared_shard(
     # Views die here; only the cached SharedMemory handles persist, so a
     # regrown scratch block can be re-attached without BufferError.
     del views, prepared, part
-    return header["shard"], (rows, cols), solved, span, stats
+    return header["shard"], (rows, cols), solved, span

@@ -66,10 +66,10 @@ class DistanceLexAssigner(LexicographicCostAssigner):
     no social graph costs every edge 1.0), which makes *which* optimal
     matching the solver returns degenerate.  Continuous pairwise distances
     from the synthetic generators are distinct almost surely, so this
-    assigner has a unique optimum per round — the right probe for warm-vs-
-    cold differentials that assert pair-level (not just objective-level)
-    bit-identity across the scenario matrix.  Module-level so the process
-    backend can pickle it.
+    assigner has a unique optimum per round — the right probe for sharded-
+    vs-unsharded differentials that assert pair-level (not just
+    objective-level) bit-identity across the scenario matrix.  Module-level
+    so the process backend can pickle it.
     """
 
     name = "DistLex"

@@ -354,39 +354,41 @@ class TestObservabilityDifferential:
         validate_exposition(render_prometheus(obs.registry))
 
 
-class TestWarmDifferential:
-    """Warm-started solves are a pure accelerator: identical output.
+class TestDistanceLexDifferential:
+    """Sharded lexicographic rounds are pair-identical to unsharded ones.
 
     The probe assigner prices edges by raw distance, whose continuous
     values make the per-round optimum unique — so these differentials pin
-    pair-level bit-identity, not just the objective value the flow layer
-    already guarantees.
+    pair-level bit-identity for the production lexicographic solver, not
+    just the objective value.
     """
 
-    def test_all_scenarios_unsharded(self, scenario):
-        cold = run_stream(scenario, DistanceLexAssigner())
-        warm = run_stream(scenario, DistanceLexAssigner(), warm=True)
-        assert cold.total_assigned > 0
-        assert pairs(warm) == pairs(cold)
-        assert round_rows(warm) == round_rows(cold)
-        assert wait_profile(warm) == wait_profile(cold)
+    def test_all_scenarios_sharded(self, scenario):
+        plain = run_stream(scenario, DistanceLexAssigner())
+        sharded = run_stream(
+            scenario, DistanceLexAssigner(), shards=scenario.shard_counts[-1]
+        )
+        assert plain.total_assigned > 0
+        assert pairs(sharded) == pairs(plain)
+        assert round_rows(sharded) == round_rows(plain)
+        assert wait_profile(sharded) == wait_profile(plain)
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("pipeline", [False, True])
     def test_sharded_backends_through_relocation_waves(self, backend, pipeline):
-        """mass_relocation fires invalidation mid-stream on every backend."""
+        """mass_relocation moves entities across shards on every backend."""
         scenario = SCENARIOS["mass_relocation"]()
         assert scenario.has_relocations
-        cold = run_stream(scenario, DistanceLexAssigner())
-        warm = run_stream(
+        plain = run_stream(scenario, DistanceLexAssigner())
+        sharded = run_stream(
             scenario, DistanceLexAssigner(), shards=4,
-            executor=backend, pipeline=pipeline, warm=True,
+            executor=backend, pipeline=pipeline,
         )
-        assert pairs(warm) == pairs(cold)
-        assert round_rows(warm) == round_rows(cold)
+        assert pairs(sharded) == pairs(plain)
+        assert round_rows(sharded) == round_rows(plain)
 
-    def test_warm_with_rebalancing_and_observability(self):
-        """The full stack — warm + repacks + live telemetry — stays pinned."""
+    def test_rebalancing_and_observability(self):
+        """The full stack — repacks + live telemetry — stays pinned."""
         scenario = SCENARIOS["rush_hour_relocation"]()
         shards = scenario.shard_counts[-1]
         plain = run_stream(scenario, DistanceLexAssigner())
@@ -394,13 +396,10 @@ class TestWarmDifferential:
         stacked = run_stream(
             scenario, DistanceLexAssigner(), shards=shards,
             executor="thread", pipeline=True, rebalance=eager_rebalancer(),
-            warm=True, obs=obs,
+            obs=obs,
         )
         assert pairs(stacked) == pairs(plain)
         assert round_rows(stacked) == round_rows(plain)
-        names = {family.name for family in obs.registry.families()}
-        assert "repro_stream_solve_augmentations" in names
-        assert "repro_stream_warm_hit" in names
         validate_trace_events(obs.tracer.to_payload())
         validate_exposition(render_prometheus(obs.registry))
 

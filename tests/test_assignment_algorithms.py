@@ -11,7 +11,10 @@ from repro.assignment import (
     MTAAssigner,
     NearestNeighborAssigner,
     PreparedInstance,
+    solve_lexicographic_mcmf,
 )
+from repro.assignment.solvers import build_figure4_network
+from repro.flow import Dinic
 from repro.framework.metrics import evaluate_assignment
 
 ALL_ASSIGNERS = [
@@ -68,9 +71,10 @@ class TestCardinalityRelations:
         assert len(NearestNeighborAssigner().assign(prepared)) <= mta
 
     def test_mta_engines_agree(self, prepared):
-        flow = MTAAssigner(engine="flow").assign(prepared)
-        matching = MTAAssigner(engine="matching").assign(prepared)
-        assert len(flow) == len(matching)
+        """Production Hopcroft-Karp reaches the Dinic reference's max flow."""
+        network, _, _, _ = build_figure4_network(prepared.feasible.mask)
+        max_flow = Dinic(network).max_flow(0, network.num_nodes - 1)
+        assert len(MTAAssigner().assign(prepared)) == max_flow
 
 
 class TestObjectiveRelations:
@@ -137,28 +141,22 @@ class TestObjectiveRelations:
 class TestEngineConsistency:
     @pytest.mark.parametrize("assigner_cls", [IAAssigner, EIAAssigner, DIAAssigner])
     def test_dense_and_mcmf_equivalent(self, assigner_cls, tiny_instance, full_influence):
+        """The production LSAP reduction vs the Figure-4 MCMF reference."""
         small = tiny_instance.with_tasks(tiny_instance.tasks[:8]).with_workers(
             tiny_instance.workers[:8]
         )
-        prepared_dense = PreparedInstance(small, full_influence)
-        prepared_mcmf = PreparedInstance(small, full_influence)
-        dense = assigner_cls(engine="dense").assign(prepared_dense)
-        mcmf = assigner_cls(engine="mcmf").assign(prepared_mcmf)
+        prepared = PreparedInstance(small, full_influence)
+        dense = assigner_cls().assign(prepared)
+        costs = assigner_cls().edge_costs(prepared)
+        mcmf = solve_lexicographic_mcmf(costs, prepared.feasible.mask)
         assert len(dense) == len(mcmf)
-        costs = assigner_cls().edge_costs(prepared_dense)
-        workers = {w.worker_id: i for i, w in enumerate(prepared_dense.feasible.workers)}
-        tasks = {t.task_id: j for j, t in enumerate(prepared_dense.feasible.tasks)}
+        workers = {w.worker_id: i for i, w in enumerate(prepared.feasible.workers)}
+        tasks = {t.task_id: j for j, t in enumerate(prepared.feasible.tasks)}
         cost_dense = sum(
             costs[workers[p.worker.worker_id], tasks[p.task.task_id]] for p in dense
         )
-        cost_mcmf = sum(
-            costs[workers[p.worker.worker_id], tasks[p.task.task_id]] for p in mcmf
-        )
+        cost_mcmf = sum(costs[row, column] for row, column in mcmf)
         assert cost_dense == pytest.approx(cost_mcmf, abs=1e-6)
-
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError):
-            MTAAssigner(engine="warp")
 
 
 class TestCostMatrices:

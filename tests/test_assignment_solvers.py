@@ -1,9 +1,10 @@
 """Tests for the lexicographic matching solvers.
 
-The critical property: both the from-scratch MCMF solver and the dense
-scipy reduction return (1) a maximum-cardinality matching that (2) has
-minimum total cost among such matchings.  They are cross-validated on
-random instances and against brute force on small ones.
+The critical property: the production solver (per-component scipy LSAP)
+and the Figure-4 MCMF reference both return (1) a maximum-cardinality
+matching that (2) has minimum total cost among such matchings.  They are
+cross-validated on random instances, across cost scales and near-ties, and
+against brute force on small ones.
 """
 
 import itertools
@@ -13,12 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.assignment import (
-    solve_lexicographic_dense,
-    solve_lexicographic_mcmf,
-    solve_lexicographic_substrate,
-)
-from repro.assignment.solvers import solve_lexicographic
+from repro.assignment import solve_lexicographic, solve_lexicographic_mcmf
+
+SOLVERS = [solve_lexicographic, solve_lexicographic_mcmf]
 
 
 def brute_force(cost, feasible):
@@ -53,27 +51,27 @@ def check_solution(pairs, cost, feasible, expected_size, expected_cost):
 
 
 class TestSolversExact:
-    @pytest.mark.parametrize("solver", [solve_lexicographic_dense, solve_lexicographic_mcmf, solve_lexicographic_substrate])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_empty(self, solver):
         assert solver(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool)) == []
 
-    @pytest.mark.parametrize("solver", [solve_lexicographic_dense, solve_lexicographic_mcmf, solve_lexicographic_substrate])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_no_feasible_pairs(self, solver):
         cost = np.ones((2, 2))
         assert solver(cost, np.zeros((2, 2), dtype=bool)) == []
 
-    @pytest.mark.parametrize("solver", [solve_lexicographic_dense, solve_lexicographic_mcmf, solve_lexicographic_substrate])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_negative_cost_rejected(self, solver):
         cost = np.array([[-1.0]])
         with pytest.raises(ValueError):
             solver(cost, np.array([[True]]))
 
-    @pytest.mark.parametrize("solver", [solve_lexicographic_dense, solve_lexicographic_mcmf, solve_lexicographic_substrate])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_shape_mismatch_rejected(self, solver):
         with pytest.raises(ValueError):
             solver(np.ones((2, 2)), np.ones((2, 3), dtype=bool))
 
-    @pytest.mark.parametrize("solver", [solve_lexicographic_dense, solve_lexicographic_mcmf, solve_lexicographic_substrate])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_cardinality_beats_cost(self, solver):
         """A huge-cost pair must still be taken if it raises cardinality."""
         cost = np.array([
@@ -86,7 +84,7 @@ class TestSolversExact:
         # Max cardinality is 2: worker1->task0 forces worker0->task1 (cost 1000).
         assert sorted(pairs) == [(0, 1), (1, 0)]
 
-    @pytest.mark.parametrize("solver", [solve_lexicographic_dense, solve_lexicographic_mcmf, solve_lexicographic_substrate])
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_min_cost_among_max_matchings(self, solver):
         cost = np.array([
             [1.0, 9.0],
@@ -110,11 +108,7 @@ class TestSolversExact:
         ])
         expected_size, expected_cost = brute_force(cost, feasible)
         expected_size = max(expected_size, 0)
-        for solver in (
-            solve_lexicographic_dense,
-            solve_lexicographic_mcmf,
-            solve_lexicographic_substrate,
-        ):
+        for solver in SOLVERS:
             pairs = solver(cost, feasible)
             check_solution(pairs, cost, feasible, expected_size, expected_cost)
 
@@ -124,44 +118,108 @@ class TestSolversExact:
         rng = np.random.default_rng(seed)
         cost = rng.random((n_workers, n_tasks))
         feasible = rng.random((n_workers, n_tasks)) < 0.6
-        pairs_dense = solve_lexicographic_dense(cost, feasible)
+        pairs = solve_lexicographic(cost, feasible)
         pairs_mcmf = solve_lexicographic_mcmf(cost, feasible)
-        pairs_substrate = solve_lexicographic_substrate(cost, feasible)
-        assert len(pairs_dense) == len(pairs_mcmf) == len(pairs_substrate)
-        cost_dense = sum(cost[w, t] for w, t in pairs_dense)
-        cost_mcmf = sum(cost[w, t] for w, t in pairs_mcmf)
-        cost_substrate = sum(cost[w, t] for w, t in pairs_substrate)
-        assert cost_dense == pytest.approx(cost_mcmf, abs=1e-6)
-        assert cost_dense == pytest.approx(cost_substrate, abs=1e-6)
+        assert len(pairs) == len(pairs_mcmf)
+        total = sum(cost[w, t] for w, t in pairs)
+        total_mcmf = sum(cost[w, t] for w, t in pairs_mcmf)
+        assert total == pytest.approx(total_mcmf, abs=1e-6)
 
 
-class TestDispatch:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            solve_lexicographic(np.ones((1, 1)), np.ones((1, 1), dtype=bool), engine="quantum")
+def objective(pairs, cost):
+    return len(pairs), float(sum(cost[w, t] for w, t in pairs))
 
-    def test_auto_dispatch_small_and_large(self):
-        rng = np.random.default_rng(0)
-        cost = rng.random((3, 3))
-        feasible = np.ones((3, 3), dtype=bool)
-        small = solve_lexicographic(cost, feasible, engine="auto", dense_threshold=100)
-        large = solve_lexicographic(cost, feasible, engine="auto", dense_threshold=1)
-        assert sorted(small) == sorted(large)
 
-    def test_explicit_engines_agree(self):
-        rng = np.random.default_rng(3)
-        cost = rng.random((6, 7))
-        feasible = rng.random((6, 7)) < 0.7
-        results = {
-            engine: sorted(solve_lexicographic(cost, feasible, engine=engine))
-            for engine in ("mcmf", "substrate", "dense", "hungarian")
-        }
-        sizes = {len(pairs) for pairs in results.values()}
-        assert len(sizes) == 1
-        totals = {
-            engine: sum(cost[w, t] for w, t in pairs)
-            for engine, pairs in results.items()
-        }
-        reference = totals["mcmf"]
-        for engine, total in totals.items():
-            assert total == pytest.approx(reference, abs=1e-9), engine
+def assert_matches_oracle(cost, feasible):
+    """Production and the MCMF reference agree on the lexicographic optimum."""
+    pairs = solve_lexicographic(cost, feasible)
+    size, total = objective(pairs, cost)
+    oracle_size, oracle_total = objective(
+        solve_lexicographic_mcmf(cost, feasible), cost
+    )
+    assert size == oracle_size
+    assert total == pytest.approx(oracle_total, rel=1e-9, abs=0.0)
+    assert pairs == sorted(pairs)
+    return pairs
+
+
+class TestAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.integers(-9, 9),
+        st.floats(0.1, 1.0), st.integers(0, 2**32 - 1),
+    )
+    def test_cost_scales(self, n_workers, n_tasks, exponent, density, seed):
+        """Cost magnitudes 1e-9 ... 1e9 leave the penalty pad exact."""
+        rng = np.random.default_rng(seed)
+        cost = rng.random((n_workers, n_tasks)) * 10.0 ** exponent
+        feasible = rng.random((n_workers, n_tasks)) < density
+        assert_matches_oracle(cost, feasible)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.integers(-9, 9),
+        st.floats(0.1, 1.0), st.integers(0, 2**32 - 1),
+    )
+    def test_near_ties(self, n_workers, n_tasks, exponent, density, seed):
+        """Costs one relative ulp-scale step apart, or exactly equal."""
+        rng = np.random.default_rng(seed)
+        base = 10.0 ** exponent
+        steps = rng.integers(0, 3, size=(n_workers, n_tasks))
+        cost = base * (1.0 + steps * 1e-12)
+        feasible = rng.random((n_workers, n_tasks)) < density
+        assert_matches_oracle(cost, feasible)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            min_size=1, max_size=5,
+        ),
+        st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_block_diagonal_is_union_of_blocks(self, shapes, equal_costs, seed):
+        """Disconnected blocks solve independently, pair for pair."""
+        rng = np.random.default_rng(seed)
+        n_workers = sum(rows for rows, _ in shapes)
+        n_tasks = sum(columns for _, columns in shapes)
+        cost = np.ones((n_workers, n_tasks))
+        feasible = np.zeros((n_workers, n_tasks), dtype=bool)
+        expected = []
+        row_offset = column_offset = 0
+        for rows, columns in shapes:
+            block_cost = (
+                np.ones((rows, columns)) if equal_costs
+                else rng.random((rows, columns))
+            )
+            block_feasible = rng.random((rows, columns)) < 0.6
+            window = (
+                slice(row_offset, row_offset + rows),
+                slice(column_offset, column_offset + columns),
+            )
+            cost[window] = block_cost
+            feasible[window] = block_feasible
+            expected.extend(
+                (row_offset + w, column_offset + t)
+                for w, t in solve_lexicographic(block_cost, block_feasible)
+            )
+            row_offset += rows
+            column_offset += columns
+        pairs = assert_matches_oracle(cost, feasible)
+        assert pairs == sorted(expected)
+
+
+class TestNonFiniteCosts:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_rejected_on_feasible_pair(self, solver, value):
+        cost = np.random.default_rng(1).random((4, 5))
+        cost[0, 0] = value
+        with pytest.raises(ValueError, match=r"finite.*cost\[0, 0\]"):
+            solver(cost, np.ones((4, 5), dtype=bool))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_ignored_on_infeasible_pair(self, value):
+        cost = np.array([[value, 1.0], [2.0, 3.0]])
+        feasible = np.array([[False, True], [True, True]])
+        assert solve_lexicographic(cost, feasible) == [(0, 1), (1, 0)]

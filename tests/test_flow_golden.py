@@ -1,10 +1,10 @@
 """Golden regression fixtures for the flow-substrate rewrite.
 
-``tests/golden/flow_golden.json`` freezes the assignment outputs of
-``MTAAssigner(engine="flow")`` and ``solve_lexicographic_mcmf`` on three
-seeded end-to-end instances (synthetic dataset -> day instance ->
-feasibility -> solver), captured with the *pre-rewrite* object-graph
-solvers.  The array-native core must reproduce them bit-identically.
+``tests/golden/flow_golden.json`` freezes the assignment outputs of the
+reference solvers — Dinic max flow and ``solve_lexicographic_mcmf`` on the
+Figure-4 network — on three seeded end-to-end instances (synthetic
+dataset -> day instance -> feasibility -> solver), captured with the
+*pre-rewrite* object-graph solvers.  The array-native core must reproduce them bit-identically.
 
 Determinism notes: the Dinic rewrite keeps the exact current-arc discipline
 of the old recursive solver over the same per-node edge order (CSR is
@@ -14,9 +14,10 @@ workers (same venue) create exact cost ties, so the optimal *pair set* is
 not unique; the general solver's tie-breaking changed with the rewrite
 (SPFA relaxation order -> frontier-scan order).  The regression contract is
 therefore: objective values (cardinality and total cost) bit-stable for
-every engine, pair sets bit-stable per engine (each engine is
-deterministic), and the bipartite substrate engine pinned pair-for-pair to
-the frozen fixtures.
+every engine, and pair sets bit-stable per reference engine (each is
+deterministic).  The production solvers (Hopcroft-Karp for MTA,
+per-component LSAP for the lexicographic problem) must reach the frozen
+cardinality, and the lexicographic one the frozen total cost.
 """
 
 import json
@@ -25,11 +26,14 @@ from pathlib import Path
 import pytest
 
 from repro import InstanceBuilder, SyntheticConfig, generate_dataset
-from repro.assignment import MTAAssigner, PreparedInstance
-from repro.assignment.solvers import (
+from repro.assignment import (
+    MTAAssigner,
+    PreparedInstance,
+    solve_lexicographic,
     solve_lexicographic_mcmf,
-    solve_lexicographic_substrate,
 )
+from repro.assignment.solvers import build_figure4_network
+from repro.flow import Dinic
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "flow_golden.json"
 
@@ -77,10 +81,20 @@ class TestGoldenFixtures:
 
     def test_mta_flow_pairs_bit_identical(self, config_name, golden):
         expected = [tuple(pair) for pair in golden[config_name]["mta_pairs"]]
-        prepared = _prepare(config_name)
-        assignment = MTAAssigner(engine="flow").assign(prepared)
-        pairs = sorted((p.worker.worker_id, p.task.task_id) for p in assignment)
+        feasible = _prepare(config_name).feasible
+        network, rows, columns, pair_edges = build_figure4_network(feasible.mask)
+        Dinic(network).max_flow(0, network.num_nodes - 1)
+        used = network.flows(pair_edges) > 0
+        pairs = sorted(
+            (feasible.workers[row].worker_id, feasible.tasks[column].task_id)
+            for row, column in zip(rows[used], columns[used])
+        )
         assert pairs == expected
+
+    def test_production_mta_matches_golden_cardinality(self, config_name, golden):
+        expected = golden[config_name]["mta_pairs"]
+        assignment = MTAAssigner().assign(_prepare(config_name))
+        assert len(assignment) == len(expected)
 
     def test_mcmf_objective_bit_stable(self, config_name, golden):
         expected = [tuple(pair) for pair in golden[config_name]["mcmf_pairs"]]
@@ -98,11 +112,13 @@ class TestGoldenFixtures:
         assert len({row for row, _ in pairs}) == len(pairs)
         assert len({column for _, column in pairs}) == len(pairs)
 
-    def test_substrate_matches_golden_optimum(self, config_name, golden):
-        """The bipartite fast path lands on the same (unique) optimum."""
-        expected = [tuple(pair) for pair in golden[config_name]["mcmf_pairs"]]
+    def test_production_matches_golden_optimum(self, config_name, golden):
+        """The production solver reaches the frozen cardinality and cost."""
+        expected = golden[config_name]["mcmf_pairs"]
+        expected_cost = float(golden[config_name]["mcmf_total_cost"])
         feasible = _prepare(config_name).feasible
-        pairs = sorted(
-            solve_lexicographic_substrate(feasible.distance_km, feasible.mask)
-        )
-        assert pairs == expected
+        cost = feasible.distance_km
+        pairs = solve_lexicographic(cost, feasible.mask)
+        assert len(pairs) == len(expected)
+        total = sum(cost[row, column] for row, column in pairs)
+        assert total == pytest.approx(expected_cost, rel=1e-12)

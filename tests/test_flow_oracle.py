@@ -6,7 +6,8 @@ against independent implementations:
 * ``Dinic.max_flow`` (and ``edmonds_karp`` on a subset) against
   ``scipy.sparse.csgraph.maximum_flow`` on random digraphs and bipartite
   assignment graphs, unit and integer capacities, sparse through dense;
-* ``MinCostMaxFlow`` and the bipartite substrate engine against
+* ``MinCostMaxFlow`` and the production per-component solver
+  (``repro.assignment.solve_lexicographic``) against a whole-matrix
   ``scipy.optimize.linear_sum_assignment`` via the standard lexicographic
   big-penalty reduction — asserting equal flow value *and* equal optimal
   cost.
@@ -21,7 +22,8 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import maximum_flow
 
-from repro.flow import Dinic, FlowNetwork, MinCostMaxFlow, edmonds_karp, min_cost_matching
+from repro.assignment import solve_lexicographic
+from repro.flow import Dinic, FlowNetwork, MinCostMaxFlow, edmonds_karp
 
 
 def random_digraph(rng, max_nodes=12, max_capacity=10):
@@ -172,20 +174,22 @@ class TestMinCostOracle:
         assert total == pytest.approx(expected_cost, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_bipartite_substrate_vs_linear_sum_assignment(self, seed):
+    def test_production_vs_linear_sum_assignment(self, seed):
         rng = np.random.default_rng(6000 + seed)
         cost, mask = random_costs(rng)
         expected_flow, expected_cost = lexicographic_oracle(cost, mask)
-        result = min_cost_matching(cost, mask)
-        assert len(result.pairs) == expected_flow
-        assert result.total_cost == pytest.approx(expected_cost, abs=1e-8)
+        pairs = solve_lexicographic(cost, mask)
+        assert len(pairs) == expected_flow
+        total = sum(cost[row, column] for row, column in pairs)
+        assert total == pytest.approx(expected_cost, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_engines_agree_with_each_other(self, seed):
-        """Belt and braces: both from-scratch engines, same instance."""
+        """Belt and braces: production solver and MCMF, same instance."""
         rng = np.random.default_rng(7000 + seed)
         cost, mask = random_costs(rng, max_side=18)
         flow, total = mcmf_on_figure4(cost, mask)
-        result = min_cost_matching(cost, mask)
-        assert flow == len(result.pairs)
-        assert total == pytest.approx(result.total_cost, abs=1e-8)
+        pairs = solve_lexicographic(cost, mask)
+        assert flow == len(pairs)
+        production = sum(cost[row, column] for row, column in pairs)
+        assert total == pytest.approx(production, abs=1e-8)
