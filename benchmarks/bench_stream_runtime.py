@@ -234,8 +234,8 @@ def test_pipelined_vs_serial_rounds(benchmark, rate_factor):
 def test_shared_process_vs_thread_rounds(benchmark, rate_factor):
     """Fork-once shared-memory process workers vs the GIL-bound thread pool.
 
-    The process backend publishes the event log's payload slabs once and
-    ships per-round shard rectangles through reusable shared scratch, so
+    The process backend ships each round's shard rectangles and entity
+    rows through reusable shared scratch blocks, so
     CPU-bound solves parallelise across cores instead of serialising on
     the GIL.  Exactness against the thread backend is always asserted;
     the p50 floor only arms on multi-core machines at full bench scale

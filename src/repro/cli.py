@@ -303,12 +303,14 @@ def _validate_stream_flags(args: argparse.Namespace, trigger) -> str | None:
         return f"--rebalance-interval must be >= 1, got {args.rebalance_interval}"
     if not 0.0 < args.rebalance_alpha <= 1.0:
         return f"--rebalance-alpha must be in (0, 1], got {args.rebalance_alpha}"
-    if args.rebalance_hysteresis < 0.0:
+    if not args.rebalance_hysteresis >= 0.0:
         return (
             f"--rebalance-hysteresis must be >= 0, got {args.rebalance_hysteresis}"
         )
     if args.shards is not None and args.shards < 1:
         return f"--shards must be >= 1, got {args.shards}"
+    if args.patience_hours is not None and not args.patience_hours >= 0:
+        return f"--patience-hours must be non-negative, got {args.patience_hours}"
     if args.max_rounds is not None and args.max_rounds < 0:
         return f"--max-rounds must be non-negative, got {args.max_rounds}"
     if args.days < 1:
@@ -319,7 +321,7 @@ def _validate_stream_flags(args: argparse.Namespace, trigger) -> str | None:
         return f"--metrics-port must be in [0, 65535], got {args.metrics_port}"
     if args.admission_policy is not None and args.admission_budget is None:
         return "--admission-policy requires --admission-budget"
-    if args.admission_budget is not None and args.admission_budget <= 0:
+    if args.admission_budget is not None and not args.admission_budget > 0:
         return f"--admission-budget must be positive, got {args.admission_budget}"
     if args.checkpoint_every is not None:
         if args.checkpoint is None:
@@ -380,17 +382,21 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
     assigner = _assigner_registry()[args.algorithm]()
 
-    if args.trigger == "count":
-        trigger = CountTrigger(args.batch_count)
-    elif args.trigger == "window":
-        trigger = TimeWindowTrigger(args.window_hours)
-    elif args.trigger == "hybrid":
-        trigger = HybridTrigger(args.batch_count, args.window_hours)
-    else:
-        trigger = AdaptiveTrigger(
-            target_seconds=args.latency_budget,
-            initial_window_hours=args.window_hours,
-        )
+    try:
+        if args.trigger == "count":
+            trigger = CountTrigger(args.batch_count)
+        elif args.trigger == "window":
+            trigger = TimeWindowTrigger(args.window_hours)
+        elif args.trigger == "hybrid":
+            trigger = HybridTrigger(args.batch_count, args.window_hours)
+        else:
+            trigger = AdaptiveTrigger(
+                target_seconds=args.latency_budget,
+                initial_window_hours=args.window_hours,
+            )
+    except ValueError as error:
+        print(f"invalid --trigger {args.trigger} settings: {error}", file=sys.stderr)
+        return 2
 
     problem = _validate_stream_flags(args, trigger)
     if problem is not None:
@@ -510,7 +516,7 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
         if args.resume is not None:
             print(f"resumed from {args.resume} "
                   f"at round {len(runtime.result.rounds)}")
-        if runtime.shard_executor is not None:
+        if runtime.shard_request is not None:
             layout = runtime.shard_executor.layout
             mode = " pipelined" if args.pipeline else ""
             print(f"sharded: {layout.num_shards} shards over "
@@ -543,7 +549,7 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
                   f"{record.assigned:9d} {record.expired_tasks:8d} "
                   f"{record.churned_workers:8d}")
         print(f"\n{result.summary().as_text()}")
-        if runtime.shard_executor is not None:
+        if runtime.shard_request is not None:
             phases = result.metrics.phase_totals()
             print("phases (s):        " + "  ".join(
                 f"{name} {seconds:.3f}" for name, seconds in phases.items()

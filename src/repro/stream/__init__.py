@@ -29,9 +29,9 @@ day loop:
   snapshots (v7 manifest + sha256 chunk store) with bit-identical resume
   (including shard layout, per-shard RNG state, wait-histogram state and
   the segmented-log fingerprint chain in the manifest meta);
-* :mod:`repro.stream.sharedmem` — fork-once shared-memory slabs backing
-  the process executor (entity tables published once per run, per-shard
-  round rectangles shipped through reusable scratch buffers).
+* :mod:`repro.stream.sharedmem` — the process executor's shared-memory
+  transport (per-shard round rectangles and entity rows shipped through
+  reusable scratch buffers).
 """
 
 from repro.stream.checkpoint import (

@@ -260,7 +260,7 @@ def _save_checkpoint(
         ),
         "shards": (
             {**runtime.shard_executor.state_dict(), "requested": runtime.shard_request}
-            if runtime.shard_executor is not None
+            if runtime.shard_request is not None
             else None
         ),
         "admission": (
@@ -638,7 +638,7 @@ def _restore_runtime(runtime: "StreamRuntime", path: str | Path) -> "StreamRunti
         meta,
         trigger_kind=runtime.trigger.kind,
         patience_hours=runtime.patience_hours,
-        sharded=runtime.shard_executor is not None,
+        sharded=runtime.shard_request is not None,
         shard_request=runtime.shard_request,
         admission=(
             {
@@ -651,8 +651,7 @@ def _restore_runtime(runtime: "StreamRuntime", path: str | Path) -> "StreamRunti
         pipeline=runtime.pipeline,
         rebalance=(
             runtime.shard_executor.rebalancer.state_dict()
-            if runtime.shard_executor is not None
-            and runtime.shard_executor.rebalancer is not None
+            if runtime.shard_executor.rebalancer is not None
             else None
         ),
     )

@@ -267,7 +267,7 @@ class EventLog:
 
     #: Whether this log streams in bounded-memory windows.  ``False`` here;
     #: :class:`~repro.stream.segments.SegmentedEventLog` overrides it so the
-    #: runtime/checkpoint layers can branch without isinstance probes.
+    #: checkpoint layer can branch without isinstance probes.
     segmented = False
 
     def __init__(self, events: Iterable[StreamEvent] = ()) -> None:
@@ -536,8 +536,6 @@ class EventLog:
         self._admissions = np.flatnonzero(columns["phase"] <= PHASE_PUBLISH)
         self._event_cache: list[StreamEvent | None] = [None] * count
         self._events_tuple: tuple[StreamEvent, ...] | None = None
-        self._payload_ids: tuple[np.ndarray, np.ndarray] | None = None
-        self._slot_cache: tuple[dict, dict, dict, dict] | None = None
 
     @classmethod
     def merged(cls, *sources: Iterable[StreamEvent]) -> "EventLog":
@@ -634,85 +632,6 @@ class EventLog:
             raise IndexError(f"event {index} is not a task publish")
         return self._tasks[slot]
 
-    # --------------------------------------------------- shared-memory slabs
-    def payload_slabs(self) -> dict[str, np.ndarray]:
-        """The numeric payload side-tables, ready for shared publication.
-
-        Everything a solver needs to rebuild a worker/task from its payload
-        slot, as four flat arrays: ``worker_attrs`` (x, y, reachable_km,
-        speed_kmh per row), ``worker_ids``, ``task_attrs`` (x, y,
-        publication_time, valid_hours) and ``task_ids``.  Together with
-        :meth:`worker_slot_of` / :meth:`task_slot_of` this lets an executor
-        ship payload *slots* instead of pickled entities.
-        """
-        if self._payload_ids is None:
-            self._payload_ids = (
-                np.fromiter(
-                    (w.worker_id for w in self._workers),
-                    dtype=np.int64, count=len(self._workers),
-                ),
-                np.fromiter(
-                    (t.task_id for t in self._tasks),
-                    dtype=np.int64, count=len(self._tasks),
-                ),
-            )
-        worker_ids, task_ids = self._payload_ids
-        return {
-            "worker_attrs": self._worker_attrs,
-            "worker_ids": worker_ids,
-            "task_attrs": self._task_attrs,
-            "task_ids": task_ids,
-        }
-
-    def _slot_maps(self) -> tuple[dict, dict, dict, dict]:
-        if self._slot_cache is None:
-            worker_identity: dict[int, int] = {}
-            worker_equal: dict[Worker, int] = {}
-            for slot, worker in enumerate(self._workers):
-                worker_identity[id(worker)] = slot
-                worker_equal[worker] = slot
-            task_identity: dict[int, int] = {}
-            task_equal: dict[Task, int] = {}
-            for slot, task in enumerate(self._tasks):
-                task_identity[id(task)] = slot
-                task_equal[task] = slot
-            self._slot_cache = (
-                worker_identity, worker_equal, task_identity, task_equal
-            )
-        return self._slot_cache
-
-    def worker_slot_of(self, worker: Worker) -> int:
-        """The payload-table slot holding ``worker``.
-
-        Pooled workers *are* side-table members (pools are fed only through
-        :meth:`worker_at`, including relocation rows and checkpoint
-        restores), so an identity probe resolves them without hashing; the
-        equality fallback covers reconstructed-but-equal copies.
-        """
-        identity, equal, _, _ = self._slot_maps()
-        slot = identity.get(id(worker))
-        if slot is None:
-            slot = equal.get(worker)
-        if slot is None:
-            raise DataError(
-                f"worker {worker.worker_id} is not present in the event "
-                "log's payload tables"
-            )
-        return slot
-
-    def task_slot_of(self, task: Task) -> int:
-        """The payload-table slot holding ``task`` (see :meth:`worker_slot_of`)."""
-        _, _, identity, equal = self._slot_maps()
-        slot = identity.get(id(task))
-        if slot is None:
-            slot = equal.get(task)
-        if slot is None:
-            raise DataError(
-                f"task {task.task_id} is not present in the event log's "
-                "payload tables"
-            )
-        return slot
-
     def drain_stop(self, cursor: int, fire_time: float) -> int:
         """First undrained index for a round at ``fire_time`` (array op).
 
@@ -743,6 +662,15 @@ class EventLog:
         """
         if start < stop:
             yield self, start, stop, 0
+
+    def release_before(self, cursor: int) -> int:
+        """Drop cached slabs behind ``cursor``; returns how many went.
+
+        Always 0 here: a materialized log is one slab for the whole run.
+        :class:`~repro.stream.segments.SegmentedEventLog` releases the
+        segments the cursor has passed.
+        """
+        return 0
 
     def cell_key_counts(self, cell_km: float) -> tuple[np.ndarray, np.ndarray]:
         """``(occupied_packed_keys, counts)`` over the located event rows.

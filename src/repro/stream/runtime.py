@@ -16,7 +16,7 @@ batched :class:`~repro.framework.online.OnlineSimulator`:
   task admissions when round latency blows a budget), live spatial queries,
   wait/latency metrics and checkpoint/replay go beyond it.
 
-Rounds can execute **sharded**: :class:`ShardExecutor` splits each round's
+Every round runs through :class:`ShardExecutor`: it splits the round's
 pools along a :class:`~repro.stream.shards.ShardLayout` (planned once per
 run, radius-aware, so no feasible pair is ever split), runs candidate
 generation + assignment per shard — serially or on a thread/process pool —
@@ -24,7 +24,9 @@ and merges per-shard assignments in deterministic sorted-shard order
 through the same :func:`~repro.assignment.partitioned.merge_assignments`
 core the offline :class:`~repro.assignment.PartitionedAssigner` uses.
 Because no feasible pair crosses shards, the sharded round solves the same
-problem as the unsharded one, split into independent sub-problems.
+problem as the unsharded one, split into independent sub-problems.  An
+unsharded runtime is simply the one-shard case: a fixed single-bin layout
+on the serial backend, so there is one round path.
 
 Two optional layers sit on top of sharding.  **Pipelining**
 (``StreamRuntime(pipeline=True)``) overlaps the per-shard phases on the
@@ -70,12 +72,10 @@ from repro.obs.histo import SECONDS_HISTOGRAM
 from repro.stream.events import KIND_PUBLISH, EventLog
 from repro.stream.metrics import RoundRecord, StreamMetrics, StreamSummary
 from repro.stream.scheduler import Trigger
-from repro.stream.shards import ShardLayout, ShardRebalancer
+from repro.stream.shards import DEFAULT_CELL_KM, ShardLayout, ShardRebalancer
 from repro.stream.sharedmem import (
     ShardScratch,
-    SharedSlabs,
     fork_capable_context,
-    init_shared_worker,
     solve_shared_shard,
 )
 from repro.stream.state import StreamState
@@ -149,7 +149,8 @@ class AdmissionController:
 
     The controller leaves the overloaded state once the observed cost
     falls below ``resume_fraction * budget_seconds`` (hysteresis, like the
-    adaptive trigger's half-budget growth rule).
+    adaptive trigger's half-budget growth rule).  ``budget_seconds=inf``
+    never overloads; NaN is rejected.
 
     ``value_of(task) -> float`` makes the "low-value" notion pluggable:
     tasks valued at or above ``protect_value`` are always admitted, budget
@@ -175,7 +176,7 @@ class AdmissionController:
         cost_of=None,
         resume_fraction: float = 0.5,
     ) -> None:
-        if budget_seconds <= 0:
+        if not budget_seconds > 0:
             raise ValueError(
                 f"budget_seconds must be positive, got {budget_seconds}"
             )
@@ -297,11 +298,10 @@ def _span_tuple(start_ns: int, end_ns: int) -> tuple[int, int, int, int]:
 def _solve_shard(
     assigner: Assigner, shard: int, prepared: PreparedInstance
 ) -> tuple[int, Assignment, float, tuple[int, int, int, int]]:
-    """One shard's timed solve — module-level so process pools can pickle it.
+    """One shard's timed solve, in the calling thread or on a pool thread.
 
-    The span tuple places the solve on the wall-clock timeline (worker
-    pid/tid included), so the parent's tracer can attribute it even when
-    the solve ran in a pool process.
+    The span tuple places the solve on the wall-clock timeline (thread id
+    included), so the tracer can attribute it to the thread that ran it.
     """
     started = time.perf_counter()
     start_ns = time.time_ns()
@@ -312,7 +312,7 @@ def _solve_shard(
 
 @dataclass(frozen=True)
 class RoundExecution:
-    """One sharded round's outcome with its per-phase cost attribution.
+    """One round's outcome with its per-phase cost attribution.
 
     The phase spans are *cumulative across shards*: under the pipelined
     executor the per-shard prepare/solve spans overlap in time, so their
@@ -335,9 +335,11 @@ class ShardExecutor:
     Each round: bucket the live pools by
     :meth:`~repro.stream.shards.ShardLayout.shard_of`, prepare every
     non-empty shard through its own persistent
-    :class:`~repro.assignment.RoundState` (the PR-1 incremental rectangles,
-    per shard), solve the shards on the configured backend, and merge the
-    per-shard assignments in ascending shard order.
+    :class:`~repro.assignment.RoundState` (the incremental rectangles, per
+    shard), solve the shards on the configured backend, and merge the
+    per-shard assignments in ascending shard order.  An unsharded
+    :class:`StreamRuntime` runs a one-shard serial executor, so this is
+    the only round path.
 
     In the default (non-pipelined) mode preparation happens in the calling
     thread — prepared instances are fully materialized (feasibility,
@@ -364,25 +366,23 @@ class ShardExecutor:
         numpy-heavy solvers that release the GIL.
     ``process``
         A fork-once :class:`~concurrent.futures.ProcessPoolExecutor` over
-        shared memory (when the executor knows its event log, the normal
-        runtime path): the log's payload slabs are published once per run
-        via :class:`~repro.stream.sharedmem.SharedSlabs`, each round ships
-        only payload slots + the prepared rectangles through per-shard
-        scratch blocks, and workers return plain index pairs — nothing but
-        the assigner itself is pickled per round, which is what lets
-        CPU-bound solves beat the thread backend.  Without a log (direct
-        construction), prepared shards fall back to being pickled whole.
-        A crashed worker surfaces as a :class:`RuntimeError` naming the
-        shard and round (not a bare ``BrokenProcessPool``), and
-        :meth:`close` stays safe afterwards.
+        shared memory: each round copies the prepared rectangles and the
+        pooled entities' attribute rows into a reusable per-shard
+        :class:`~repro.stream.sharedmem.ShardScratch` block, submits only a
+        small header dict, and workers return plain index pairs — nothing
+        but the assigner itself is pickled per round, which is what lets
+        CPU-bound solves beat the thread backend.  A crashed worker
+        surfaces as a :class:`RuntimeError` naming the shard and round (not
+        a bare ``BrokenProcessPool``), and :meth:`close` stays safe
+        afterwards.
 
-    A per-shard :class:`numpy.random.Generator` stream is maintained and
-    checkpointed: :meth:`rng_for` is the seed source for stochastic
-    assignment policies run inside a shard (deterministic assigners never
-    consume it).  When the runtime was given a user generator the shard
-    streams are spawned from it (so the user's seed governs them); without
-    one they fall back to a fixed entropy pool — deterministic either way,
-    and resumed bit-exactly from checkpoints.
+    A per-shard :class:`numpy.random.Generator` stream is maintained (and
+    checkpointed for sharded runs): :meth:`rng_for` is the seed source for
+    stochastic assignment policies run inside a shard (deterministic
+    assigners never consume it).  When the runtime was given a user
+    generator the shard streams are spawned from it (so the user's seed
+    governs them); without one they fall back to a fixed entropy pool —
+    deterministic either way.
     """
 
     def __init__(
@@ -393,7 +393,6 @@ class ShardExecutor:
         max_workers: int | None = None,
         rng: np.random.Generator | None = None,
         rebalancer: ShardRebalancer | None = None,
-        log: EventLog | None = None,
         obs: Observability | None = None,
     ) -> None:
         if backend not in EXECUTOR_BACKENDS:
@@ -408,9 +407,6 @@ class ShardExecutor:
         self.backend = backend
         self.rebalancer = rebalancer
         self.obs = obs if obs is not None else NULL_OBS
-        #: The event log backing the shared-memory process path; ``None``
-        #: keeps the legacy pickle-the-prepared-shard process backend.
-        self.log = log
         # Cap the default at the core count: pools wider than the machine
         # only add fork/pickle overhead (notably on the process backend).
         self.max_workers = max_workers or min(
@@ -431,7 +427,6 @@ class ShardExecutor:
             }
         self._pool: _FuturesExecutor | None = None
         self._broken = False
-        self._slabs: SharedSlabs | None = None
         self._scratch: dict[int, ShardScratch] = {}
 
     def rng_for(self, shard: int) -> np.random.Generator:
@@ -454,33 +449,17 @@ class ShardExecutor:
         prepared.entropy_by_task
         return prepared
 
-    @property
-    def shares_memory(self) -> bool:
-        """Whether process-backend rounds go through the shared slabs."""
-        return self.backend == "process" and self.log is not None
-
     def _pool_executor(self) -> _FuturesExecutor:
         if self._pool is None:
             if self.backend == "thread":
                 self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            elif self.shares_memory:
-                # Fork-once: publish the log's payload slabs, then start a
-                # pool whose initializer attaches them — after this, rounds
-                # ship only slot vectors + scratch headers.  Segmented logs
-                # publish nothing run-wide (their payload tables live in
-                # transient per-segment slabs); their rounds ship the
-                # entity rows inline in the scratch blocks instead.
-                if self._slabs is None and not self.log.segmented:
-                    self._slabs = SharedSlabs(self.log)
-                specs = self._slabs.specs if self._slabs is not None else ()
+            else:
+                # Fork-once: the workers inherit the loaded modules, and
+                # every round reaches them through scratch-block headers.
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     mp_context=fork_capable_context(),
-                    initializer=init_shared_worker,
-                    initargs=(specs,),
                 )
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
     def _shard_result(self, future, shard: int, round_index: int | None):
@@ -508,57 +487,15 @@ class ShardExecutor:
     def _publish_shard(
         self, shard: int, prepared: PreparedInstance, now: float
     ) -> dict:
-        """Copy one prepared shard's rectangles into its scratch block.
+        """Copy one prepared shard into its scratch block; returns the header.
 
-        Materialized logs address entities by *slot* — rows of the run-wide
-        :class:`SharedSlabs` payload tables the pool attached at fork.
-        Segmented logs have no such run-wide table (payload slabs come and
-        go with the cursor), so their rounds ship the pooled entities'
-        attribute rows inline — O(workers + tasks) per round beside the
-        O(workers x tasks) rectangles already copied.
+        The block carries the round rectangles plus the pooled entities'
+        attribute rows and ids in shard-row order, so a worker rebuilds
+        the shard from the block alone — O(workers + tasks) per round
+        beside the O(workers x tasks) rectangles already copied.
         """
         feasible = prepared.feasible
-        log = self.log
-        if log.segmented:
-            workers_n = len(feasible.workers)
-            tasks_n = len(feasible.tasks)
-            worker_attrs = np.empty((workers_n, 4), dtype=np.float64)
-            worker_ids = np.empty(workers_n, dtype=np.int64)
-            for row, worker in enumerate(feasible.workers):
-                worker_attrs[row, 0] = worker.location.x
-                worker_attrs[row, 1] = worker.location.y
-                worker_attrs[row, 2] = worker.reachable_km
-                worker_attrs[row, 3] = worker.speed_kmh
-                worker_ids[row] = worker.worker_id
-            task_attrs = np.empty((tasks_n, 4), dtype=np.float64)
-            task_ids = np.empty(tasks_n, dtype=np.int64)
-            for column, task in enumerate(feasible.tasks):
-                task_attrs[column, 0] = task.location.x
-                task_attrs[column, 1] = task.location.y
-                task_attrs[column, 2] = task.publication_time
-                task_attrs[column, 3] = task.valid_hours
-                task_ids[column] = task.task_id
-            entities = {
-                "worker_attrs": worker_attrs,
-                "worker_ids": worker_ids,
-                "task_attrs": task_attrs,
-                "task_ids": task_ids,
-            }
-        else:
-            entities = {
-                "worker_slots": np.fromiter(
-                    (log.worker_slot_of(worker) for worker in feasible.workers),
-                    dtype=np.int64, count=len(feasible.workers),
-                ),
-                "task_slots": np.fromiter(
-                    (log.task_slot_of(task) for task in feasible.tasks),
-                    dtype=np.int64, count=len(feasible.tasks),
-                ),
-            }
-        entropy = np.fromiter(
-            (prepared.entropy_by_task[task.task_id] for task in feasible.tasks),
-            dtype=np.float64, count=len(feasible.tasks),
-        )
+        workers, tasks = feasible.workers, feasible.tasks
         scratch = self._scratch.get(shard)
         if scratch is None:
             scratch = self._scratch[shard] = ShardScratch()
@@ -568,9 +505,41 @@ class ShardExecutor:
             distance=feasible.distance_km,
             mask=feasible.mask,
             influence=prepared.influence_matrix,
-            entropy=entropy,
-            **entities,
+            entropy=np.fromiter(
+                (prepared.entropy_by_task[task.task_id] for task in tasks),
+                dtype=np.float64, count=len(tasks),
+            ),
+            worker_attrs=np.array(
+                [
+                    (w.location.x, w.location.y, w.reachable_km, w.speed_kmh)
+                    for w in workers
+                ],
+                dtype=np.float64,
+            ).reshape(len(workers), 4),
+            worker_ids=np.fromiter(
+                (w.worker_id for w in workers), dtype=np.int64, count=len(workers)
+            ),
+            task_attrs=np.array(
+                [
+                    (t.location.x, t.location.y, t.publication_time, t.valid_hours)
+                    for t in tasks
+                ],
+                dtype=np.float64,
+            ).reshape(len(tasks), 4),
+            task_ids=np.fromiter(
+                (t.task_id for t in tasks), dtype=np.int64, count=len(tasks)
+            ),
         )
+
+    def _submit(
+        self, assigner: Assigner, shard: int, prepared: PreparedInstance, now: float
+    ):
+        """Dispatch one prepared shard's solve to the worker pool."""
+        pool = self._pool_executor()
+        if self.backend == "process":
+            header = self._publish_shard(shard, prepared, now)
+            return pool.submit(solve_shared_shard, assigner, header)
+        return pool.submit(_solve_shard, assigner, shard, prepared)
 
     def _prepare_and_solve(
         self,
@@ -629,12 +598,14 @@ class ShardExecutor:
     ) -> RoundExecution:
         """Solve one round shard-by-shard and retire the matched pairs.
 
-        Returns a :class:`RoundExecution` whose assignment and waits match
-        :meth:`StreamState.run_assignment` bit-for-bit — the runtime treats
-        the two paths interchangeably.  ``pipeline=True`` overlaps the
-        per-shard phases (see the class docstring); it is a no-op on the
-        serial backend and for rounds with at most one populated shard.
-        ``round_index`` only labels worker-crash errors.
+        Returns a :class:`RoundExecution` carrying the merged assignment and
+        each pair's ``(task_wait, worker_wait)`` hours (publication/arrival
+        to ``now``), in pair order.  Pools are bucketed in ascending id
+        order, so each shard's instance is deterministic.
+        ``pipeline=True`` overlaps the per-shard phases (see the class
+        docstring); it is a no-op on the serial backend and for rounds with
+        at most one populated shard.  ``round_index`` labels worker-crash
+        errors and trace spans.
         """
         layout = self.layout
         buckets = bucket_pools(
@@ -666,29 +637,16 @@ class ShardExecutor:
                 args={"shard": shard, "round": round_index},
             )
 
-        def collect(
-            shard: int, part: Assignment, solved: float, span=None
-        ) -> None:
+        def collect(shard: int, part: Assignment, solved: float, span) -> None:
             nonlocal solve_seconds
             parts.append(part)
             solve_seconds += solved
             shard_seconds[shard] = shard_seconds.get(shard, 0.0) + solved
-            if span is not None and tracer.enabled:
+            if tracer.enabled:
                 emit("shard.solve", span, shard)
 
-        def collect_shared(shard, prepared, future) -> None:
-            # Workers return (row, column) index arrays; materialize them
-            # against the caller's full-fidelity prepared instance (which
-            # re-validates feasibility and one-to-one matching).
-            shard_, index_pairs, solved, span = self._shard_result(
-                future, shard, round_index
-            )
-            collect(shard, prepared.build_assignment(index_pairs), solved, span)
-
-        pipelined = (
-            pipeline and self.backend != "serial" and len(shard_instances) > 1
-        )
-        if pipelined and self.backend == "thread":
+        pooled = self.backend != "serial" and len(shard_instances) > 1
+        if pooled and pipeline and self.backend == "thread":
             # Whole prepare+solve units on the pool: shard k+1 prepares
             # while shard k solves, and collection in ascending shard
             # order merges finished shards while later ones still run.
@@ -707,15 +665,12 @@ class ShardExecutor:
                 if tracer.enabled:
                     emit("shard.prepare", prep_span, shard)
                 collect(shard, part, solved, solve_span)
-        elif pipelined:
-            # Process backend: prepare in-caller (the influence caches live
-            # here), but submit each shard the moment it is prepared so
-            # earlier shards solve while later shards prepare.  On the
-            # shared-memory path the rectangles go through the shard's
-            # scratch block and only a header dict is submitted.
-            pool = self._pool_executor()
-            shared = self.shares_memory
-            futures = []
+        else:
+            # Prepare in the calling thread (the influence caches live
+            # here).  A pipelined process round submits each shard the
+            # moment it is prepared, so earlier shards solve while later
+            # shards prepare; otherwise every shard prepares first.
+            work: list[tuple[int, PreparedInstance, Any]] = []
             for shard, sub_instance in shard_instances:
                 started = time.perf_counter()
                 prepare_start_ns = time.time_ns()
@@ -726,58 +681,32 @@ class ShardExecutor:
                         _span_tuple(prepare_start_ns, time.time_ns()),
                         shard,
                     )
-                if shared:
-                    header = self._publish_shard(shard, prepared, now)
-                    future = pool.submit(solve_shared_shard, assigner, header)
-                else:
-                    future = pool.submit(_solve_shard, assigner, shard, prepared)
+                future = (
+                    self._submit(assigner, shard, prepared, now)
+                    if pooled and pipeline else None
+                )
                 prepare_seconds += time.perf_counter() - started
-                futures.append((shard, prepared, future))
-            for shard, prepared, future in futures:
-                if shared:
-                    collect_shared(shard, prepared, future)
-                else:
-                    collect(*self._shard_result(future, shard, round_index))
-        else:
-            work: list[tuple[int, PreparedInstance]] = []
-            for shard, sub_instance in shard_instances:
-                started = time.perf_counter()
-                prepare_start_ns = time.time_ns()
-                work.append((shard, self._prepare_shard(shard, state, sub_instance)))
-                prepare_seconds += time.perf_counter() - started
-                if tracer.enabled:
-                    emit(
-                        "shard.prepare",
-                        _span_tuple(prepare_start_ns, time.time_ns()),
-                        shard,
-                    )
-            if self.backend == "serial" or len(work) <= 1:
-                for shard, prepared in work:
+                work.append((shard, prepared, future))
+            if not pooled:
+                for shard, prepared, _ in work:
                     collect(*_solve_shard(assigner, shard, prepared))
-            elif self.shares_memory:
-                pool = self._pool_executor()
-                futures = [
-                    (
-                        shard,
-                        prepared,
-                        pool.submit(
-                            solve_shared_shard,
-                            assigner,
-                            self._publish_shard(shard, prepared, now),
-                        ),
-                    )
-                    for shard, prepared in work
-                ]
-                for shard, prepared, future in futures:
-                    collect_shared(shard, prepared, future)
             else:
-                pool = self._pool_executor()
                 futures = [
-                    pool.submit(_solve_shard, assigner, shard, prepared)
-                    for shard, prepared in work
+                    future if future is not None
+                    else self._submit(assigner, shard, prepared, now)
+                    for shard, prepared, future in work
                 ]
-                for (shard, _), future in zip(work, futures):
-                    collect(*self._shard_result(future, shard, round_index))
+                for (shard, prepared, _), future in zip(work, futures):
+                    _, part, solved, span = self._shard_result(
+                        future, shard, round_index
+                    )
+                    if self.backend == "process":
+                        # Workers return (row, column) index arrays;
+                        # materialize them against the caller's
+                        # full-fidelity prepared instance (which
+                        # re-validates feasibility and one-to-one matching).
+                        part = prepared.build_assignment(part)
+                    collect(shard, part, solved, span)
 
         merge_started = time.perf_counter()
         merge_start_ns = time.time_ns()
@@ -822,8 +751,8 @@ class ShardExecutor:
         Safe after a worker crash: a broken process pool is shut down
         without waiting (``shutdown(wait=True)`` can hang forever on
         workers that will never answer), pending futures are cancelled,
-        and the shared slabs/scratch blocks are always unlinked.  The
-        executor stays reusable — the next round recreates everything.
+        and the scratch blocks are always unlinked.  The executor stays
+        reusable — the next round recreates everything.
         """
         pool, self._pool = self._pool, None
         broken, self._broken = self._broken, False
@@ -834,9 +763,6 @@ class ShardExecutor:
                 else:
                     pool.shutdown(wait=True)
         finally:
-            if self._slabs is not None:
-                self._slabs.close()
-                self._slabs = None
             for scratch in self._scratch.values():
                 scratch.close()
             self._scratch.clear()
@@ -887,12 +813,14 @@ class StreamRuntime:
         base instance's ``current_time`` for logs without deadlines.
     patience_hours:
         If set, unassigned workers churn out this many hours after arrival
-        (strict, like the online simulator); explicit
+        (strict, like the online simulator; ``inf`` never churns anyone,
+        NaN is rejected); explicit
         :class:`~repro.stream.events.WorkerChurnEvent` entries work with or
         without it.
     incremental:
-        Prepare rounds through the shared PR-1 cache rectangles (True,
-        default) or from scratch every round (False, the reference path).
+        Prepare rounds through the persistent per-shard cache rectangles
+        (True, default) or from scratch every round (False, the reference
+        path).
     index_cell_km:
         Cell size of the live open-task grid index.
     rng:
@@ -901,9 +829,9 @@ class StreamRuntime:
     shards:
         When set, rounds execute sharded: a
         :class:`~repro.stream.shards.ShardLayout` is planned from the log
-        (radius-aware, at most ``shards`` shards) and every round runs
-        through a :class:`ShardExecutor`.  ``None`` keeps the plain
-        single-solve path.
+        (radius-aware, at most ``shards`` shards).  ``None`` runs every
+        round as one shard on the serial backend.  Either way rounds run
+        through a :class:`ShardExecutor`.
     executor:
         Shard backend: ``"serial"`` (default), ``"thread"`` or
         ``"process"``; ignored without ``shards``.
@@ -953,7 +881,7 @@ class StreamRuntime:
         rebalance: ShardRebalancer | None = None,
         obs: Observability | None = None,
     ) -> None:
-        if patience_hours is not None and patience_hours < 0:
+        if patience_hours is not None and not patience_hours >= 0:
             raise ValueError(
                 f"patience_hours must be non-negative, got {patience_hours}"
             )
@@ -970,21 +898,29 @@ class StreamRuntime:
         self.pipeline = pipeline
         self.obs = obs if obs is not None else NULL_OBS
         self._instruments: dict[str, Any] | None = None
-        self.shard_executor: ShardExecutor | None = None
         #: The *requested* shard configuration (vs the planned layout, which
         #: may use fewer bins); persisted in checkpoints so a resume with a
         #: different ``--shards``/cell size fails in the cheap pre-flight.
+        #: ``None`` marks an unsharded run.
         self.shard_request: dict | None = None
         if shards is not None:
             layout = ShardLayout.plan(log, shards, cell_km=shard_cell_km)
-            self.shard_executor = ShardExecutor(
-                layout, influence=influence_model, backend=executor, rng=rng,
-                rebalancer=rebalance, log=log, obs=self.obs,
-            )
             self.shard_request = {"shards": shards, "cell_km": shard_cell_km}
+        else:
+            # One bin holds every pair.  Built directly rather than planned:
+            # planning a segmented log would synthesize every segment up
+            # front.  A layout without cells maps every location to bin 0.
+            layout = ShardLayout(
+                cell_km=DEFAULT_CELL_KM, num_shards=1,
+                max_radius_km=float("inf"),
+            )
+            executor = "serial"
+        self.shard_executor = ShardExecutor(
+            layout, influence=influence_model, backend=executor, rng=rng,
+            rebalancer=rebalance, obs=self.obs,
+        )
         self.state = StreamState(
             base_instance,
-            influence_model,
             incremental=incremental,
             index_cell_km=index_cell_km,
         )
@@ -1104,8 +1040,7 @@ class StreamRuntime:
             relocated += slab_counts[3]
         drained = stop - self._cursor
         self._cursor = stop
-        if self.log.segmented:
-            self.log.release_before(self._cursor)
+        self.log.release_before(self._cursor)
         expired += len(state.expire_tasks(fire_time))
         churned += len(state.churn_workers(fire_time, self.patience_hours))
         return drained, expired, churned, cancelled, relocated
@@ -1133,58 +1068,28 @@ class StreamRuntime:
         prepare_seconds = solve_seconds = merge_seconds = 0.0
         if pool_workers and pool_tasks:
             started = time.perf_counter()
-            if self.shard_executor is not None:
-                execution = self.shard_executor.run_round(
-                    state, self.assigner, fire_time, pipeline=self.pipeline,
-                    round_index=len(self._result.rounds),
-                )
-                assignment, waits = execution.assignment, execution.waits
-                prepare_seconds = execution.prepare_seconds
-                solve_seconds = execution.solve_seconds
-                merge_seconds = execution.merge_seconds
-            else:
-                # The unsharded composition of run_assignment, phase-timed.
-                prepare_start_ns = time.time_ns()
-                prepared = state.prepare_round(fire_time)
-                prepare_seconds = time.perf_counter() - started
-                solve_start_ns = time.time_ns()
-                assignment = self.assigner.assign(prepared)
-                solve_seconds = time.perf_counter() - started - prepare_seconds
-                merge_started = time.perf_counter()
-                merge_start_ns = time.time_ns()
-                waits = state.retire_pairs(assignment, fire_time)
-                merge_seconds = time.perf_counter() - merge_started
-                if tracer.enabled:
-                    phase_args = {"round": round_index}
-                    tracer.complete(
-                        "round.prepare", prepare_start_ns, solve_start_ns,
-                        cat="stream", args=phase_args,
-                    )
-                    tracer.complete(
-                        "round.solve", solve_start_ns, merge_start_ns,
-                        cat="stream", args=phase_args,
-                    )
-                    tracer.complete(
-                        "round.merge", merge_start_ns, time.time_ns(),
-                        cat="stream",
-                        args={"round": round_index, "pairs": len(assignment)},
-                    )
+            execution = self.shard_executor.run_round(
+                state, self.assigner, fire_time, pipeline=self.pipeline,
+                round_index=round_index,
+            )
+            assignment, waits = execution.assignment, execution.waits
+            prepare_seconds = execution.prepare_seconds
+            solve_seconds = execution.solve_seconds
+            merge_seconds = execution.merge_seconds
             elapsed = time.perf_counter() - started
             for pair, (task_wait, worker_wait) in zip(assignment, waits):
                 self._result.assignment.add(pair.task, pair.worker)
                 self._result.metrics.on_assigned(task_wait, worker_wait)
             assigned = len(assignment)
-        repacks = 0
-        if self.shard_executor is not None:
-            # Latency-driven repacking fires at deterministic round-index
-            # boundaries, after this round's EWMA observation and before
-            # the next round's bucketing — never on wall-clock.
-            repacks = self.shard_executor.maybe_repack(len(self._result.rounds))
+        # Latency-driven repacking fires at deterministic round-index
+        # boundaries, after this round's EWMA observation and before the
+        # next round's bucketing — never on wall-clock.
+        repacks = self.shard_executor.maybe_repack(round_index)
         deferred = shed = 0
         if self.admission is not None:
             deferred, shed = self.admission.take_round_counts()
         record = RoundRecord(
-            index=len(self._result.rounds),
+            index=round_index,
             time=fire_time,
             online_workers=pool_workers,
             open_tasks=pool_tasks,
@@ -1251,8 +1156,7 @@ class StreamRuntime:
             if record.repacks:
                 decision = (
                     self.shard_executor.rebalancer.last_decision
-                    if self.shard_executor is not None
-                    and self.shard_executor.rebalancer is not None
+                    if self.shard_executor.rebalancer is not None
                     else None
                 )
                 tracer.instant(
@@ -1357,8 +1261,7 @@ class StreamRuntime:
         Idempotent, including after a worker crash broke the process pool:
         closing twice (or a runtime that never ran) is a no-op and never
         hangs."""
-        if self.shard_executor is not None:
-            self.shard_executor.close()
+        self.shard_executor.close()
 
     def __enter__(self) -> "StreamRuntime":
         return self
@@ -1368,7 +1271,7 @@ class StreamRuntime:
 
     # ----------------------------------------------------------- checkpoints
     def checkpoint(self, path: str | Path) -> Path:
-        """Snapshot the complete runtime state to a chunked v6 checkpoint.
+        """Snapshot the complete runtime state to a chunked v7 checkpoint.
 
         Atomic (a crash mid-save leaves any previous checkpoint intact)
         and incremental (successive snapshots share unchanged chunks

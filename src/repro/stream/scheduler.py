@@ -104,7 +104,7 @@ class TimeWindowTrigger(Trigger):
     kind = "window"
 
     def __init__(self, window_hours: float) -> None:
-        if window_hours <= 0:
+        if not window_hours > 0:
             raise ValueError(f"window_hours must be positive, got {window_hours}")
         self.window_hours = window_hours
 
@@ -123,7 +123,7 @@ class HybridTrigger(Trigger):
     def __init__(self, count: int, window_hours: float) -> None:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        if window_hours <= 0:
+        if not window_hours > 0:
             raise ValueError(f"window_hours must be positive, got {window_hours}")
         self.count = count
         self.window_hours = window_hours
@@ -164,14 +164,14 @@ class AdaptiveTrigger(Trigger):
         growth: float = 1.5,
         cost_of=None,
     ) -> None:
-        if target_seconds <= 0:
+        if not target_seconds > 0:
             raise ValueError(f"target_seconds must be positive, got {target_seconds}")
         if not (0 < min_window_hours <= initial_window_hours <= max_window_hours):
             raise ValueError(
                 "window bounds must satisfy 0 < min <= initial <= max, got "
                 f"({min_window_hours}, {initial_window_hours}, {max_window_hours})"
             )
-        if growth <= 1.0:
+        if not growth > 1.0:
             raise ValueError(f"growth must exceed 1, got {growth}")
         self.target_seconds = target_seconds
         self.window_hours = initial_window_hours

@@ -334,7 +334,8 @@ class ShardRebalancer:
     boundaries (``round_index % interval == 0`` — never wall-clock),
     proposes a fresh :func:`pack_components` packing.  The repack is
     applied only when it improves the predicted bottleneck-bin latency by
-    more than ``hysteresis`` (relative), so near-ties never thrash.
+    more than ``hysteresis`` (relative), so near-ties never thrash;
+    ``hysteresis=inf`` never repacks, NaN is rejected.
 
     Repacking moves whole components between bins; the never-split
     invariant lives in the component partition, which is immutable, so any
@@ -358,7 +359,7 @@ class ShardRebalancer:
             raise ValueError(f"interval must be >= 1, got {interval}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if hysteresis < 0.0:
+        if not hysteresis >= 0.0:
             raise ValueError(f"hysteresis must be >= 0, got {hysteresis}")
         self.interval = int(interval)
         self.alpha = float(alpha)

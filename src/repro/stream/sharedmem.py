@@ -1,20 +1,14 @@
 """Fork-once shared-memory workers for the process executor backend.
 
-The legacy process backend pickled every prepared sub-instance — workers,
-tasks, histories, matrices — to the pool on every round, which caps world
-size long before "millions of users".  This module replaces the shipping
-with :mod:`multiprocessing.shared_memory`:
+Process-backend rounds never pickle prepared instances.  Each round goes
+through :mod:`multiprocessing.shared_memory` instead:
 
-* :class:`SharedSlabs` publishes the columnar :class:`~repro.stream.events.EventLog`
-  payload side-tables (worker/task attribute rectangles + id vectors) as
-  read-only shared blocks **once per run**; pool workers attach them in
-  their initializer and rebuild entities from payload *slots*.
 * :class:`ShardScratch` is one reusable shared block per shard holding the
   round's :class:`~repro.assignment.RoundState` rectangles (distance,
-  feasibility mask, influence, entropy) plus the slot vectors.  It grows
-  geometrically and is rewritten in place each round, so the per-round
-  message to a worker shrinks to a tiny header dict — block name, shapes
-  and the round clock.
+  feasibility mask, influence, entropy) plus the pooled entities' attribute
+  rows and ids.  It grows geometrically and is rewritten in place each
+  round, so the per-round message to a worker shrinks to a tiny header
+  dict — block name, shapes and the round clock.
 * :func:`solve_shared_shard` runs in the worker: it maps the scratch
   views zero-copy into a :class:`~repro.assignment.PreparedInstance`,
   solves, and returns plain ``(row, column)`` index pairs; the caller
@@ -40,13 +34,10 @@ from repro.assignment.base import Assigner, FeasiblePairs, PreparedInstance
 from repro.data.instance import SCInstance
 from repro.entities import Task, Worker
 from repro.geo import Point
-from repro.stream.events import EventLog
 
 __all__ = [
-    "SharedSlabs",
     "ShardScratch",
     "fork_capable_context",
-    "init_shared_worker",
     "solve_shared_shard",
 ]
 
@@ -56,7 +47,7 @@ def fork_capable_context():
 
     Fork lets the pool inherit the parent's loaded modules (no re-import
     per worker) and is what makes "fork-once" cheap; spawn platforms still
-    work — the initializer re-attaches the published slabs by name.
+    work — workers attach each scratch block by name.
     """
     try:
         return get_context("fork")
@@ -67,15 +58,15 @@ def fork_capable_context():
 def _attach(name: str) -> shared_memory.SharedMemory:
     """Attach an existing block without adopting cleanup responsibility.
 
-    Ownership stays with the :class:`SharedSlabs`/:class:`ShardScratch`
-    publisher; attachments here are read-only leases.  On Python 3.13+
-    ``track=False`` expresses that directly.  On older versions the attach
-    re-registers the name with the resource tracker — harmless here: the
-    pool is forked from the publisher, so both sides talk to the *same*
-    tracker process, whose per-name cache is a set (the duplicate register
-    is a no-op and the publisher's eventual unlink unregisters it once).
-    Explicitly unregistering from the worker instead would corrupt that
-    shared cache and make the publisher's unlink raise.
+    Ownership stays with the :class:`ShardScratch` publisher; attachments
+    here are read-only leases.  On Python 3.13+ ``track=False`` expresses
+    that directly.  On older versions the attach re-registers the name
+    with the resource tracker — harmless here: the pool is forked from the
+    publisher, so both sides talk to the *same* tracker process, whose
+    per-name cache is a set (the duplicate register is a no-op and the
+    publisher's eventual unlink unregisters it once).  Explicitly
+    unregistering from the worker instead would corrupt that shared cache
+    and make the publisher's unlink raise.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
@@ -83,97 +74,43 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-def _block_of(array: np.ndarray) -> shared_memory.SharedMemory:
-    block = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)
-    view[...] = array
-    del view
-    return block
-
-
-class SharedSlabs:
-    """The event log's payload side-tables, published once as shared blocks."""
-
-    def __init__(self, log: EventLog) -> None:
-        self._blocks: dict[str, shared_memory.SharedMemory] = {}
-        specs = []
-        for key, array in log.payload_slabs().items():
-            array = np.ascontiguousarray(array)
-            block = _block_of(array)
-            self._blocks[key] = block
-            specs.append((key, block.name, array.dtype.str, array.shape))
-        #: What a worker initializer needs to re-attach every slab:
-        #: ``(key, shm name, dtype, shape)`` per slab — plain picklables.
-        self.specs: tuple = tuple(specs)
-
-    def close(self) -> None:
-        """Release and unlink every published slab (idempotent)."""
-        blocks, self._blocks = self._blocks, {}
-        for block in blocks.values():
-            try:
-                block.close()
-                block.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-
-def _scratch_fields(workers: int, tasks: int, inline: bool):
+def _scratch_fields(workers: int, tasks: int):
     """Field layout of one shard's scratch block, in buffer order.
 
-    Two variants share the common rectangles; what follows them differs:
-
-    * legacy (``inline=False``): per-round *slot vectors* naming rows of
-      the per-run :class:`SharedSlabs` payload tables (materialized logs,
-      whose side-tables exist for the whole run);
-    * inline (``inline=True``): the entity attribute rectangles and id
-      vectors themselves, in shard-row order.  Segmented logs use this —
-      their payload tables live inside transient per-segment slabs, so no
-      stable run-wide slot space exists to point into.
+    The 8-byte dtypes come first and the byte-wide mask last, keeping
+    every view aligned.
     """
-    fields = [
+    return [
         ("distance", np.float64, (workers, tasks)),
         ("influence", np.float64, (workers, tasks)),
         ("entropy", np.float64, (tasks,)),
+        ("worker_attrs", np.float64, (workers, 4)),
+        ("task_attrs", np.float64, (tasks, 4)),
+        ("worker_ids", np.int64, (workers,)),
+        ("task_ids", np.int64, (tasks,)),
+        ("mask", np.bool_, (workers, tasks)),
     ]
-    if inline:
-        fields += [
-            ("worker_attrs", np.float64, (workers, 4)),
-            ("task_attrs", np.float64, (tasks, 4)),
-            ("worker_ids", np.int64, (workers,)),
-            ("task_ids", np.int64, (tasks,)),
-        ]
-    else:
-        fields += [
-            ("worker_slots", np.int64, (workers,)),
-            ("task_slots", np.int64, (tasks,)),
-        ]
-    fields.append(("mask", np.bool_, (workers, tasks)))
-    return fields
 
 
-def _scratch_views(
-    buffer, workers: int, tasks: int, inline: bool = False
-) -> dict[str, np.ndarray]:
+def _scratch_views(buffer, workers: int, tasks: int) -> dict[str, np.ndarray]:
     """Deterministic layout of one shard's round rectangles in a buffer.
 
-    Publisher and solver both derive the views from ``(workers, tasks,
-    inline)`` alone, so no offsets travel in the per-round message.  The
-    8-byte dtypes come first, the byte-wide mask last, keeping every view
-    aligned.
+    Publisher and solver both derive the views from ``(workers, tasks)``
+    alone, so no offsets travel in the per-round message.
     """
     offset = 0
     views: dict[str, np.ndarray] = {}
-    for name, dtype, shape in _scratch_fields(workers, tasks, inline):
+    for name, dtype, shape in _scratch_fields(workers, tasks):
         view = np.ndarray(shape, dtype=dtype, buffer=buffer, offset=offset)
         views[name] = view
         offset += view.nbytes
     return views
 
 
-def _scratch_bytes(workers: int, tasks: int, inline: bool = False) -> int:
+def _scratch_bytes(workers: int, tasks: int) -> int:
     return sum(
         np.dtype(dtype).itemsize * int(np.prod(shape, dtype=np.int64))
-        for _, dtype, shape in _scratch_fields(workers, tasks, inline)
+        for _, dtype, shape in _scratch_fields(workers, tasks)
     )
 
 
@@ -197,41 +134,28 @@ class ShardScratch:
         mask: np.ndarray,
         influence: np.ndarray,
         entropy: np.ndarray,
-        worker_slots: np.ndarray | None = None,
-        task_slots: np.ndarray | None = None,
-        worker_attrs: np.ndarray | None = None,
-        worker_ids: np.ndarray | None = None,
-        task_attrs: np.ndarray | None = None,
-        task_ids: np.ndarray | None = None,
+        worker_attrs: np.ndarray,
+        worker_ids: np.ndarray,
+        task_attrs: np.ndarray,
+        task_ids: np.ndarray,
     ) -> dict:
-        """Copy one round's rectangles in and return the solve header.
-
-        Exactly one entity addressing mode must be supplied: the legacy
-        slot vectors (rows into the run-wide :class:`SharedSlabs`), or the
-        inline attribute rectangles + id vectors for logs whose payload
-        tables are transient (segmented replay).  The header's ``inline``
-        flag tells :func:`solve_shared_shard` which layout to map.
-        """
-        inline = worker_attrs is not None
+        """Copy one round's rectangles and entity rows in; returns the
+        header :func:`solve_shared_shard` needs to map them."""
         workers, tasks = distance.shape
-        needed = _scratch_bytes(workers, tasks, inline)
+        needed = _scratch_bytes(workers, tasks)
         if self._block is None or self._block.size < needed:
             self.close()
             self._block = shared_memory.SharedMemory(
                 create=True, size=max(needed, 4096)
             )
-        views = _scratch_views(self._block.buf, workers, tasks, inline)
+        views = _scratch_views(self._block.buf, workers, tasks)
         views["distance"][...] = distance
         views["influence"][...] = influence
         views["entropy"][...] = entropy
-        if inline:
-            views["worker_attrs"][...] = worker_attrs
-            views["task_attrs"][...] = task_attrs
-            views["worker_ids"][...] = worker_ids
-            views["task_ids"][...] = task_ids
-        else:
-            views["worker_slots"][...] = worker_slots
-            views["task_slots"][...] = task_slots
+        views["worker_attrs"][...] = worker_attrs
+        views["task_attrs"][...] = task_attrs
+        views["worker_ids"][...] = worker_ids
+        views["task_ids"][...] = task_ids
         views["mask"][...] = mask
         del views
         return {
@@ -240,7 +164,6 @@ class ShardScratch:
             "workers": workers,
             "tasks": tasks,
             "now": now,
-            "inline": inline,
         }
 
     def close(self) -> None:
@@ -255,23 +178,10 @@ class ShardScratch:
 
 
 # --------------------------------------------------------------------------
-# Worker-process side.  Module globals are per-process: the initializer
-# fills the slab views once, and scratch attachments are cached per shard
-# (re-attached only when a shard's block was regrown under a new name).
-_worker_slabs: dict[str, np.ndarray] = {}
-_worker_blocks: list[shared_memory.SharedMemory] = []
+# Worker-process side.  Scratch attachments are cached per shard in each
+# worker process (re-attached only when a shard's block was regrown under a
+# new name).
 _scratch_cache: dict[int, tuple[str, shared_memory.SharedMemory]] = {}
-
-
-def init_shared_worker(specs) -> None:
-    """Pool initializer: attach every published slab by name."""
-    _worker_slabs.clear()
-    _worker_blocks.clear()
-    _scratch_cache.clear()
-    for key, name, dtype, shape in specs:
-        block = _attach(name)
-        _worker_blocks.append(block)
-        _worker_slabs[key] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=block.buf)
 
 
 def _attach_scratch(shard: int, name: str) -> shared_memory.SharedMemory:
@@ -288,59 +198,41 @@ def _attach_scratch(shard: int, name: str) -> shared_memory.SharedMemory:
 def solve_shared_shard(
     assigner: Assigner, header: dict
 ) -> tuple[int, tuple[np.ndarray, np.ndarray], float, tuple[int, int, int, int]]:
-    """One shard's solve against shared state; runs in the pool worker.
+    """One shard's solve against its scratch block; runs in the pool worker.
 
-    Entities are rebuilt from the slab rows the header's slot vectors
-    name — or, when the header carries ``inline=True`` (segmented logs,
-    which have no run-wide payload slabs), from the attribute rectangles
-    shipped inside the scratch block itself.  The rebuilt ``Task`` drops
-    ``categories``/``venue_id`` — no
-    assigner consults them at solve time (they only read the feasibility/
-    influence/entropy rectangles, ids and publication times, all of which
-    ride along) — and the caller materializes the returned index pairs
-    against its own full-fidelity prepared instance anyway.
+    Entities are rebuilt from the attribute rows shipped in the block (in
+    shard-row order).  The rebuilt ``Task`` drops ``categories``/
+    ``venue_id`` — no assigner consults them at solve time (they only read
+    the feasibility/influence/entropy rectangles, ids and publication
+    times, all of which ride along) — and the caller materializes the
+    returned index pairs against its own full-fidelity prepared instance
+    anyway.
 
     The ``(start_ns, end_ns, pid, tid)`` tuple is the solve span on the
     worker's wall clock: the parent's tracer (when one is live) replays it
     onto the shared timeline, attributed to the worker process.
     """
     block = _attach_scratch(header["shard"], header["name"])
-    workers_n, tasks_n = header["workers"], header["tasks"]
-    inline = bool(header.get("inline"))
-    views = _scratch_views(block.buf, workers_n, tasks_n, inline)
-    if inline:
-        # Segmented logs ship the entity rows in the scratch block itself
-        # (shard-row order), so the rows are addressed directly.
-        worker_attrs = views["worker_attrs"]
-        worker_ids = views["worker_ids"]
-        task_attrs = views["task_attrs"]
-        task_ids = views["task_ids"]
-        worker_rows = range(workers_n)
-        task_rows = range(tasks_n)
-    else:
-        worker_attrs = _worker_slabs["worker_attrs"]
-        worker_ids = _worker_slabs["worker_ids"]
-        task_attrs = _worker_slabs["task_attrs"]
-        task_ids = _worker_slabs["task_ids"]
-        worker_rows = views["worker_slots"]
-        task_rows = views["task_slots"]
+    views = _scratch_views(block.buf, header["workers"], header["tasks"])
+    worker_attrs = views["worker_attrs"]
+    task_attrs = views["task_attrs"]
     workers = tuple(
         Worker(
-            worker_id=int(worker_ids[slot]),
-            location=Point(worker_attrs[slot, 0], worker_attrs[slot, 1]),
-            reachable_km=float(worker_attrs[slot, 2]),
-            speed_kmh=float(worker_attrs[slot, 3]),
+            worker_id=int(worker_id),
+            location=Point(worker_attrs[row, 0], worker_attrs[row, 1]),
+            reachable_km=float(worker_attrs[row, 2]),
+            speed_kmh=float(worker_attrs[row, 3]),
         )
-        for slot in worker_rows
+        for row, worker_id in enumerate(views["worker_ids"])
     )
     tasks = tuple(
         Task(
-            task_id=int(task_ids[slot]),
-            location=Point(task_attrs[slot, 0], task_attrs[slot, 1]),
-            publication_time=float(task_attrs[slot, 2]),
-            valid_hours=float(task_attrs[slot, 3]),
+            task_id=int(task_id),
+            location=Point(task_attrs[column, 0], task_attrs[column, 1]),
+            publication_time=float(task_attrs[column, 2]),
+            valid_hours=float(task_attrs[column, 3]),
         )
-        for slot in task_rows
+        for column, task_id in enumerate(views["task_ids"])
     )
     instance = SCInstance(
         name=f"shard-{header['shard']}",

@@ -2,17 +2,13 @@
 
 :class:`StreamState` is the mutable heart of the streaming runtime.  It
 keeps the online worker pool and the open task pool, applies drained events
-to them, and maintains two acceleration structures incrementally:
-
-* a :class:`~repro.geo.GridIndex` over the open tasks, updated on every
-  publish/assign/expire/cancel, so "which tasks could this worker reach" is
-  an output-sensitive lookup at any instant (:meth:`tasks_near`) instead of
-  a pool scan;
-* the PR-1 round caches — a shared :class:`~repro.assignment.RoundState`
-  whose distance/influence rectangles (and the
-  :class:`~repro.influence.InfluenceModel` per-task columns behind them)
-  persist across rounds, so each round only pays for newly arrived workers
-  and newly published tasks.
+to them, and maintains a :class:`~repro.geo.GridIndex` over the open tasks,
+updated on every publish/assign/expire/cancel, so "which tasks could this
+worker reach" is an output-sensitive lookup at any instant
+(:meth:`tasks_near`) instead of a pool scan.  Rounds are prepared and
+solved by :class:`~repro.stream.runtime.ShardExecutor`, which keeps the
+incremental :class:`~repro.assignment.RoundState` caches per shard; the
+state layer retires the matched pairs (:meth:`retire_pairs`).
 
 Pool mutation semantics mirror
 :class:`~repro.framework.online.OnlineSimulator` exactly (re-arrival
@@ -24,11 +20,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.assignment.base import Assigner, PreparedInstance, RoundState
 from repro.data.instance import SCInstance
 from repro.entities import Assignment, Task, Worker
 from repro.geo import GridIndex, Point
-from repro.influence import InfluenceModel
 from repro.stream.events import (
     KIND_ARRIVAL,
     KIND_CANCEL,
@@ -55,13 +49,11 @@ class StreamState:
     base_instance:
         Supplies the immutable context every round instance shares —
         histories, social network, venue visits, ``all_worker_ids``.
-    influence:
-        The fitted influence model reused by every round (or ``None``).
     incremental:
-        When True, rounds are prepared through a shared
-        :class:`~repro.assignment.RoundState`; False rebuilds each round
-        from scratch (the regression reference, exactly as in the online
-        simulator).
+        When True, rounds are prepared through persistent
+        :class:`~repro.assignment.RoundState` caches; False rebuilds each
+        round from scratch (the regression reference, exactly as in the
+        online simulator).
     index_cell_km:
         Cell size of the live task index; defaults to the paper's 25 km
         reachable radius so a range query touches O(9) cells.
@@ -70,14 +62,11 @@ class StreamState:
     def __init__(
         self,
         base_instance: SCInstance,
-        influence: InfluenceModel | None,
         incremental: bool = True,
         index_cell_km: float = 25.0,
     ) -> None:
         self.base_instance = base_instance
-        self.influence = influence
         self.incremental = incremental
-        self.round_state = RoundState(influence)
         self.workers: dict[int, Worker] = {}
         self.tasks: dict[int, Task] = {}
         self.arrived_at: dict[int, float] = {}
@@ -276,43 +265,16 @@ class StreamState:
             yield self.tasks[task_id]
 
     # -------------------------------------------------------------- rounds
-    def round_instance(self, now: float) -> SCInstance:
-        """The current pools as a deterministic :class:`SCInstance`."""
-        instance = self.base_instance.with_workers(
-            sorted(self.workers.values(), key=lambda w: w.worker_id)
-        ).with_tasks(sorted(self.tasks.values(), key=lambda t: t.task_id))
-        instance.current_time = now
-        return instance
-
-    def prepare_round(self, now: float) -> PreparedInstance:
-        """A prepared instance for an assignment round at ``now``."""
-        instance = self.round_instance(now)
-        if self.incremental:
-            return self.round_state.prepare(instance)
-        return PreparedInstance(instance, self.influence)
-
-    def run_assignment(
-        self, assigner: Assigner, now: float
-    ) -> tuple[Assignment, list[tuple[float, float]]]:
-        """Run one assignment round and retire the matched pairs.
-
-        Returns the assignment plus the per-pair ``(task_wait,
-        worker_wait)`` hours (publication/arrival to ``now``), in pair
-        order — the pools and timestamp maps stay consistent because every
-        retirement path (assign, expire, cancel, churn) clears its entries
-        here in the state layer.
-        """
-        assignment = assigner.assign(self.prepare_round(now))
-        return assignment, self.retire_pairs(assignment, now)
-
     def retire_pairs(
         self, assignment: Assignment, now: float
     ) -> list[tuple[float, float]]:
         """Retire matched pairs from the pools; returns per-pair waits.
 
-        Shared by the plain and sharded round paths — however an
-        assignment was produced, retirement (pools, live index, timestamp
-        maps) happens here so the state stays consistent.
+        The waits are each pair's ``(task_wait, worker_wait)`` hours
+        (publication/arrival to ``now``), in pair order.  Every retirement
+        path (assign, expire, cancel, churn) clears the pools, the live
+        index and the timestamp maps in this layer, so they stay
+        consistent.
         """
         waits: list[tuple[float, float]] = []
         for pair in assignment:

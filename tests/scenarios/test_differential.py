@@ -345,13 +345,17 @@ class TestObservabilityDifferential:
         )
         assert pairs(observed) == pairs(plain)
         assert round_rows(observed) == round_rows(plain)
+        # An unsharded run is a one-shard round and traces the same phases.
+        unsharded_obs = full_obs()
+        run_stream(scenario, NearestNeighborAssigner(), obs=unsharded_obs)
         # And what came out the other end is well-formed: the trace passes
         # the trace-event schema, the registry renders valid exposition.
-        span_names = {event["name"] for event in obs.tracer.events()}
-        assert {"round", "round.drain", "shard.prepare", "shard.solve",
-                "round.merge"} <= span_names
-        validate_trace_events(obs.tracer.to_payload())
-        validate_exposition(render_prometheus(obs.registry))
+        for run_obs in (obs, unsharded_obs):
+            span_names = {event["name"] for event in run_obs.tracer.events()}
+            assert {"round", "round.drain", "shard.prepare", "shard.solve",
+                    "round.merge"} <= span_names
+            validate_trace_events(run_obs.tracer.to_payload())
+            validate_exposition(render_prometheus(run_obs.registry))
 
 
 class TestDistanceLexDifferential:

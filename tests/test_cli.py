@@ -139,6 +139,21 @@ class TestStream:
         assert "rounds:" in out
         assert "round latency" in out
 
+    def test_nan_window_and_patience_fail_fast(self, capsys):
+        """argparse's float accepts "nan"; a NaN window would otherwise fire
+        rounds forever without advancing the clock."""
+        for trigger in ("window", "hybrid"):
+            assert main(["stream", *FAST, "--no-influence", "--trigger",
+                         trigger, "--window-hours", "nan"]) == 2
+            assert "window_hours must be positive, got nan" in \
+                capsys.readouterr().err
+        assert main(["stream", *FAST, "--no-influence", "--trigger", "adaptive",
+                     "--latency-budget", "nan"]) == 2
+        assert "target_seconds" in capsys.readouterr().err
+        assert main(["stream", *FAST, "--no-influence",
+                     "--patience-hours", "nan"]) == 2
+        assert "--patience-hours" in capsys.readouterr().err
+
     def test_count_trigger_with_patience(self, capsys):
         assert main(["stream", *FAST, "--no-influence", "--trigger", "count",
                      "--batch-count", "10", "--patience-hours", "3"]) == 0
@@ -363,9 +378,10 @@ class TestStreamMultiDayAndAdmission:
         assert "--admission-budget" in capsys.readouterr().err
 
     def test_admission_budget_rejects_negative(self, capsys):
-        assert main(["stream", *FAST, "--no-influence",
-                     "--admission-budget", "-1"]) == 2
-        assert "positive" in capsys.readouterr().err
+        for bad in ("-1", "nan"):
+            assert main(["stream", *FAST, "--no-influence",
+                         "--admission-budget", bad]) == 2
+            assert "positive" in capsys.readouterr().err
 
     def test_resume_with_mismatched_admission_fails_fast(self, tmp_path, capsys):
         checkpoint = tmp_path / "stream.npz"
@@ -438,9 +454,10 @@ class TestStreamPipelineFlags:
         assert "--rebalance-alpha" in capsys.readouterr().err
 
     def test_rebalance_hysteresis_rejects_negative(self, capsys):
-        assert main(["stream", *FAST, "--no-influence", "--shards", "2",
-                     "--rebalance", "--rebalance-hysteresis", "-0.5"]) == 2
-        assert "--rebalance-hysteresis" in capsys.readouterr().err
+        for bad in ("-0.5", "nan"):
+            assert main(["stream", *FAST, "--no-influence", "--shards", "2",
+                         "--rebalance", "--rebalance-hysteresis", bad]) == 2
+            assert "--rebalance-hysteresis" in capsys.readouterr().err
 
     def test_resume_with_mismatched_pipeline_fails_fast(self, tmp_path, capsys):
         checkpoint = tmp_path / "stream.npz"

@@ -47,6 +47,8 @@ class TestTimeWindowTrigger:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             TimeWindowTrigger(0.0)
+        with pytest.raises(ValueError, match="nan"):
+            TimeWindowTrigger(float("nan"))
 
 
 class TestHybridTrigger:
@@ -60,6 +62,8 @@ class TestHybridTrigger:
             HybridTrigger(0, 1.0)
         with pytest.raises(ValueError):
             HybridTrigger(1, 0.0)
+        with pytest.raises(ValueError, match="nan"):
+            HybridTrigger(1, float("nan"))
 
     def test_repr_smoke(self):
         assert "HybridTrigger" in repr(HybridTrigger(3, 1.0))
@@ -144,3 +148,7 @@ class TestAdaptiveTrigger:
                             min_window_hours=0.5)
         with pytest.raises(ValueError):
             AdaptiveTrigger(target_seconds=1.0, growth=1.0)
+        with pytest.raises(ValueError, match="target_seconds.*nan"):
+            AdaptiveTrigger(target_seconds=float("nan"))
+        with pytest.raises(ValueError, match="growth.*nan"):
+            AdaptiveTrigger(target_seconds=1.0, growth=float("nan"))

@@ -127,6 +127,35 @@ class TestCacheLifecycle:
         last = segmented.segment_count - 1
         assert segmented.cached_segments == (last - 1, last)
 
+    def test_unsharded_runtime_construction_builds_no_segment(self):
+        """The one-shard layout is built directly, not planned: planning a
+        segmented log would synthesize every segment up front."""
+        from repro.stream import ShardLayout
+
+        base, log = multi_day_world()
+        source = SegmentedEventLog.from_log(log, segment_hours=8.0)
+        slabs = [source.segment(i) for i in range(source.segment_count)]
+        builds = []
+
+        def builder(index):
+            def build():
+                builds.append(index)
+                return slabs[index]
+            return build
+
+        segmented = SegmentedEventLog(
+            [builder(i) for i in range(len(slabs))], source.boundaries
+        )
+        scanned = len(builds)
+        StreamRuntime(
+            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
+            base, segmented,
+        )
+        assert len(builds) == scanned
+        assert segmented.cached_segments == ()
+        ShardLayout.plan(segmented, 2)  # the probe sees planning's builds
+        assert len(builds) > scanned
+
     def test_release_before_drops_passed_segments(self):
         _, log = multi_day_world()
         segmented = SegmentedEventLog.from_log(

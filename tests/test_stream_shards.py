@@ -383,6 +383,9 @@ class TestShardRebalancer:
             ShardRebalancer(alpha=1.5)
         with pytest.raises(ValueError):
             ShardRebalancer(hysteresis=-0.1)
+        with pytest.raises(ValueError, match="hysteresis.*nan"):
+            ShardRebalancer(hysteresis=float("nan"))
+        ShardRebalancer(hysteresis=float("inf"))  # never repacks
 
     def test_observe_seeds_then_smooths(self):
         layout = five_cluster_layout()
@@ -739,7 +742,7 @@ class TestShardedCheckpoint:
 
 
 class TestSharedMemoryBackend:
-    """Fork-once slab lifecycle of the shared-memory process executor."""
+    """Scratch-block lifecycle of the shared-memory process executor."""
 
     def _process_runtime(self, base, log, **kwargs):
         return StreamRuntime(
@@ -747,25 +750,33 @@ class TestSharedMemoryBackend:
             patience_hours=6.0, shards=4, executor="process", **kwargs,
         )
 
-    def test_slabs_published_once_and_reused_across_rounds(self):
+    def test_direct_process_executor_ships_rows_inline(self):
+        """A directly built process executor needs no event log: its rounds
+        go through the scratch blocks and match the serial backend."""
+        from repro.stream import StreamState
+
         base, log = clustered_world(num_workers=60, num_tasks=60, seed=9)
-        runtime = self._process_runtime(base, log)
-        try:
-            executor = runtime.shard_executor
-            assert executor.shares_memory
-            assert executor._slabs is None  # nothing published before round 1
-
-            runtime.run(max_rounds=4)
-            slabs = executor._slabs
-            assert slabs is not None
-            published = {name for _, name, _, _ in slabs.specs}
-
-            runtime.run()  # rest of the stream: the same blocks serve it
-            assert executor._slabs is slabs
-            assert {name for _, name, _, _ in executor._slabs.specs} == published
-            assert executor._scratch  # per-shard scratch got exercised
-        finally:
-            runtime.close()
+        layout = ShardLayout.plan(log, 4)
+        outcomes = {}
+        for backend in ("serial", "process"):
+            state = StreamState(base)
+            state.apply_log_slice(log, 0, len(log) // 2)
+            executor = ShardExecutor(layout, backend=backend)
+            try:
+                execution = executor.run_round(
+                    state, NearestNeighborAssigner(), 6.0
+                )
+                if backend == "process":
+                    assert executor._scratch  # the rows went inline
+            finally:
+                executor.close()
+            outcomes[backend] = (
+                [(p.worker.worker_id, p.task.task_id)
+                 for p in execution.assignment],
+                execution.waits,
+            )
+        assert outcomes["serial"][0]
+        assert outcomes["process"] == outcomes["serial"]
 
     def test_close_unlinks_slabs_and_scratch(self):
         from multiprocessing import shared_memory
@@ -774,26 +785,16 @@ class TestSharedMemoryBackend:
         runtime = self._process_runtime(base, log)
         runtime.run()
         executor = runtime.shard_executor
-        names = [name for _, name, _, _ in executor._slabs.specs]
-        names += [
+        names = [
             scratch._block.name
             for scratch in executor._scratch.values()
             if scratch._block is not None
         ]
         assert names
         runtime.close()
-        assert executor._slabs is None
         assert executor._scratch == {}
         for name in names:  # the segments are really gone from the OS
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
         runtime.close()  # idempotent after release
 
-    def test_executor_without_log_falls_back_to_pickling(self):
-        """Direct construction (no event log) keeps the legacy path."""
-        _, log = clustered_world(num_workers=10, num_tasks=10)
-        executor = ShardExecutor(ShardLayout.plan(log, 2), backend="process")
-        assert not executor.shares_memory
-        with_log = ShardExecutor(ShardLayout.plan(log, 2), backend="process",
-                                 log=log)
-        assert with_log.shares_memory

@@ -7,6 +7,8 @@ from repro.data.instance import SCInstance
 from repro.entities import Task, Worker
 from repro.geo import Point
 from repro.stream import (
+    ShardExecutor,
+    ShardLayout,
     StreamState,
     TaskCancelEvent,
     TaskExpiryEvent,
@@ -36,7 +38,28 @@ def make_task(task_id, x=1.0, y=0.0, published=0.0, phi=5.0):
 
 @pytest.fixture()
 def state():
-    return StreamState(make_instance(), influence=None)
+    return StreamState(make_instance())
+
+
+@pytest.fixture()
+def executor():
+    """The unsharded runtime's round path: one bin, serial backend."""
+    return ShardExecutor(
+        ShardLayout(cell_km=25.0, num_shards=1, max_radius_km=float("inf"))
+    )
+
+
+def run_round(executor, state, assigner, now):
+    execution = executor.run_round(state, assigner, now)
+    return execution.assignment, execution.waits
+
+
+class RecordingAssigner(NearestNeighborAssigner):
+    """Keeps the prepared instance each round hands the solver."""
+
+    def assign(self, prepared):
+        self.prepared = prepared
+        return super().assign(prepared)
 
 
 class TestEventApplication:
@@ -118,20 +141,24 @@ class TestQueriesAndRounds:
         near = sorted(t.task_id for t in state.tasks_near(Point(0.0, 0.0), 5.0))
         assert near == [1]
 
-    def test_round_instance_sorted_and_timed(self, state):
+    def test_round_instance_sorted_and_timed(self, state, executor):
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(5)))
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(2)))
         state.apply(TaskPublishEvent(time=0.0, task=make_task(9)))
         state.apply(TaskPublishEvent(time=0.0, task=make_task(4, x=2.0)))
-        instance = state.round_instance(3.5)
+        assigner = RecordingAssigner()
+        executor.run_round(state, assigner, 3.5)
+        instance = assigner.prepared.instance
         assert [w.worker_id for w in instance.workers] == [2, 5]
         assert [t.task_id for t in instance.tasks] == [4, 9]
         assert instance.current_time == pytest.approx(3.5)
 
-    def test_run_assignment_retires_matched_pairs(self, state):
+    def test_run_assignment_retires_matched_pairs(self, state, executor):
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(1, x=0.0)))
         state.apply(TaskPublishEvent(time=0.5, task=make_task(7, x=1.0)))
-        assignment, waits = state.run_assignment(NearestNeighborAssigner(), 2.0)
+        assignment, waits = run_round(
+            executor, state, NearestNeighborAssigner(), 2.0
+        )
         assert len(assignment) == 1
         assert waits == [(pytest.approx(1.5), pytest.approx(2.0))]
         assert state.num_online_workers == 0
@@ -152,12 +179,14 @@ class TestQueriesAndRounds:
         state.apply(WorkerChurnEvent(time=7.0, worker_id=2))
         assert state.arrived_at == {}
 
-    def test_non_incremental_preparation(self):
-        state = StreamState(make_instance(), influence=None, incremental=False)
+    def test_non_incremental_preparation(self, executor):
+        state = StreamState(make_instance(), incremental=False)
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(1)))
         state.apply(TaskPublishEvent(time=0.0, task=make_task(7)))
-        prepared = state.prepare_round(0.0)
-        assert prepared.feasible.num_feasible == 1
+        assigner = RecordingAssigner()
+        executor.run_round(state, assigner, 0.0)
+        assert assigner.prepared.feasible.num_feasible == 1
+        assert executor.round_states == {}  # no persistent cache was built
 
 
 class TestRelocation:
@@ -180,18 +209,18 @@ class TestRelocation:
         assert removed == (False, False)
         assert state.num_online_workers == 0
 
-    def test_relocation_after_assignment_is_noop(self, state):
+    def test_relocation_after_assignment_is_noop(self, state, executor):
         from repro.stream import WorkerRelocateEvent
 
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(3)))
         state.apply(TaskPublishEvent(time=0.0, task=make_task(7)))
-        assignment, _ = state.run_assignment(NearestNeighborAssigner(), 1.0)
+        assignment, _ = run_round(executor, state, NearestNeighborAssigner(), 1.0)
         assert len(assignment) == 1
         state.apply(WorkerRelocateEvent(time=2.0, worker_id=3,
                                         location=Point(5.0, 5.0)))
         assert state.num_online_workers == 0
 
-    def test_relocation_feeds_next_round_feasibility(self, state):
+    def test_relocation_feeds_next_round_feasibility(self, state, executor):
         """After relocating, a previously unreachable task becomes the
         worker's match — the RoundState caches must not serve stale rows."""
         from repro.stream import WorkerRelocateEvent
@@ -199,11 +228,13 @@ class TestRelocation:
         state.apply(WorkerArrivalEvent(time=0.0, worker=make_worker(1, radius=4.0)))
         far = make_task(2, x=30.0, phi=50.0)
         state.apply(TaskPublishEvent(time=0.0, task=far))
-        assignment, _ = state.run_assignment(NearestNeighborAssigner(), 1.0)
+        assignment, _ = run_round(executor, state, NearestNeighborAssigner(), 1.0)
         assert len(assignment) == 0
         state.apply(WorkerRelocateEvent(time=2.0, worker_id=1,
                                         location=Point(29.0, 0.0)))
-        assignment, waits = state.run_assignment(NearestNeighborAssigner(), 3.0)
+        assignment, waits = run_round(
+            executor, state, NearestNeighborAssigner(), 3.0
+        )
         assert [(p.worker.worker_id, p.task.task_id) for p in assignment] == [(1, 2)]
         # Task waited 3h from publication; worker 3h from *arrival* (t=0).
         assert waits == [(3.0, 3.0)]
