@@ -89,6 +89,10 @@ def load_snap_checkins(
                 lat, lon = float(parts[2]), float(parts[3])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed record") from exc
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise DataError(
+                    f"{path}:{lineno}: non-finite coordinates lat={lat}, lon={lon}"
+                )
             rows.append((user_id, hours, lat, lon, parts[4]))
 
     if not rows:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.geo import Point
@@ -37,8 +38,12 @@ class Task:
     venue_id: int | None = None
 
     def __post_init__(self) -> None:
-        if self.valid_hours < 0:
-            raise ValueError(f"valid_hours must be non-negative, got {self.valid_hours}")
+        if not math.isfinite(self.publication_time):
+            raise ValueError(f"publication_time must be finite, got {self.publication_time}")
+        if not (0 <= self.valid_hours < math.inf):
+            raise ValueError(f"valid_hours must be finite and >= 0, got {self.valid_hours}")
+        if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
+            raise ValueError(f"task location must be finite, got {self.location}")
 
     @property
     def expiry_time(self) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.geo import Point
@@ -33,10 +34,12 @@ class Worker:
     speed_kmh: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.reachable_km < 0:
-            raise ValueError(f"reachable_km must be non-negative, got {self.reachable_km}")
-        if self.speed_kmh <= 0:
-            raise ValueError(f"speed_kmh must be positive, got {self.speed_kmh}")
+        if not (0 <= self.reachable_km < math.inf):
+            raise ValueError(f"reachable_km must be finite and >= 0, got {self.reachable_km}")
+        if not (0 < self.speed_kmh < math.inf):
+            raise ValueError(f"speed_kmh must be finite and > 0, got {self.speed_kmh}")
+        if not (math.isfinite(self.location.x) and math.isfinite(self.location.y)):
+            raise ValueError(f"worker location must be finite, got {self.location}")
 
     def can_reach(self, point: Point) -> bool:
         """Return whether ``point`` lies within the worker's reachable circle."""

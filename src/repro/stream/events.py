@@ -326,7 +326,7 @@ class EventLog:
         itself.
 
         Malformed input — mismatched column lengths, unknown kind codes,
-        non-finite times, NaN relocation coordinates, payload references
+        non-finite times or relocation coordinates, payload references
         outside the side-tables, or a relocation preceding any arrival of
         its worker — raises :class:`~repro.exceptions.DataError` up front
         instead of surfacing as an index error rounds later.
@@ -392,12 +392,12 @@ class EventLog:
             y = np.ascontiguousarray(y, dtype=np.float64)
             if not (len(x) == len(y) == len(time)):
                 raise DataError("x and y columns must have the row count")
-            bad_coords = synthesized & (np.isnan(x) | np.isnan(y))
+            bad_coords = synthesized & ~(np.isfinite(x) & np.isfinite(y))
             if bad_coords.any():
                 raise DataError(
                     "relocation rows "
-                    f"{np.flatnonzero(bad_coords).tolist()[:5]} have NaN "
-                    "coordinates"
+                    f"{np.flatnonzero(bad_coords).tolist()[:5]} have non-finite "
+                    "(NaN or infinite) coordinates"
                 )
         log = cls.__new__(cls)
         log._init_from_arrays(
@@ -522,13 +522,6 @@ class EventLog:
             ],
             dtype=np.float64,
         ).reshape(len(self._tasks), 4)
-        for attrs, label in ((self._worker_attrs, "worker"),
-                             (self._task_attrs, "task")):
-            if len(attrs) and np.isnan(attrs[:, :2]).any():
-                raise DataError(
-                    f"{label} payloads contain NaN coordinates — the live "
-                    "index and shard planner require finite locations"
-                )
         self._task_venues = np.array(
             [-1 if t.venue_id is None else t.venue_id for t in self._tasks],
             dtype=np.int64,

@@ -53,6 +53,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from array import array
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -87,6 +88,10 @@ class StreamResult:
     def __init__(self) -> None:
         self.assignment = Assignment()
         self.metrics = StreamMetrics()
+        #: Per pair of :attr:`assignment`, in pair order: the recorded event
+        #: indices of its worker and task when matched (checkpoints store them).
+        self.worker_events = array("q")
+        self.task_events = array("q")
 
     @property
     def rounds(self) -> list[RoundRecord]:
@@ -318,11 +323,13 @@ class RoundExecution:
     executor the per-shard prepare/solve spans overlap in time, so their
     sum can exceed the round's wall clock — that gap is the overlap win.
     ``shard_seconds`` keeps the per-shard solve spans for the latency
-    rebalancer's EWMA.
+    rebalancer's EWMA.  ``events`` holds each pair's recorded
+    ``(worker_event, task_event)`` log indices, in pair order.
     """
 
     assignment: Assignment
     waits: list[tuple[float, float]]
+    events: list[tuple[int, int]]
     prepare_seconds: float
     solve_seconds: float
     merge_seconds: float
@@ -711,7 +718,7 @@ class ShardExecutor:
         merge_started = time.perf_counter()
         merge_start_ns = time.time_ns()
         merged = merge_assignments(parts)
-        waits = state.retire_pairs(merged, now)
+        waits, events = state.retire_pairs(merged, now)
         merge_seconds = time.perf_counter() - merge_started
         if tracer.enabled:
             tracer.complete(
@@ -723,6 +730,7 @@ class ShardExecutor:
         return RoundExecution(
             assignment=merged,
             waits=waits,
+            events=events,
             prepare_seconds=prepare_seconds,
             solve_seconds=solve_seconds,
             merge_seconds=merge_seconds,
@@ -1022,7 +1030,7 @@ class StreamRuntime:
                 force=final_flush
             ):
                 state.apply_kind(
-                    KIND_PUBLISH, published, task_id,
+                    KIND_PUBLISH, published, task_id, position,
                     task=self.log.task_at(position),
                 )
             if final_flush and self.admission.policy == "defer":
@@ -1072,14 +1080,19 @@ class StreamRuntime:
                 state, self.assigner, fire_time, pipeline=self.pipeline,
                 round_index=round_index,
             )
-            assignment, waits = execution.assignment, execution.waits
+            assignment = execution.assignment
             prepare_seconds = execution.prepare_seconds
             solve_seconds = execution.solve_seconds
             merge_seconds = execution.merge_seconds
             elapsed = time.perf_counter() - started
-            for pair, (task_wait, worker_wait) in zip(assignment, waits):
-                self._result.assignment.add(pair.task, pair.worker)
-                self._result.metrics.on_assigned(task_wait, worker_wait)
+            result = self._result
+            for pair, (task_wait, worker_wait), (worker_event, task_event) in zip(
+                assignment, execution.waits, execution.events
+            ):
+                result.assignment.add(pair.task, pair.worker)
+                result.worker_events.append(worker_event)
+                result.task_events.append(task_event)
+                result.metrics.on_assigned(task_wait, worker_wait)
             assigned = len(assignment)
         # Latency-driven repacking fires at deterministic round-index
         # boundaries, after this round's EWMA observation and before the

@@ -10,6 +10,10 @@ solved by :class:`~repro.stream.runtime.ShardExecutor`, which keeps the
 incremental :class:`~repro.assignment.RoundState` caches per shard; the
 state layer retires the matched pairs (:meth:`retire_pairs`).
 
+Beside each pooled entity the state records the global index of the log
+row that set its current state, which is what checkpoints store (see
+:mod:`repro.stream.checkpoint`).
+
 Pool mutation semantics mirror
 :class:`~repro.framework.online.OnlineSimulator` exactly (re-arrival
 replaces the pooled worker, expiry and churn are strict-inequality sweeps),
@@ -31,13 +35,6 @@ from repro.stream.events import (
     KIND_PUBLISH,
     KIND_RELOCATE,
     EventLog,
-    StreamEvent,
-    TaskCancelEvent,
-    TaskExpiryEvent,
-    TaskPublishEvent,
-    WorkerArrivalEvent,
-    WorkerChurnEvent,
-    WorkerRelocateEvent,
 )
 
 
@@ -71,6 +68,10 @@ class StreamState:
         self.tasks: dict[int, Task] = {}
         self.arrived_at: dict[int, float] = {}
         self.published_at: dict[int, float] = {}
+        #: id -> global index of the log row that set the pooled entity's
+        #: current state (same keys as :attr:`workers` / :attr:`tasks`).
+        self.worker_events: dict[int, int] = {}
+        self.task_events: dict[int, int] = {}
         self.task_index: GridIndex[int] = GridIndex(index_cell_km)
         self._index_cell_km = index_cell_km
 
@@ -88,68 +89,47 @@ class StreamState:
     def _index_remove(self, task: Task) -> None:
         self.task_index.remove(task.location, task.task_id)
 
-    def apply(self, event: StreamEvent) -> tuple[bool, bool]:
-        """Apply one drained event to the pools and the live index.
-
-        Returns ``(removed_task, removed_worker)`` — whether the event
-        actually retired a pooled entity (expiry/cancel/churn of something
-        no longer pooled is a no-op), so callers count outcomes from the
-        single dispatch that produced them.
-        """
-        if isinstance(event, WorkerArrivalEvent):
-            return self.apply_kind(
-                KIND_ARRIVAL, event.time, event.worker.worker_id, worker=event.worker
-            )
-        if isinstance(event, TaskPublishEvent):
-            return self.apply_kind(
-                KIND_PUBLISH, event.time, event.task.task_id, task=event.task
-            )
-        if isinstance(event, TaskCancelEvent):
-            return self.apply_kind(KIND_CANCEL, event.time, event.task_id)
-        if isinstance(event, TaskExpiryEvent):
-            return self.apply_kind(KIND_EXPIRY, event.time, event.task_id)
-        if isinstance(event, WorkerChurnEvent):
-            return self.apply_kind(KIND_CHURN, event.time, event.worker_id)
-        if isinstance(event, WorkerRelocateEvent):
-            pooled = self.workers.get(event.worker_id)
-            if pooled is None:
-                return False, False
-            return self.apply_kind(
-                KIND_RELOCATE,
-                event.time,
-                event.worker_id,
-                worker=pooled.moved_to(event.location),
-            )
-        raise TypeError(f"unsupported stream event {event!r}")
-
     def apply_kind(
         self,
         kind: int,
         time: float,
         entity_id: int,
+        event: int,
         worker: Worker | None = None,
         task: Task | None = None,
     ) -> tuple[bool, bool]:
-        """Kind-coded :meth:`apply` — the columnar replay entry point."""
+        """Apply one kind-coded event to the pools and the live index.
+
+        ``event`` is the row's global log index, recorded for the entity
+        whose state the row sets; ``worker``/``task`` is that row's payload.
+        Returns ``(removed_task, removed_worker)`` — whether the event
+        actually retired a pooled entity (expiry/cancel/churn of something
+        no longer pooled is a no-op), so callers count outcomes from the
+        single dispatch that produced them.
+        """
         if kind == KIND_ARRIVAL:
             self.workers[entity_id] = worker
             self.arrived_at[entity_id] = time
+            self.worker_events[entity_id] = event
         elif kind == KIND_PUBLISH:
             previous = self.tasks.get(entity_id)
             if previous is not None:
                 self._index_remove(previous)
             self.tasks[entity_id] = task
             self.published_at[entity_id] = time
+            self.task_events[entity_id] = event
             self.task_index.insert(task.location, entity_id)
         elif kind == KIND_CANCEL or kind == KIND_EXPIRY:
             pooled = self.tasks.pop(entity_id, None)
             if pooled is not None:
                 self._index_remove(pooled)
-                self.published_at.pop(entity_id, None)
+                del self.published_at[entity_id]
+                del self.task_events[entity_id]
                 return True, False
         elif kind == KIND_CHURN:
             if self.workers.pop(entity_id, None) is not None:
-                self.arrived_at.pop(entity_id, None)
+                del self.arrived_at[entity_id]
+                del self.worker_events[entity_id]
                 return False, True
         elif kind == KIND_RELOCATE:
             # A live worker's location update: the pooled worker object is
@@ -159,6 +139,7 @@ class StreamState:
             # the same id now maps to a different (frozen) Worker.
             if entity_id in self.workers:
                 self.workers[entity_id] = worker
+                self.worker_events[entity_id] = event
         else:  # pragma: no cover - new event kinds must be wired explicitly
             raise TypeError(f"unsupported stream event kind {kind!r}")
         return False, False
@@ -181,11 +162,11 @@ class StreamState:
         the retirement even though the task never reached the pool.  With
         ``admission=None`` the path is exactly the ungated replay.
 
-        ``offset`` shifts the positions *offered to the gate* (only): when
-        the runtime drains a segmented log slab-by-slab, ``start``/``stop``
-        are slab-local but backlog entries must carry global cursor
-        positions so deferred re-admission and checkpoints stay exact
-        across segment seams.
+        ``offset`` maps slab-local positions to global ones: when the
+        runtime drains a segmented log slab-by-slab, ``start``/``stop`` are
+        slab-local, but backlog entries and recorded event indices must
+        carry global cursor positions so deferred re-admission and
+        checkpoints stay exact across segment seams.
         """
         kinds = log.kinds
         times = log.times
@@ -216,6 +197,7 @@ class StreamState:
                 kind,
                 float(times[position]),
                 entity_id,
+                offset + position,
                 worker=worker,
                 task=task,
             )
@@ -241,7 +223,8 @@ class StreamState:
         for task in expired:
             del self.tasks[task.task_id]
             self._index_remove(task)
-            self.published_at.pop(task.task_id, None)
+            del self.published_at[task.task_id]
+            del self.task_events[task.task_id]
         return expired
 
     def churn_workers(self, now: float, patience_hours: float | None) -> list[int]:
@@ -255,7 +238,8 @@ class StreamState:
         ]
         for worker_id in churned:
             del self.workers[worker_id]
-            self.arrived_at.pop(worker_id, None)
+            del self.arrived_at[worker_id]
+            del self.worker_events[worker_id]
         return churned
 
     # ------------------------------------------------------------- queries
@@ -267,24 +251,27 @@ class StreamState:
     # -------------------------------------------------------------- rounds
     def retire_pairs(
         self, assignment: Assignment, now: float
-    ) -> list[tuple[float, float]]:
-        """Retire matched pairs from the pools; returns per-pair waits.
+    ) -> tuple[list[tuple[float, float]], list[tuple[int, int]]]:
+        """Retire matched pairs from the pools; returns ``(waits, events)``.
 
-        The waits are each pair's ``(task_wait, worker_wait)`` hours
-        (publication/arrival to ``now``), in pair order.  Every retirement
-        path (assign, expire, cancel, churn) clears the pools, the live
-        index and the timestamp maps in this layer, so they stay
-        consistent.
+        ``waits`` holds each pair's ``(task_wait, worker_wait)`` hours
+        (publication/arrival to ``now``) and ``events`` each pair's
+        recorded ``(worker_event, task_event)`` log indices, both in pair
+        order.  Every retirement path (assign, expire, cancel, churn)
+        clears the pools, the live index, the timestamp maps and the
+        event-index maps in this layer, so they stay consistent.
         """
         waits: list[tuple[float, float]] = []
+        events: list[tuple[int, int]] = []
         for pair in assignment:
-            del self.workers[pair.worker.worker_id]
-            task = self.tasks.pop(pair.task.task_id)
-            self._index_remove(task)
+            worker_id, task_id = pair.worker.worker_id, pair.task.task_id
+            del self.workers[worker_id]
+            self._index_remove(self.tasks.pop(task_id))
             waits.append(
                 (
-                    now - self.published_at.pop(pair.task.task_id),
-                    now - self.arrived_at.pop(pair.worker.worker_id),
+                    now - self.published_at.pop(task_id),
+                    now - self.arrived_at.pop(worker_id),
                 )
             )
-        return waits
+            events.append((self.worker_events.pop(worker_id), self.task_events.pop(task_id)))
+        return waits, events

@@ -22,6 +22,11 @@ asserts the three equivalences the streaming stack claims, bit for bit:
    reads values the runtime already computed and nothing else: pairs,
    round records and wait distributions stay bit-identical across the
    scenario matrix and every executor backend.
+6. **Recorded event indices** — the log row each pooled and assigned
+   entity records as it is applied rebuilds the same ``Worker``/``Task``
+   as the full-history rescan the checkpoint save used to run (kept
+   here as the reference), across relocation, admission, segmented and
+   sharded runs.
 
 Plus the admission-control contract: disabled (or never-overloaded)
 admission control is a provable no-op, and the defer/shed policies behave
@@ -56,7 +61,7 @@ from repro.stream import (
     StreamRuntime,
     TimeWindowTrigger,
 )
-from repro.stream.events import KIND_PUBLISH, KIND_RELOCATE
+from repro.stream.events import KIND_ARRIVAL, KIND_PUBLISH, KIND_RELOCATE
 
 from tests.scenarios.generators import SCENARIOS, DistanceLexAssigner
 
@@ -830,3 +835,102 @@ class TestDeferredExpiryInBacklog:
             )
             assert pairs(sharded) == pairs(reference), backend
             assert round_rows(sharded) == round_rows(reference), backend
+
+
+def scanned_event_indices(log, cursor):
+    """Reference oracle: each worker/task payload in rows ``[0, cursor)``
+    mapped to the *last* row carrying it — the full-history rescan the
+    checkpoint save ran before entities recorded their own rows."""
+    workers: dict = {}
+    tasks: dict = {}
+    for slab, local_start, local_stop, base in log.slices(0, cursor):
+        kinds = slab.kinds
+        for position in range(local_start, local_stop):
+            kind = int(kinds[position])
+            if kind == KIND_ARRIVAL or kind == KIND_RELOCATE:
+                workers[slab.worker_at(position)] = base + position
+            elif kind == KIND_PUBLISH:
+                tasks[slab.task_at(position)] = base + position
+    return workers, tasks
+
+
+def assert_recorded_indices_rebuild(runtime) -> int:
+    """Every pooled and assigned entity rebuilds an equal payload from its
+    recorded row and from the scan's row; returns how many recorded rows
+    differ from the scan's (equal payloads re-arriving later)."""
+    log, state, result = runtime.log, runtime.state, runtime.result
+    assert state.worker_events.keys() == state.workers.keys()
+    assert state.task_events.keys() == state.tasks.keys()
+    assert len(result.worker_events) == len(result.assignment)
+    assert len(result.task_events) == len(result.assignment)
+    scanned_workers, scanned_tasks = scanned_event_indices(log, runtime.cursor)
+    workers = [(state.worker_events[i], w) for i, w in state.workers.items()]
+    workers += zip(result.worker_events, (p.worker for p in result.assignment))
+    tasks = [(state.task_events[i], t) for i, t in state.tasks.items()]
+    tasks += zip(result.task_events, (p.task for p in result.assignment))
+    moved = 0
+    for recorded, worker in workers:
+        scanned = scanned_workers[worker]
+        assert recorded <= scanned < runtime.cursor
+        assert log.worker_at(recorded) == worker == log.worker_at(scanned)
+        moved += recorded != scanned
+    for recorded, task in tasks:
+        scanned = scanned_tasks[task]
+        assert recorded <= scanned < runtime.cursor
+        assert log.task_at(recorded) == task == log.task_at(scanned)
+        moved += recorded != scanned
+    return moved
+
+
+def run_checking_indices(runtime, every=3):
+    """Play ``runtime`` to the end, checking the indices every few rounds."""
+    with runtime:
+        while not runtime.done:
+            runtime.run(max_rounds=every)
+            assert_recorded_indices_rebuild(runtime)
+    assert len(runtime.result.assignment) > 0
+    return runtime.result
+
+
+class TestRecordedEventIndices:
+    """The checkpoint save reads recorded rows; they rebuild what the scan
+    would have, on every engine configuration."""
+
+    def test_all_scenarios_unsharded(self, scenario, nn_reference):
+        result = run_checking_indices(
+            make_runtime(scenario, NearestNeighborAssigner())
+        )
+        assert pairs(result) == pairs(nn_reference)
+
+    @pytest.mark.parametrize("policy", ["defer", "shed"])
+    def test_admission(self, policy):
+        scenario = SCENARIOS["quiet_then_burst"]()
+        controller = AdmissionController(10.0, policy, cost_of=storm_cost)
+        result = run_checking_indices(
+            make_runtime(
+                scenario, NearestNeighborAssigner(), admission=controller
+            ),
+            every=1,
+        )
+        diverted = result.metrics.total_deferred + result.metrics.total_shed
+        assert diverted > 0
+
+    @pytest.mark.parametrize("name", ["rush_hour_relocation", "mass_relocation"])
+    def test_segmented(self, name):
+        scenario = SCENARIOS[name]()
+        run_checking_indices(
+            make_runtime(
+                scenario, NearestNeighborAssigner(),
+                log=segmented_log(scenario, max_cached=1),
+            )
+        )
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_sharded(self, backend):
+        scenario = SCENARIOS["mass_relocation"]()
+        run_checking_indices(
+            make_runtime(
+                scenario, NearestNeighborAssigner(), log=segmented_log(scenario),
+                shards=4, executor=backend, pipeline=True,
+            )
+        )

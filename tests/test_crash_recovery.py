@@ -194,3 +194,78 @@ def test_sigkill_mid_segment_then_resume_is_event_identical(tmp_path):
         np.testing.assert_array_equal(
             got_arrays[name], ref_arrays[name], err_msg=name
         )
+
+
+#: The victim for the seam case: the stream CLI with its periodic save
+#: wrapped so that the process SIGKILLs itself right after the first save
+#: whose cursor sits exactly on a segment seam (offset 0 of a later
+#: segment) — a deterministic crash point no polling loop could hit.
+SEAM_VICTIM = """
+import os, signal, sys
+from repro.cli import main
+from repro.stream import StreamRuntime
+
+save = StreamRuntime.checkpoint
+
+def checkpoint(self, path):
+    saved = save(self, path)
+    segment, offset = self.log.locate(self.cursor)
+    if not self.done and segment > 0 and offset == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return saved
+
+StreamRuntime.checkpoint = checkpoint
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_sigkill_after_a_save_at_a_segment_seam_then_resume_is_event_identical(
+    tmp_path,
+):
+    """The periodic save reads the event indices the runtime recorded as it
+    applied each row; a crash right after a save on a seam, with the
+    previous segment already released, must still resume to the
+    uninterrupted run's final state bit for bit."""
+    # Half-hour rounds put some round between a segment's last row and the
+    # next segment's first, so the cursor rests on the seam.
+    args = [*SEGMENTED_ARGS, "--window-hours", "0.5"]
+    reference_dir = tmp_path / "reference"
+    crash_dir = tmp_path / "crash"
+    reference_dir.mkdir()
+    crash_dir.mkdir()
+
+    completed = run_cli([*args, "--checkpoint", "run"], cwd=reference_dir)
+    assert completed.returncode == 0, completed.stdout
+    reference = reference_dir / "run.ckpt"
+
+    victim = subprocess.run(
+        [sys.executable, "-c", SEAM_VICTIM, *args,
+         "--checkpoint", "run", "--checkpoint-every", "1"],
+        cwd=crash_dir, env=cli_env(), timeout=300,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    assert victim.returncode == -signal.SIGKILL, (
+        "the run never saved on a seam:\n" + victim.stdout
+    )
+    manifest = crash_dir / "run.ckpt"
+    crashed_meta, crashed_arrays = checkpoint_payloads(manifest)
+    assert crashed_meta["done"] is False
+    segment, offset = crashed_meta["segments"]["cursor"]
+    assert segment > 0 and offset == 0
+    assert len(crashed_arrays["assigned_worker_events"]) > 0
+
+    resumed = run_cli(
+        [*args, "--resume", "run", "--checkpoint", "run"],
+        cwd=crash_dir,
+    )
+    assert resumed.returncode == 0, resumed.stdout
+    assert "resumed from" in resumed.stdout
+
+    ref_meta, ref_arrays = checkpoint_payloads(reference)
+    got_meta, got_arrays = checkpoint_payloads(manifest)
+    assert got_meta == ref_meta
+    assert sorted(got_arrays) == sorted(ref_arrays)
+    for name in ref_arrays:
+        np.testing.assert_array_equal(
+            got_arrays[name], ref_arrays[name], err_msg=name
+        )

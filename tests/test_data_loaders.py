@@ -106,6 +106,19 @@ class TestLoadCheckins:
         with pytest.raises(DataError):
             load_snap_checkins(path)
 
+    @pytest.mark.parametrize("lat, lon", [
+        ("nan", "-104.99"), ("39.75", "nan"), ("inf", "-104.99"),
+        ("39.75", "-inf"),
+    ])
+    def test_non_finite_coordinates_raise_with_lineno(self, tmp_path, lat, lon):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(
+            "0\t2010-10-17T01:48:53Z\t39.7\t-104.9\tv_a\n"
+            f"1\t2010-10-17T02:48:53Z\t{lat}\t{lon}\tv_b\n"
+        )
+        with pytest.raises(DataError, match=r":2: non-finite coordinates"):
+            load_snap_checkins(path)
+
 
 class TestLoadDataset:
     def test_assembles_dataset(self, snap_files):

@@ -36,6 +36,19 @@ class TestTask:
         with pytest.raises(ValueError):
             self.make(valid_hours=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("valid_hours", float("nan")),
+        ("valid_hours", float("inf")),
+        ("publication_time", float("nan")),
+        ("publication_time", float("inf")),
+        ("publication_time", float("-inf")),
+        ("location", Point(float("nan"), 0.0)),
+        ("location", Point(0.0, float("inf"))),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            self.make(**{field: value})
+
     def test_with_valid_hours_returns_copy(self):
         task = self.make()
         other = task.with_valid_hours(2.0)
@@ -68,6 +81,20 @@ class TestWorker:
     def test_rejects_bad_speed(self):
         with pytest.raises(ValueError):
             Worker(worker_id=1, location=Point(0, 0), reachable_km=1.0, speed_kmh=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("reachable_km", float("nan")),
+        ("reachable_km", float("inf")),
+        ("speed_kmh", float("nan")),
+        ("speed_kmh", float("inf")),
+        ("location", Point(float("nan"), 0.0)),
+        ("location", Point(0.0, float("-inf"))),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        values = {"location": Point(0, 0), "reachable_km": 1.0, "speed_kmh": 5.0}
+        values[field] = value
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            Worker(worker_id=1, **values)
 
     def test_with_radius_and_moved_to(self):
         worker = Worker(worker_id=1, location=Point(0, 0), reachable_km=5.0)

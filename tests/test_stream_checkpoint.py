@@ -699,3 +699,156 @@ class TestAtomicSave:
         self._snapshot_then_fail(
             tmp_path, monkeypatch, lambda dst: dst.endswith(".chunk")
         )
+
+
+def counting_segmented(log, segment_hours=8.0):
+    """A segmented twin of ``log`` whose builders record every build."""
+    from repro.stream import SegmentedEventLog
+
+    source = SegmentedEventLog.from_log(log, segment_hours=segment_hours)
+    slabs = [source.segment(i) for i in range(source.segment_count)]
+    builds = []
+
+    def builder(index):
+        def build():
+            builds.append(index)
+            return slabs[index]
+        return build
+
+    segmented = SegmentedEventLog(
+        [builder(i) for i in range(len(slabs))], source.boundaries
+    )
+    return segmented, builds
+
+
+def rearrival_world():
+    """Twelve workers matched one per hour, each re-arriving unchanged six
+    hours after its match (out of reach of every open task): every old
+    pair's worker payload reappears at a later log row."""
+    from repro.stream import EventLog, TaskPublishEvent, WorkerArrivalEvent
+    from repro.stream.events import expiry_events
+
+    events, tasks = [], []
+    for k in range(12):
+        worker = Worker(worker_id=k, location=Point(100.0 * k, 0.0),
+                        reachable_km=5.0)
+        task = Task(task_id=k, location=Point(100.0 * k + 1.0, 0.0),
+                    publication_time=float(k), valid_hours=2.0)
+        tasks.append(task)
+        events.append(WorkerArrivalEvent(time=float(k), worker=worker))
+        events.append(TaskPublishEvent(time=float(k), task=task))
+        events.append(WorkerArrivalEvent(time=k + 6.5, worker=worker))
+    return make_instance(), EventLog([*events, *expiry_events(tasks)])
+
+
+class TestSaveReadsRecordedIndices:
+    """A save reads the event indices the state recorded as it applied each
+    row, so its cost follows the live state, not the history."""
+
+    def test_save_builds_no_segment_and_reads_no_row(self, tmp_path, monkeypatch):
+        base, log = relocation_world()
+        segmented, builds = counting_segmented(log)
+        runtime = StreamRuntime(
+            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base,
+            segmented,
+        )
+        reads = []
+        late_saves = 0
+        while not runtime.done:
+            runtime.run(max_rounds=4)
+            built = len(builds)
+            with monkeypatch.context() as patch:
+                for name in ("slices", "worker_at", "task_at"):
+                    original = getattr(segmented, name)
+
+                    def counted(*args, _name=name, _original=original, **kwargs):
+                        reads.append(_name)
+                        return _original(*args, **kwargs)
+
+                    patch.setattr(segmented, name, counted)
+                runtime.checkpoint(tmp_path / "run.ckpt")
+            assert len(builds) == built, "the save built a segment"
+            assert reads == [], f"the save read log rows: {reads}"
+            # A save the rescan would have paid for: released segments
+            # behind the cursor, live pools and pairs to resolve.
+            late_saves += (
+                segmented.segment_of(runtime.cursor) >= 2
+                and bool(runtime.state.workers)
+                and len(runtime.result.assignment) > 0
+            )
+        assert late_saves > 0
+        runtime.close()
+
+    def test_index_maps_stay_the_size_of_the_pools(self):
+        base, log = relocation_world()
+        runtime = StreamRuntime(
+            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base, log,
+            patience_hours=4.0,
+        )
+        state, result = runtime.state, runtime.result
+        peak = 0
+        while not runtime.done:
+            runtime.run(max_rounds=1)
+            assert state.worker_events.keys() == state.workers.keys()
+            assert state.task_events.keys() == state.tasks.keys()
+            peak = max(peak, len(state.worker_events) + len(state.task_events))
+        assert peak > 0
+        assert state.worker_events.keys() == state.workers.keys()
+        assert state.task_events.keys() == state.tasks.keys()
+        assert len(result.worker_events) == len(result.assignment) > 0
+        assert len(result.task_events) == len(result.assignment)
+        # Far fewer live entries than the rows the horizon applied.
+        assert len(state.worker_events) + len(state.task_events) < len(log) // 4
+
+    def test_assigned_chunks_are_reused_but_the_tail(self, tmp_path):
+        from repro.stream.checkpoint import save_checkpoint
+
+        chunk_bytes = 16  # two int64 indices per chunk
+        base, log = rearrival_world()
+        runtime = StreamRuntime(
+            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base, log,
+            end_time=20.0,
+        )
+        names = ("assigned_worker_events", "assigned_task_events")
+        previous = None
+        while not runtime.done:
+            runtime.run(max_rounds=3)
+            manifest = load_checkpoint_manifest(save_checkpoint(
+                runtime, tmp_path / "run.ckpt", chunk_bytes=chunk_bytes
+            ))
+            arrays = {entry["name"]: entry for entry in manifest["arrays"]}
+            current = {
+                name: (
+                    arrays[name]["nbytes"],
+                    [manifest["digests"][i] for i in arrays[name]["chunks"]],
+                )
+                for name in names
+            }
+            if previous is not None:
+                for name in names:
+                    nbytes, chunks = previous[name]
+                    full = nbytes // chunk_bytes
+                    assert current[name][1][:full] == chunks[:full], name
+            previous = current
+        # Every matched worker re-arrived later with an identical payload —
+        # the case where the history rescan moved old pairs' indices.
+        assert len(runtime.result.assignment) == 12
+        assert previous["assigned_worker_events"][0] == 12 * 8
+        assert sorted(runtime.state.workers) == list(range(12))
+
+    def test_resume_restores_the_recorded_indices(self, tmp_path):
+        base, log = relocation_world()
+        interrupted = StreamRuntime(
+            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base, log,
+        )
+        interrupted.run(max_rounds=30)
+        assert interrupted.state.workers and len(interrupted.result.assignment)
+        saved = interrupted.checkpoint(tmp_path / "mid.ckpt")
+        resumed = StreamRuntime.resume(
+            saved, NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
+            base, log,
+        )
+        assert resumed.state.worker_events == interrupted.state.worker_events
+        assert resumed.state.task_events == interrupted.state.task_events
+        assert resumed.result.worker_events == interrupted.result.worker_events
+        assert resumed.result.task_events == interrupted.result.task_events

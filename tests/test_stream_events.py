@@ -351,14 +351,19 @@ class TestColumnarAccess:
                 workers=[worker],
                 x=np.array([np.nan, np.nan]), y=np.array([np.nan, 2.0]),
             )
-        # A payload entity with a NaN location.
-        bad_task = Task(
-            task_id=2, location=Point(float("nan"), 0.0),
-            publication_time=0.0, valid_hours=1.0,
-        )
-        with pytest.raises(DataError, match="NaN coordinates"):
+        # An infinite relocation target is rejected the same way.
+        with pytest.raises(DataError, match="non-finite"):
             EventLog.from_columns(
-                np.array([0.0]), np.array([1]), np.array([2]), tasks=[bad_task]
+                np.array([0.0, 1.0]), np.array([0, 5]), np.array([1, 1]),
+                workers=[worker],
+                x=np.array([np.nan, np.inf]), y=np.array([np.nan, 2.0]),
+            )
+        # A payload entity with a NaN location cannot be built at all: the
+        # entity rejects it before it can reach a log.
+        with pytest.raises(ValueError, match="location must be finite"):
+            Task(
+                task_id=2, location=Point(float("nan"), 0.0),
+                publication_time=0.0, valid_hours=1.0,
             )
 
     def test_from_columns_rejects_relocation_without_coordinates(self):
