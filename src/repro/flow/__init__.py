@@ -14,31 +14,23 @@ propagation engine uses):
 * :class:`Dinic` — level-graph/blocking-flow max flow; the level BFS
   advances whole frontiers with vectorized capacity masks;
 * :class:`MinCostMaxFlow` — successive shortest augmenting paths via
-  Dijkstra on Johnson-reduced costs (shared machinery in
-  :mod:`repro.flow.potentials`); returns exactly the (max flow, min cost)
-  pair the paper's Ford-Fulkerson + LP pipeline produces, in one pass, and
-  raises :class:`~repro.exceptions.FlowError` on negative-cost cycles
-  instead of hanging;
-* :class:`PotentialMinCostMaxFlow` — the historical name of the
-  Dijkstra-with-potentials engine, now a thin wrapper that additionally
-  rejects negative original costs eagerly.
+  Dijkstra on Johnson-reduced costs (:mod:`repro.flow.potentials`); returns
+  exactly the (max flow, min cost) pair the paper's Ford-Fulkerson + LP
+  pipeline produces, in one pass, and raises
+  :class:`~repro.exceptions.FlowError` on negative-cost cycles instead of
+  hanging.
 
 These are the paper's algorithms, kept as readable references: production
 assignment solves run through scipy (:mod:`repro.assignment.solvers`,
 :class:`~repro.assignment.MTAAssigner`), and the test suite and benches
 check them against :class:`Dinic` and :class:`MinCostMaxFlow` on the
-Figure-4 network.
+Figure-4 network.  Each reference has one plain path and no engine option.
 """
 
 from repro.flow.network import FlowNetwork
 from repro.flow.maxflow import edmonds_karp, Dinic
 from repro.flow.mincost import MinCostMaxFlow, FlowResult
-from repro.flow.potentials import (
-    PotentialMinCostMaxFlow,
-    bellman_ford_potentials,
-    dijkstra_reduced,
-    scan_shortest_paths,
-)
+from repro.flow.potentials import bellman_ford_potentials, dijkstra_reduced
 
 __all__ = [
     "FlowNetwork",
@@ -46,8 +38,6 @@ __all__ = [
     "Dinic",
     "MinCostMaxFlow",
     "FlowResult",
-    "PotentialMinCostMaxFlow",
     "bellman_ford_potentials",
     "dijkstra_reduced",
-    "scan_shortest_paths",
 ]

@@ -14,8 +14,9 @@ is level-backward, so mid-phase pushes can only remove capacity from the
 compacted set, never add it).  The current-arc DFS spine then walks only
 the compacted arcs, and the capacity deltas fold back into the network in
 one fancy-indexed update per phase.  On unit-capacity networks (the
-Figure-4 assignment graphs) the walk skips the bottleneck scan entirely —
-level BFS + unit-path DFS is exactly Hopcroft-Karp, batched.
+Figure-4 assignment graphs) level BFS + current-arc DFS is exactly
+Hopcroft-Karp.  Dinic is a test reference, so it carries no speed-only
+machinery beyond these two passes.
 """
 
 from __future__ import annotations
@@ -76,20 +77,6 @@ class Dinic:
     def __init__(self, network: FlowNetwork) -> None:
         self.network = network
         self._level: np.ndarray = np.empty(0, dtype=np.int64)
-        # Per-structure caches: keyed on the csr_edges array identity, which
-        # FlowNetwork swaps out on any structural change.  Avoids
-        # re-materializing the per-position tails between phases of one
-        # solve (the network's csr() itself is already lazy).
-        self._tails_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._unit_caps: bool | None = None
-
-    def _position_tails(self, csr_edges: np.ndarray) -> np.ndarray:
-        """Tail node of every CSR position, cached per network structure."""
-        cache = self._tails_cache
-        if cache is None or cache[0] is not csr_edges:
-            cache = (csr_edges, self.network.edge_tail[csr_edges])
-            self._tails_cache = cache
-        return cache[1]
 
     def _bfs(self, source: int, sink: int) -> bool:
         """Level the residual graph, advancing whole frontiers per step."""
@@ -132,9 +119,8 @@ class Dinic:
         arcs from the set.)  One vectorized mask compacts the CSR down to
         those arcs, the DFS spine walks the compacted lists (scalar list
         indexing beats ndarray scalar indexing several-fold, and the walk
-        now skips every level-inadmissible arc for free), and the capacity
-        deltas fold back into the network with one fancy-indexed update —
-        no per-phase ``tolist()`` of the full edge arrays.
+        skips every level-inadmissible arc for free), and the capacity
+        deltas fold back into the network with one fancy-indexed update.
         """
         network = self.network
         num_nodes = network.num_nodes
@@ -142,7 +128,7 @@ class Dinic:
         heads = network.edge_to
         cap = network.edge_cap
         level = self._level
-        tails = self._position_tails(csr_edges)
+        tails = network.edge_tail[csr_edges]
         tail_levels = level[tails]
         usable = (
             (cap[csr_edges] > 0)
@@ -160,15 +146,6 @@ class Dinic:
             ([0], np.cumsum(np.bincount(arc_tails, minlength=num_nodes)))
         )
         start_cap = cap[arc_edges]
-        unit = self._unit_caps
-        if unit is None:
-            unit = bool((start_cap <= 1).all())
-        if unit and level[sink] == 3:
-            pushed = self._three_level_unit_phase(
-                arc_edges, arc_tails, arc_heads, offsets, source, sink
-            )
-            if pushed is not None:
-                return pushed
         arc_cap = start_cap.tolist()
         arc_heads = arc_heads.tolist()
         arc_tails = arc_tails.tolist()
@@ -180,11 +157,7 @@ class Dinic:
         node = source
         while True:
             if node == sink:
-                if unit:
-                    # Hopcroft-Karp fast path: every bottleneck is 1.
-                    bottleneck = 1
-                else:
-                    bottleneck = min(arc_cap[position] for position in path)
+                bottleneck = min(arc_cap[position] for position in path)
                 for position in path:
                     arc_cap[position] -= bottleneck
                 total += bottleneck
@@ -220,108 +193,10 @@ class Dinic:
         cap[arc_edges ^ 1] += pushed
         return total
 
-    def _three_level_unit_phase(
-        self,
-        arc_edges: np.ndarray,
-        arc_tails: np.ndarray,
-        arc_heads: np.ndarray,
-        offsets: np.ndarray,
-        source: int,
-        sink: int,
-    ) -> int | None:
-        """Batched blocking flow for a three-level unit phase (Figure 4).
-
-        When the sink sits at level 3 of a unit-capacity level graph, every
-        augmenting path is ``source -> left -> right -> sink`` and the
-        blocking flow is a maximal matching between the two middle layers.
-        The current-arc DFS finds a very specific one: processing left
-        nodes in source-arc order, each takes the first right node (in its
-        own arc order) whose sink arc is still open — serial first-fit.
-        That greedy is exactly worker-proposing deferred acceptance where
-        every right node prefers the lower-priority proposer: rejections
-        and evictions replay precisely the "already taken when my turn
-        came" outcomes of the serial pass, so the fixpoint is the same
-        matching — but deferred acceptance runs as a handful of vectorized
-        proposal rounds instead of a Python walk over every arc.
-
-        Returns ``None`` (caller falls back to the generic walk) if a
-        middle node carries parallel source or sink arcs, where one node
-        could host two unit paths and the matching framing breaks.
-        """
-        network = self.network
-        cap = network.edge_cap
-        num_nodes = network.num_nodes
-        level = self._level
-        src_pos = np.flatnonzero(arc_tails == source)
-        sink_pos = np.flatnonzero(arc_heads == sink)
-        if src_pos.size == 0 or sink_pos.size == 0:
-            return 0
-        left = arc_heads[src_pos]
-        right = arc_tails[sink_pos]
-        if (np.bincount(left, minlength=num_nodes) > 1).any():
-            return None
-        if (np.bincount(right, minlength=num_nodes) > 1).any():
-            return None
-        # Deep wanderings past level 3 never reach the sink (it is pinned
-        # at level 3), so the DFS would retreat out of them untouched;
-        # only arcs out of left nodes into sink-reachable right nodes
-        # matter.  A right node's open sink arc is its "open for matching"
-        # bit; nodes without one are dead ends the cursor skips.
-        sink_arc_of = np.full(num_nodes, -1, dtype=np.int64)
-        sink_arc_of[right] = sink_pos
-        count = left.size
-        cursor = offsets[left].copy()
-        stop = offsets[left + 1]
-        holder = np.full(num_nodes, count, dtype=np.int64)
-        holder_arc = np.full(num_nodes, -1, dtype=np.int64)
-        active = np.arange(count, dtype=np.int64)
-        while active.size:
-            # Advance cursors past exhausted lists and dead-end columns.
-            while True:
-                active = active[cursor[active] < stop[active]]
-                if active.size == 0:
-                    break
-                target = arc_heads[cursor[active]]
-                dead = sink_arc_of[target] < 0
-                if not dead.any():
-                    break
-                cursor[active[dead]] += 1
-            if active.size == 0:
-                break
-            previous = holder[target]
-            np.minimum.at(holder, target, active)
-            outcome = holder[target]
-            won = outcome == active
-            holder_arc[target[won]] = cursor[active[won]]
-            rejected = active[~won]
-            cursor[rejected] += 1
-            evicted_mask = np.zeros(count, dtype=bool)
-            displaced = previous[previous != outcome]
-            evicted_mask[displaced[displaced < count]] = True
-            evicted = np.flatnonzero(evicted_mask)
-            cursor[evicted] += 1
-            active = np.concatenate((rejected, evicted))
-        matched = np.flatnonzero(holder < count)
-        matched = matched[level[matched] == 2]
-        if matched.size == 0:
-            return 0
-        used = arc_edges[np.concatenate((
-            src_pos[holder[matched]], holder_arc[matched],
-            sink_arc_of[matched],
-        ))]
-        cap[used] -= 1
-        cap[used ^ 1] += 1
-        return int(matched.size)
-
     def max_flow(self, source: int, sink: int) -> int:
         """Compute the maximum flow; mutates the underlying network."""
         if source == sink:
             raise FlowError("source and sink must differ")
-        # Unit-capacity networks (the Figure-4 assignment graphs) stay
-        # unit-capacity for the whole run — every bottleneck is 1 — so the
-        # blocking flow can skip its per-path bottleneck scan.  Decided
-        # once per solve.
-        self._unit_caps = bool((self.network.edge_cap <= 1).all())
         total = 0
         while self._bfs(source, sink):
             total += self._blocking_flow(source, sink)

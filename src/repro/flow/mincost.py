@@ -6,13 +6,14 @@ flow whose total cost is minimal among all maximum flows — exactly the
 objective of the paper's Ford-Fulkerson + LP formulation, computed in one
 pass.
 
-Since the array-substrate rewrite the shortest-path phase is Dijkstra on
-Johnson-reduced costs (:mod:`repro.flow.potentials`), not SPFA: potentials
-``h`` keep every residual cost ``c + h(u) - h(v)`` non-negative, so each
-phase is O((V + E) log V) with vectorized per-node relaxation.  Graphs with
-negative *original* costs bootstrap their potentials with one guarded
-Bellman-Ford pass — a negative-cost cycle now raises :class:`FlowError`
-instead of hanging the solver.
+The shortest-path phase is one Dijkstra on Johnson-reduced costs
+(:func:`~repro.flow.potentials.dijkstra_reduced`): potentials ``h`` keep
+every residual cost ``c + h(u) - h(v)`` non-negative, so each phase is
+O((V + E) log V) with vectorized per-node relaxation.  Graphs with negative
+*original* costs bootstrap their potentials with one guarded Bellman-Ford
+pass — a negative-cost cycle raises :class:`FlowError` instead of hanging
+the solver.  This is the test reference for the production scipy solves of
+:mod:`repro.assignment.solvers`, so it carries no speed-only machinery.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ import numpy as np
 from repro.exceptions import FlowError
 from repro.flow.network import FlowNetwork
 from repro.flow.potentials import (
-    ResidualPricing,
     bellman_ford_potentials,
     dijkstra_reduced,
     extract_path,
-    scan_shortest_paths,
 )
 
 
@@ -55,33 +54,10 @@ class MinCostMaxFlow:
     :class:`FlowError`, like any genuinely negative-cycled cost structure.
     """
 
-    def __init__(self, network: FlowNetwork, engine: str = "auto") -> None:
-        if engine not in ("auto", "scan", "dijkstra"):
-            raise FlowError(f"unknown shortest-path engine {engine!r}")
+    def __init__(self, network: FlowNetwork) -> None:
         self.network = network
-        self.engine = engine
         #: Final node potentials; ``None`` until :meth:`solve` runs.
         self.potential: np.ndarray | None = None
-
-    def _shortest_paths(
-        self,
-        source: int,
-        sink: int,
-        potential: np.ndarray,
-        pricing: ResidualPricing | None = None,
-    ):
-        engine = self.engine
-        if engine == "auto":
-            # Dense, shallow graphs (the assignment networks) are fastest
-            # under whole-graph scans; sparse deep ones under the heap.
-            engine = "scan" if 2 * self.network.num_edges >= 4 * self.network.num_nodes else "dijkstra"
-        if engine == "scan":
-            return scan_shortest_paths(
-                self.network, source, potential, sink=sink, pricing=pricing
-            )
-        return dijkstra_reduced(
-            self.network, source, potential, sink=sink, pricing=pricing
-        )
 
     def solve(self, source: int, sink: int) -> FlowResult:
         """Run MCMF from ``source`` to ``sink``; mutates the network."""
@@ -99,14 +75,11 @@ class MinCostMaxFlow:
             potential = bellman_ford_potentials(network, source)
         else:
             potential = np.zeros(network.num_nodes)
-        # Incremental pricing: active flags and reduced costs are maintained
-        # across augmentations instead of recompacted from scratch per phase.
-        pricing = ResidualPricing(network, potential)
         total_flow = 0
         total_cost = 0.0
         while True:
-            distance, in_edge = self._shortest_paths(
-                source, sink, potential, pricing=pricing
+            distance, in_edge = dijkstra_reduced(
+                network, source, potential, sink=sink
             )
             if in_edge[sink] == -1:
                 self.potential = potential
@@ -123,4 +96,3 @@ class MinCostMaxFlow:
             cap[path ^ 1] += bottleneck
             total_flow += bottleneck
             total_cost += bottleneck * float(cost[path].sum())
-            pricing.update(potential, path)

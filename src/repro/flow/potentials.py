@@ -1,4 +1,4 @@
-"""Shared reduced-cost machinery for min-cost max-flow.
+"""Reduced-cost machinery for min-cost max-flow.
 
 Successive-shortest-path MCMF needs, per augmentation, a cheapest residual
 path.  The classic Johnson trick maintains node potentials ``h`` so the
@@ -8,25 +8,16 @@ reduced costs
 
 stay non-negative on every residual edge, which lets each phase run Dijkstra
 (O((V + E) log V)) instead of Bellman-Ford (O(V * E)).  This module hosts
-the pieces both solvers share:
+the pieces :class:`~repro.flow.mincost.MinCostMaxFlow` is built from:
 
 * :func:`dijkstra_reduced` — reduced-cost Dijkstra over the CSR arrays with
   vectorized per-node relaxation;
-* :class:`ResidualPricing` — incrementally maintained active flags and
-  reduced costs over the full CSR adjacency, so successive augmentations
-  reprice only the edges whose potentials or residual status actually
-  changed instead of rebuilding the compaction from scratch;
 * :func:`bellman_ford_potentials` — a queue-based Bellman-Ford (SPFA) that
   bootstraps valid potentials when original costs may be negative, with an
   explicit relaxation-count guard that raises :class:`FlowError` on a
   negative-cost cycle instead of looping forever;
 * :func:`extract_path` — walk the ``in_edge`` tree, returning the edge ids
   from source to sink.
-
-:class:`PotentialMinCostMaxFlow` is kept as the historical name of the
-Dijkstra-with-potentials solver; since the rewrite it is simply
-:class:`repro.flow.mincost.MinCostMaxFlow` restricted to non-negative
-original costs (checked eagerly, matching its old contract).
 """
 
 from __future__ import annotations
@@ -36,7 +27,7 @@ import heapq
 import numpy as np
 
 from repro.exceptions import FlowError
-from repro.flow.network import FlowNetwork, csr_gather
+from repro.flow.network import FlowNetwork
 
 #: Slack used when comparing float path costs.
 COST_EPS = 1e-12
@@ -47,11 +38,8 @@ def _compact_reduced(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """CSR adjacency compacted to active edges, priced at reduced cost.
 
-    Both shortest-path engines start a run this way: the potentials and the
-    residual mask are fixed for the whole search, so active edges are
-    compacted and priced once in a few vectorized passes.  Returns
-    ``(act_indptr, act_edges, act_heads, act_reduced)``, with tiny float
-    negatives in the reduced costs clamped to zero.
+    Returns ``(act_indptr, act_edges, act_heads, act_reduced)``, with tiny
+    float negatives in the reduced costs clamped to zero.
     """
     indptr, csr_edges = network.csr()
     active = network.edge_cap[csr_edges] > 0
@@ -68,104 +56,11 @@ def _compact_reduced(
     return act_indptr, act_edges, act_heads, act_reduced
 
 
-class ResidualPricing:
-    """Incrementally maintained edge pricing across MCMF augmentations.
-
-    :func:`_compact_reduced` rebuilds the active-edge compaction and
-    re-prices *every* residual edge at the start of every shortest-path run
-    — O(E) work per augmentation even though a single augmentation flips
-    the residual status of only the path edges and, in the common
-    late-solve case (``distance[sink] == 0``), changes no potential at all.
-
-    This class keeps the *full* CSR slot layout fixed and maintains, per
-    slot, an ``active`` flag and the ``reduced`` cost priced at the current
-    potentials.  Because boolean masking preserves CSR order, iterating the
-    full layout filtered by ``active`` visits edges in exactly the order of
-    the compacted arrays, so both engines relax the same edges at the same
-    values in the same sequence — distances and parent edges stay
-    bit-identical to the compacting path.
-
-    :meth:`update` folds one augmentation in: path slots get their active
-    flags refreshed from capacities, and reduced costs are recomputed only
-    on slots incident to nodes whose potential value changed.  When the
-    change set is a large fraction of the graph the incremental gather
-    costs more than it saves, so a full vectorized reprice runs instead.
-
-    The invariant throughout: every slot (active or not) carries the
-    reduced cost of its edge at ``self.potential``, computed by the same
-    elementwise formula and clamp as :func:`_compact_reduced`.
-    """
-
-    #: Full reprice once potentials changed on >= 1/FRACTION of the nodes.
-    FULL_REPRICE_FRACTION = 4
-
-    def __init__(self, network: FlowNetwork, potential: np.ndarray) -> None:
-        self.network = network
-        indptr, csr_edges = network.csr()
-        self.indptr = indptr
-        self.csr_edges = csr_edges
-        self.heads = network.edge_to[csr_edges]
-        self._tails = network.edge_tail[csr_edges]
-        self._costs = network.edge_cost[csr_edges]
-        #: Slot of each edge id in the CSR layout (inverse permutation).
-        self._slot_of = np.empty(csr_edges.size, dtype=np.int64)
-        self._slot_of[csr_edges] = np.arange(csr_edges.size, dtype=np.int64)
-        # Incoming-slot index: slots grouped by head node, so one changed
-        # node locates both its outgoing and incoming slots in O(degree).
-        order = np.argsort(self.heads, kind="stable")
-        self._in_order = order
-        self._in_indptr = np.searchsorted(
-            self.heads[order], np.arange(network.num_nodes + 1)
-        )
-        self.active = network.edge_cap[csr_edges] > 0
-        self.potential = np.array(potential, dtype=float, copy=True)
-        self.reduced = np.empty(csr_edges.size)
-        self._reprice(slice(None))
-
-    def _reprice(self, slots) -> None:
-        """Recompute ``reduced`` on ``slots`` at the current potentials.
-
-        Same elementwise expression and zero clamp as
-        :func:`_compact_reduced` — bit-identity depends on it.
-        """
-        reduced = (
-            self._costs[slots]
-            + self.potential[self._tails[slots]]
-            - self.potential[self.heads[slots]]
-        )
-        np.maximum(reduced, 0.0, out=reduced)
-        self.reduced[slots] = reduced
-
-    def update(self, new_potential: np.ndarray, path: np.ndarray) -> None:
-        """Fold one augmentation into the pricing.
-
-        ``path`` is the augmented path's edge ids *after* the caller pushed
-        flow (capacities already updated); both twins of every path edge
-        refresh their active flags.  Reduced costs are then repriced only
-        on slots incident to nodes whose potential value changed — by value
-        comparison, so a ``-0.0``/``+0.0`` flip (never observable in the
-        reduced-cost formula) does not trigger work.
-        """
-        twins = np.concatenate([path, path ^ 1])
-        self.active[self._slot_of[twins]] = self.network.edge_cap[twins] > 0
-        changed = np.nonzero(new_potential != self.potential)[0]
-        if changed.size == 0:
-            return
-        self.potential[:] = new_potential
-        if self.FULL_REPRICE_FRACTION * changed.size >= self.network.num_nodes:
-            self._reprice(slice(None))
-            return
-        out_slots, _ = csr_gather(self.indptr, changed)
-        in_slots = self._in_order[csr_gather(self._in_indptr, changed)[0]]
-        self._reprice(np.unique(np.concatenate([out_slots, in_slots])))
-
-
 def dijkstra_reduced(
     network: FlowNetwork,
     source: int,
     potential: np.ndarray,
     sink: int | None = None,
-    pricing: ResidualPricing | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shortest reduced-cost distances from ``source`` over residual edges.
 
@@ -180,22 +75,10 @@ def dijkstra_reduced(
     search stops as soon as the sink settles — tentative labels of unsettled
     nodes are then lower-bounded by ``distance[sink]``, which is exactly the
     cap the caller must apply when folding distances back into potentials.
-
-    With ``pricing`` the compaction step is skipped: the heap loop slices
-    the full CSR layout and filters each node's slots by the maintained
-    active mask, visiting the same edges at the same reduced costs in the
-    same order (``potential`` is then only used for documentation of the
-    contract — the pricing object carries the current values).
     """
-    if pricing is None:
-        act_indptr, act_edges, act_heads, act_reduced = _compact_reduced(
-            network, potential
-        )
-        active = None
-    else:
-        act_indptr, act_edges = pricing.indptr, pricing.csr_edges
-        act_heads, act_reduced = pricing.heads, pricing.reduced
-        active = pricing.active
+    act_indptr, act_edges, act_heads, act_reduced = _compact_reduced(
+        network, potential
+    )
     distance = np.full(network.num_nodes, np.inf)
     in_edge = np.full(network.num_nodes, -1, dtype=np.int64)
     done = np.zeros(network.num_nodes, dtype=bool)
@@ -211,15 +94,9 @@ def dijkstra_reduced(
         low, high = act_indptr[node], act_indptr[node + 1]
         if low == high:
             continue
-        if active is None:
-            targets = act_heads[low:high]
-            candidates = node_distance + act_reduced[low:high]
-            edge_ids = act_edges[low:high]
-        else:
-            mask = active[low:high]
-            targets = act_heads[low:high][mask]
-            candidates = node_distance + act_reduced[low:high][mask]
-            edge_ids = act_edges[low:high][mask]
+        targets = act_heads[low:high]
+        candidates = node_distance + act_reduced[low:high]
+        edge_ids = act_edges[low:high]
         better = np.nonzero(candidates < distance[targets] - COST_EPS)[0]
         for position in better:
             target = int(targets[position])
@@ -229,94 +106,6 @@ def dijkstra_reduced(
                 distance[target] = candidate
                 in_edge[target] = int(edge_ids[position])
                 heapq.heappush(heap, (candidate, target))
-    return distance, in_edge
-
-
-def scan_shortest_paths(
-    network: FlowNetwork,
-    source: int,
-    potential: np.ndarray,
-    sink: int | None = None,
-    pricing: ResidualPricing | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label-correcting shortest paths by vectorized frontier scans.
-
-    Same contract as :func:`dijkstra_reduced` (non-negative reduced costs
-    guaranteed by ``potential``), different engine: a batched SPFA in the
-    style of ``propagation.batched_cascade`` — each level relaxes every
-    active residual edge leaving the current frontier with a handful of
-    numpy kernels, and improved nodes form the next frontier.  Duplicate
-    heads inside one batch are resolved exactly by re-scattering until no
-    candidate beats the written label (labels strictly decrease, so the
-    inner loop terminates).
-
-    When ``sink`` is given, labels at or above the sink's tentative label
-    are pruned: with non-negative reduced costs they can never lie on a
-    cheaper augmenting path, and the prefix labels of any node that *does*
-    end below the sink are themselves below the sink, so no needed
-    relaxation is ever dropped.  Pruned nodes keep stale/infinite labels —
-    callers must cap dual updates at ``distance[sink]``, exactly as for the
-    early-exiting Dijkstra.  This kills the label-correcting churn that
-    otherwise re-relaxes most of the graph every level.
-
-    With ``pricing`` the compaction step is skipped: each frontier scan
-    gathers slots from the full CSR layout and filters the batch by the
-    maintained active mask.  Boolean masking preserves gather order, so
-    the batch holds the same edges at the same reduced costs in the same
-    sequence as the compacted arrays — the re-scatter resolution and hence
-    distances and parent edges stay bit-identical.
-    """
-    if pricing is None:
-        act_indptr, act_edges, act_heads, act_reduced = _compact_reduced(
-            network, potential
-        )
-        active = None
-    else:
-        act_indptr, act_edges = pricing.indptr, pricing.csr_edges
-        act_heads, act_reduced = pricing.heads, pricing.reduced
-        active = pricing.active
-    distance = np.full(network.num_nodes, np.inf)
-    in_edge = np.full(network.num_nodes, -1, dtype=np.int64)
-    distance[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
-    while frontier.size:
-        if sink is not None:
-            frontier = frontier[distance[frontier] < distance[sink] - COST_EPS]
-            if frontier.size == 0:
-                break
-        positions, counts = csr_gather(act_indptr, frontier)
-        if active is not None:
-            # Repeat BEFORE masking so each candidate keeps its own node's
-            # label, then drop inactive slots — order is preserved.
-            base = np.repeat(distance[frontier], counts)
-            mask = active[positions]
-            positions = positions[mask]
-            if positions.size == 0:
-                break
-            heads_batch = act_heads[positions]
-            candidates = base[mask] + act_reduced[positions]
-        else:
-            if positions.size == 0:
-                break
-            heads_batch = act_heads[positions]
-            candidates = (
-                np.repeat(distance[frontier], counts) + act_reduced[positions]
-            )
-        touched: list[np.ndarray] = []
-        while True:
-            limit = distance[heads_batch]
-            if sink is not None:
-                np.minimum(limit, distance[sink], out=limit)
-            improved = np.nonzero(candidates < limit - COST_EPS)[0]
-            if improved.size == 0:
-                break
-            winners = heads_batch[improved]
-            distance[winners] = candidates[improved]
-            in_edge[winners] = act_edges[positions[improved]]
-            touched.append(winners)
-        if not touched:
-            break
-        frontier = np.unique(np.concatenate(touched))
     return distance, in_edge
 
 
@@ -383,36 +172,3 @@ def extract_path(network: FlowNetwork, source: int, sink: int, in_edge: np.ndarr
         path.append(edge_id)
         node = int(heads[edge_id ^ 1])
     return np.asarray(path[::-1], dtype=np.int64)
-
-
-class PotentialMinCostMaxFlow:
-    """Dijkstra-with-potentials MCMF over non-negative original costs.
-
-    Historically this class was the fast alternative to the SPFA-based
-    :class:`~repro.flow.mincost.MinCostMaxFlow`; the rewrite made Johnson
-    potentials the main engine, so this wrapper only adds the eager
-    non-negative-cost check of its original contract before delegating.
-    """
-
-    def __init__(self, network: FlowNetwork) -> None:
-        self.network = network
-        #: Final node potentials; ``None`` until :meth:`solve` runs.
-        self.potential: np.ndarray | None = None
-
-    def solve(self, source: int, sink: int):
-        """Run MCMF from ``source`` to ``sink``; mutates the network."""
-        from repro.flow.mincost import MinCostMaxFlow
-
-        forward_costs = self.network.edge_cost[0::2]
-        if forward_costs.size:
-            negative = np.nonzero(forward_costs < 0)[0]
-            if negative.size:
-                edge_id = int(negative[0]) * 2
-                raise FlowError(
-                    "PotentialMinCostMaxFlow requires non-negative edge costs; "
-                    f"edge {edge_id} has cost {float(forward_costs[negative[0]])}"
-                )
-        solver = MinCostMaxFlow(self.network)
-        result = solver.solve(source, sink)
-        self.potential = solver.potential
-        return result

@@ -44,9 +44,9 @@ class PipelineConfig:
     Attributes
     ----------
     num_topics:
-        LDA topic count.
-    lda_engine:
-        ``"variational"`` (fast, default) or ``"gibbs"`` (reference).
+        LDA topic count.  The pipeline always fits
+        :class:`~repro.text.VariationalLDA`; the collapsed Gibbs sampler is
+        only the test reference it is checked against.
     affinity_engine:
         ``"lda"`` (the paper's model, default) or ``"tfidf"`` (the lexical
         baseline ablation of DESIGN.md §5).
@@ -77,7 +77,6 @@ class PipelineConfig:
     """
 
     num_topics: int = 50
-    lda_engine: str = "variational"
     affinity_engine: str = "lda"
     restart: float = 0.15
     movement_family: str = "pareto"
@@ -91,8 +90,6 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lda_engine not in ("variational", "gibbs"):
-            raise ConfigurationError(f"unknown lda_engine {self.lda_engine!r}")
         if self.affinity_engine not in ("lda", "tfidf"):
             raise ConfigurationError(f"unknown affinity_engine {self.affinity_engine!r}")
         if self.propagation_mode not in ("rpo", "fixed"):

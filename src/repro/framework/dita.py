@@ -23,7 +23,6 @@ from repro.propagation import (
     sample_lt_rrr_sets_batched,
     sample_rrr_sets_batched,
 )
-from repro.text import GibbsLDA, VariationalLDA
 from repro.willingness import GeneralizedHistoricalAcceptance, HistoricalAcceptance
 
 
@@ -56,11 +55,6 @@ class DITAPipeline:
     def __init__(self, config: PipelineConfig | None = None) -> None:
         self.config = config or PipelineConfig()
 
-    def _make_lda(self):
-        if self.config.lda_engine == "gibbs":
-            return GibbsLDA(num_topics=self.config.num_topics, seed=self.config.seed)
-        return VariationalLDA(num_topics=self.config.num_topics, seed=self.config.seed)
-
     def fit(self, instance: SCInstance) -> FittedModels:
         """Fit affinity, willingness and propagation for ``instance``."""
         graph = SocialGraph(
@@ -76,7 +70,7 @@ class DITAPipeline:
             )
         else:
             affinity = AffinityModel(
-                num_topics=self.config.num_topics, lda=self._make_lda()
+                num_topics=self.config.num_topics, seed=self.config.seed
             ).fit(instance.histories)
 
         if self.config.movement_family == "pareto":

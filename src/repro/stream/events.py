@@ -327,9 +327,13 @@ class EventLog:
 
         Malformed input — mismatched column lengths, unknown kind codes,
         non-finite times or relocation coordinates, payload references
-        outside the side-tables, or a relocation preceding any arrival of
-        its worker — raises :class:`~repro.exceptions.DataError` up front
-        instead of surfacing as an index error rounds later.
+        outside the side-tables, a payload whose ``worker_id``/``task_id``
+        differs from its row's ``entity_id``, or a relocation preceding any
+        arrival of its worker — raises :class:`~repro.exceptions.DataError`
+        up front instead of surfacing as an index error (or a silently
+        unreachable pooled entity) rounds later.  Relocation rows with
+        payload -1 copy their own entity's prior worker, so they are
+        consistent by construction.
         """
         time = np.ascontiguousarray(time, dtype=np.float64)
         kind = np.ascontiguousarray(kind, dtype=np.int64)
@@ -360,22 +364,43 @@ class EventLog:
             payload = np.ascontiguousarray(payload, dtype=np.int64)
             if len(payload) != len(time):
                 raise DataError("payload column must have the row count")
-            for kind_code, table, label in (
-                (KIND_ARRIVAL, workers, "workers"),
-                (KIND_PUBLISH, tasks, "tasks"),
-            ):
-                refs = payload[kind == kind_code]
-                if refs.size and (refs.min() < 0 or refs.max() >= len(table)):
-                    raise DataError(
-                        f"payload indices of kind-{kind_code} rows must lie in "
-                        f"[0, {len(table)}) — the {label} side-table"
-                    )
-            refs = payload[relocating]
-            if refs.size and (refs.min() < -1 or refs.max() >= len(workers)):
+        for kind_code, table, label in (
+            (KIND_ARRIVAL, workers, "workers"),
+            (KIND_PUBLISH, tasks, "tasks"),
+        ):
+            refs = payload[kind == kind_code]
+            if refs.size and (refs.min() < 0 or refs.max() >= len(table)):
                 raise DataError(
-                    f"payload indices of kind-{KIND_RELOCATE} rows must be -1 "
-                    f"(synthesize from x/y) or lie in [0, {len(workers)}) — "
-                    "the workers side-table"
+                    f"payload indices of kind-{kind_code} rows must lie in "
+                    f"[0, {len(table)}) — the {label} side-table"
+                )
+        refs = payload[relocating]
+        if refs.size and (refs.min() < -1 or refs.max() >= len(workers)):
+            raise DataError(
+                f"payload indices of kind-{KIND_RELOCATE} rows must be -1 "
+                f"(synthesize from x/y) or lie in [0, {len(workers)}) — "
+                "the workers side-table"
+            )
+        # Pools are keyed by entity_id, so a payload carrying another id
+        # would strand the pooled entity out of reach of its later events.
+        for with_payload, table, attribute in (
+            ((kind == KIND_ARRIVAL) | (relocating & (payload >= 0)),
+             workers, "worker_id"),
+            (kind == KIND_PUBLISH, tasks, "task_id"),
+        ):
+            rows = np.flatnonzero(with_payload)
+            if rows.size == 0:
+                continue
+            ids = np.fromiter(
+                (getattr(entity, attribute) for entity in table),
+                dtype=np.int64, count=len(table),
+            )[payload[rows]]
+            bad = np.flatnonzero(ids != entity_id[rows])
+            if bad.size:
+                row = int(rows[bad[0]])
+                raise DataError(
+                    f"row {row}: entity_id {int(entity_id[row])} disagrees "
+                    f"with its payload's {attribute} {int(ids[bad[0]])}"
                 )
         # Relocations without an explicit payload need coordinates to
         # synthesize the moved worker from.

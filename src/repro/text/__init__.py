@@ -8,7 +8,7 @@ LDA from scratch twice:
   sampler, used as the correctness reference on small corpora;
 * :class:`VariationalLDA` — batch variational Bayes (Blei et al. 2003 /
   Hoffman et al. 2010), fully vectorized with numpy/scipy and fast enough
-  for the full experiment pipeline.
+  for the full experiment pipeline, which always fits it.
 
 Both expose the same interface (``fit`` / ``infer`` / ``doc_topic_`` /
 ``topic_word_``), so the affinity layer is agnostic to the trainer.

@@ -6,8 +6,8 @@ Two trainers share one interface:
   Exact in the limit; used as the reference implementation and for tests.
 * :class:`VariationalLDA` — batch variational Bayes (Blei et al. 2003,
   with the exp-digamma updates of Hoffman et al. 2010), fully vectorized.
-  This is the default engine for the experiment pipeline, where corpora have
-  thousands of documents.
+  This is the trainer the experiment pipeline always fits, where corpora
+  have thousands of documents.
 
 Interface
 ---------

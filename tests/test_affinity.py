@@ -83,7 +83,7 @@ class TestAffinityModel:
             model.task_topics(t1.categories), model.task_topics(t2.categories)
         )
 
-    def test_custom_lda_engine(self, topical_histories):
+    def test_custom_lda_model(self, topical_histories):
         lda = VariationalLDA(num_topics=3, seed=11)
         model = AffinityModel(lda=lda).fit(topical_histories)
         assert model.effective_topics == 3

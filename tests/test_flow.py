@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.assignment.solvers import build_figure4_network
 from repro.exceptions import FlowError
 from repro.flow import Dinic, FlowNetwork, MinCostMaxFlow, edmonds_karp
 
@@ -18,6 +19,25 @@ def classic_network():
     ]
     for u, v, c in edges:
         network.add_edge(u, v, c)
+    return network
+
+
+def diamond_network():
+    """Source 0 -> {1, 2} -> sink 3 with asymmetric costs."""
+    network = FlowNetwork(4)
+    network.add_edge(0, 1, capacity=1, cost=0.0)
+    network.add_edge(0, 2, capacity=1, cost=0.0)
+    network.add_edge(1, 3, capacity=1, cost=5.0)
+    network.add_edge(2, 3, capacity=1, cost=1.0)
+    return network
+
+
+def random_assignment_network(num_workers, num_tasks, density, seed):
+    """A Figure-4 network over a random feasibility mask and costs."""
+    rng = np.random.default_rng(seed)
+    feasible = rng.random((num_workers, num_tasks)) < density
+    cost = np.round(rng.random((num_workers, num_tasks)) * 9, 3)
+    network, _, _, _ = build_figure4_network(feasible, cost)
     return network
 
 
@@ -76,10 +96,17 @@ class TestMaxFlow:
             Dinic(classic_network()).max_flow(1, 1)
 
     def test_disconnected_gives_zero(self):
-        network = FlowNetwork(4)
-        network.add_edge(0, 1, 5)
-        network.add_edge(2, 3, 5)
-        assert edmonds_karp(network, 0, 3) == 0
+        def disconnected():
+            network = FlowNetwork(4)
+            network.add_edge(0, 1, 5, cost=1.0)
+            network.add_edge(2, 3, 5, cost=1.0)
+            return network
+
+        assert edmonds_karp(disconnected(), 0, 3) == 0
+        assert Dinic(disconnected()).max_flow(0, 3) == 0
+        result = MinCostMaxFlow(disconnected()).solve(0, 3)
+        assert result.max_flow == 0
+        assert result.total_cost == 0.0
 
     def test_bipartite_unit_matching(self):
         # 2 workers, 2 tasks, full bipartite -> matching 2.
@@ -108,14 +135,9 @@ class TestMaxFlow:
             net_b.add_edge(u, v, c)
         assert edmonds_karp(net_a, 0, n - 1) == Dinic(net_b).max_flow(0, n - 1)
 
-
-class TestThreeLevelUnitPhase:
-    """The vectorized figure-4 blocking-flow phase and its fallbacks."""
-
-    def test_parallel_source_arcs_fall_back_to_walk(self):
-        # Two parallel source arcs into the same middle node break the
-        # one-unit-path-per-node framing; the phase must decline and let
-        # the generic walk answer.
+    def test_dinic_parallel_source_arcs(self):
+        # Two parallel unit source arcs into one middle node still carry
+        # only one unit through that node's single onward arc.
         network = FlowNetwork(4)
         network.add_edge(0, 1, 1)
         network.add_edge(0, 1, 1)
@@ -123,40 +145,13 @@ class TestThreeLevelUnitPhase:
         network.add_edge(2, 3, 1)
         assert Dinic(network).max_flow(0, 3) == 1
 
-    def test_parallel_sink_arcs_fall_back_to_walk(self):
+    def test_dinic_parallel_sink_arcs(self):
         network = FlowNetwork(4)
         network.add_edge(0, 1, 1)
         network.add_edge(1, 2, 1)
         network.add_edge(2, 3, 1)
         network.add_edge(2, 3, 1)
         assert Dinic(network).max_flow(0, 3) == 1
-
-    def test_phase_without_source_arcs_pushes_nothing(self):
-        network = FlowNetwork(4)
-        network.add_edge(0, 1, 1)
-        dinic = Dinic(network)
-        empty = np.empty(0, dtype=np.int64)
-        offsets = np.zeros(network.num_nodes + 1, dtype=np.int64)
-        assert dinic._three_level_unit_phase(
-            empty, empty, empty, offsets, 0, 3
-        ) == 0
-
-    def test_phase_with_only_dead_columns_pushes_nothing(self):
-        # The left node's sole arc lands on a right node with no sink arc
-        # (a dead end the cursor skips); the open right node has no
-        # proposer.  Deferred acceptance must converge to zero matches.
-        network = FlowNetwork(5)
-        source_arc = network.add_edge(0, 1, 1)
-        dead_arc = network.add_edge(1, 2, 1)
-        sink_arc = network.add_edge(4, 3, 1)
-        dinic = Dinic(network)
-        arc_edges = np.array([source_arc, dead_arc, sink_arc], dtype=np.int64)
-        arc_tails = np.array([0, 1, 4], dtype=np.int64)
-        arc_heads = np.array([1, 2, 3], dtype=np.int64)
-        offsets = np.array([0, 1, 2, 2, 2, 3], dtype=np.int64)
-        assert dinic._three_level_unit_phase(
-            arc_edges, arc_tails, arc_heads, offsets, 0, 3
-        ) == 0
 
 
 class TestMinCostMaxFlow:
@@ -171,6 +166,10 @@ class TestMinCostMaxFlow:
         result = MinCostMaxFlow(network).solve(0, 3)
         assert result.max_flow == 2
         assert result.total_cost == pytest.approx(12.0)
+        # Diamond: both unit paths are needed, priced 5 and 1.
+        result = MinCostMaxFlow(diamond_network()).solve(0, 3)
+        assert result.max_flow == 2
+        assert result.total_cost == pytest.approx(6.0)
 
     def test_max_flow_takes_priority_over_cost(self):
         # The expensive edge must still be used to achieve max flow.
@@ -200,6 +199,16 @@ class TestMinCostMaxFlow:
         net_a = classic_network()
         net_b = classic_network()
         assert MinCostMaxFlow(net_a).solve(0, 5).max_flow == Dinic(net_b).max_flow(0, 5)
+        for seed, (num_workers, num_tasks) in enumerate(
+            [(1, 1), (1, 8), (8, 1), (3, 5), (6, 7), (8, 8)]
+        ):
+            net_a = random_assignment_network(num_workers, num_tasks, 0.5, seed)
+            net_b = random_assignment_network(num_workers, num_tasks, 0.5, seed)
+            sink = net_a.num_nodes - 1
+            assert (
+                MinCostMaxFlow(net_a).solve(0, sink).max_flow
+                == Dinic(net_b).max_flow(0, sink)
+            ), (num_workers, num_tasks)
 
     def test_source_equals_sink_rejected(self):
         with pytest.raises(FlowError):

@@ -38,8 +38,6 @@ class TestPaperDefaults:
 class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            PipelineConfig(lda_engine="magic")
-        with pytest.raises(ConfigurationError):
             PipelineConfig(propagation_mode="wormhole")
         with pytest.raises(ConfigurationError):
             PipelineConfig(num_topics=0)
@@ -60,19 +58,6 @@ class TestDITAPipeline:
         assert len(fitted.propagation) == fast_config.num_rrr_sets
         assert fitted.affinity is not None
         assert fitted.willingness is not None
-
-    def test_gibbs_engine_selectable(self, tiny_instance):
-        config = PipelineConfig(
-            num_topics=3, lda_engine="gibbs", propagation_mode="fixed",
-            num_rrr_sets=200, seed=1,
-        )
-        # GibbsLDA default iterations are heavy; patch a light engine through
-        # the pipeline by running on the small instance (still exact code path).
-        pipeline = DITAPipeline(config)
-        lda = pipeline._make_lda()
-        from repro.text import GibbsLDA
-
-        assert isinstance(lda, GibbsLDA)
 
     def test_rpo_mode_runs(self, tiny_instance):
         config = PipelineConfig(

@@ -49,7 +49,7 @@ class TestPipelineEngines:
         models = DITAPipeline(fast_config(affinity_engine="tfidf")).fit(tiny_instance)
         assert isinstance(models.affinity, TfidfAffinity)
 
-    def test_lda_engine_selected(self, tiny_instance):
+    def test_lda_affinity_selected(self, tiny_instance):
         models = DITAPipeline(fast_config()).fit(tiny_instance)
         assert isinstance(models.affinity, AffinityModel)
 

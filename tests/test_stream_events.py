@@ -415,11 +415,52 @@ class TestColumnarAccess:
                 np.array([1.0]), np.array([0]), np.array([1]),
                 payload=np.array([3]), workers=[worker],
             )
+        with pytest.raises(DataError, match="payload"):
+            EventLog.from_columns(  # implicit payload, side-table too short
+                np.array([1.0, 2.0]), np.array([0, 0]), np.array([1, 2]),
+                workers=[worker],
+            )
         with pytest.raises(DataError, match="row count"):
             EventLog.from_columns(
                 np.array([1.0]), np.array([0]), np.array([1]),
                 payload=np.array([0, 0]), workers=[worker],
             )
+
+    def test_from_columns_rejects_entity_id_payload_mismatch(self):
+        import numpy as np
+
+        from repro.exceptions import DataError
+
+        # Pools are keyed by entity_id: an arrival row of entity 1 carrying
+        # worker 7 would make a later churn of worker 7 a silent no-op.
+        worker = make_worker(7)
+        moved = make_worker(7, x=3.0)
+        task = make_task(6)
+        with pytest.raises(DataError, match="row 1: entity_id 1 .* worker_id 7"):
+            EventLog.from_columns(  # implicit payload on an arrival row
+                np.array([0.0, 1.0]), np.array([1, 0]), np.array([6, 1]),
+                workers=[worker], tasks=[task],
+            )
+        with pytest.raises(DataError, match="row 0: entity_id 5 .* task_id 6"):
+            EventLog.from_columns(  # explicit payload on a publish row
+                np.array([0.0]), np.array([1]), np.array([5]),
+                payload=np.array([0]), tasks=[task],
+            )
+        with pytest.raises(DataError, match="row 1: entity_id 8 .* worker_id 7"):
+            EventLog.from_columns(  # self-contained relocation row
+                np.array([0.0, 1.0]), np.array([0, 5]), np.array([7, 8]),
+                payload=np.array([0, 1]), workers=[worker, moved],
+            )
+        # Relocations with payload -1 copy their own entity's prior worker,
+        # so they are consistent by construction.
+        log = EventLog.from_columns(
+            np.array([0.0, 1.0]), np.array([0, 5]), np.array([7, 7]),
+            payload=np.array([0, -1]), workers=[worker],
+            x=np.array([np.nan, 3.0]), y=np.array([np.nan, 0.0]),
+        )
+        assert log.events[1] == WorkerRelocateEvent(
+            time=1.0, worker_id=7, location=Point(3.0, 0.0)
+        )
 
     def test_cell_keys_sentinel_and_quantization(self):
         import numpy as np
