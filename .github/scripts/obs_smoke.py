@@ -68,7 +68,9 @@ def main() -> int:
     payload = json.loads(TRACE.read_text(encoding="utf-8"))
     validate_trace_events(payload)
     names = {event.get("name") for event in payload["traceEvents"]}
-    missing = {"round", "round.drain", "shard.solve", "round.merge"} - names
+    missing = {
+        "round", "round.drain", "shard.prepare", "shard.solve", "round.merge",
+    } - names
     if missing:
         print(f"FAIL: trace is missing spans {sorted(missing)}", file=sys.stderr)
         return 1

@@ -1,9 +1,9 @@
-"""Substrate bench: feasible-pair enumeration — dense scan vs spatial indexes.
+"""Substrate bench: feasible-pair enumeration — dense scan vs grid index.
 
 Design-choice ablation: the dense ``|W| x |S|`` feasibility product is the
-right layout for the flow solvers at paper scale, but the k-d tree and grid
-candidate generators are output-sensitive and win once instances grow or the
-reachable radius shrinks.  All three produce the identical pair set (asserted
+right layout for the flow solvers at paper scale, but the grid candidate
+generator is output-sensitive and wins once instances grow or the
+reachable radius shrinks.  Both produce the identical pair set (asserted
 here and property-tested in the unit suite).
 """
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.assignment import candidate_pairs
+from repro.assignment.candidates import _dense_pairs
 from repro.entities import Task, Worker
 from repro.geo import Point
 
@@ -35,14 +36,15 @@ def make_world(num_workers: int, num_tasks: int, radius: float, seed: int = 0):
 
 
 SIZES = [(400, 500), (1200, 1500)]
+ENUMERATORS = {"dense": _dense_pairs, "grid": candidate_pairs}
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("kind", ["dense", "grid", "kdtree"])
+@pytest.mark.parametrize("kind", sorted(ENUMERATORS))
 def test_candidate_enumeration(benchmark, size, kind):
     workers, tasks = make_world(*size, radius=10.0)
     pairs = benchmark.pedantic(
-        lambda: candidate_pairs(workers, tasks, 0.0, index=kind),
+        lambda: ENUMERATORS[kind](workers, tasks, 0.0),
         rounds=1, iterations=1,
     )
     assert pairs
@@ -50,17 +52,16 @@ def test_candidate_enumeration(benchmark, size, kind):
 
 @pytest.mark.parametrize("radius", [5.0, 25.0])
 def test_index_agreement(benchmark, radius):
-    """All three enumeration paths agree pair-for-pair."""
+    """Both enumeration paths agree pair-for-pair."""
     workers, tasks = make_world(300, 375, radius=radius, seed=3)
 
     def run_all():
         return {
-            kind: candidate_pairs(workers, tasks, 0.0, index=kind)
-            for kind in ("dense", "grid", "kdtree")
+            kind: enumerate_pairs(workers, tasks, 0.0)
+            for kind, enumerate_pairs in ENUMERATORS.items()
         }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     key = lambda pairs: [(p.worker_index, p.task_index) for p in pairs]
     assert key(results["grid"]) == key(results["dense"])
-    assert key(results["kdtree"]) == key(results["dense"])
     print(f"\nradius={radius} km -> {len(results['dense'])} feasible pairs")

@@ -1,11 +1,13 @@
-"""Output-sensitive feasible-pair enumeration via spatial indexes.
+"""Output-sensitive feasible-pair enumeration via a grid index.
 
 :func:`~repro.assignment.base.compute_feasible` materializes the dense
 ``|W| x |S|`` distance and feasibility matrices — the right layout for the
 flow solvers at the paper's instance sizes.  For much larger instances the
-dense product dominates; this module enumerates only the feasible pairs by
-range-querying a spatial index over the tasks with each worker's reachable
-radius.
+dense product dominates; :func:`candidate_pairs` enumerates only the
+feasible pairs by range-querying a :class:`~repro.geo.GridIndex` over the
+tasks (the index the stream pools use) with each worker's reachable
+radius.  The exhaustive scan :func:`_dense_pairs` is the reference the
+tests compare it against.
 
 Both paths implement the same two feasibility rules (paper Section IV-A):
 ``d(w.l, s.l) <= w.r`` and ``t + d/speed <= s.p + s.phi``.
@@ -14,17 +16,9 @@ Both paths implement the same two feasibility rules (paper Section IV-A):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 from repro.entities import Task, Worker
-from repro.geo import GridIndex, KDTree, Point
-
-IndexKind = Literal["kdtree", "grid", "dense", "auto"]
-
-#: Below this many worker-task cells the exhaustive scan beats building a
-#: spatial index.  Raised alongside the flow substrate rewrite: the dense
-#: matrices it feeds are cheap up to well past the paper's instance sizes.
-DENSE_SCAN_THRESHOLD = 4_096
+from repro.geo import GridIndex
 
 
 @dataclass(frozen=True)
@@ -54,6 +48,7 @@ def _pair_if_feasible(
 def _dense_pairs(
     workers: list[Worker], tasks: list[Task], current_time: float
 ) -> list[CandidatePair]:
+    """The exhaustive-scan reference for :func:`candidate_pairs`."""
     pairs = []
     for wi, worker in enumerate(workers):
         for ti, task in enumerate(tasks):
@@ -66,25 +61,19 @@ def _dense_pairs(
     return pairs
 
 
-def _indexed_pairs(
-    workers: list[Worker],
-    tasks: list[Task],
-    current_time: float,
-    kind: IndexKind,
+def candidate_pairs(
+    workers: list[Worker], tasks: list[Task], current_time: float
 ) -> list[CandidatePair]:
-    entries: list[tuple[Point, int]] = [(t.location, i) for i, t in enumerate(tasks)]
-    if kind == "kdtree":
-        index: KDTree[int] | GridIndex[int] = KDTree(entries)
-    else:
-        # Cell size near the median radius keeps bucket scans short.
-        radii = sorted(w.reachable_km for w in workers)
-        cell = max(radii[len(radii) // 2], 1e-6) if radii else 1.0
-        grid: GridIndex[int] = GridIndex(cell_size_km=cell)
-        grid.insert_many(entries)
-        index = grid
+    """Enumerate all feasible worker-task pairs, sorted by (worker, task)."""
+    if not workers or not tasks:
+        return []
+    # Cell size near the median radius keeps bucket scans short.
+    radii = sorted(w.reachable_km for w in workers)
+    grid: GridIndex[int] = GridIndex(cell_size_km=max(radii[len(radii) // 2], 1e-6))
+    grid.insert_many((t.location, i) for i, t in enumerate(tasks))
     pairs = []
     for wi, worker in enumerate(workers):
-        for point, ti in index.query_radius(worker.location, worker.reachable_km):
+        for point, ti in grid.query_radius(worker.location, worker.reachable_km):
             pair = _pair_if_feasible(
                 worker, wi, tasks[ti], ti,
                 worker.location.distance_to(point), current_time,
@@ -93,35 +82,3 @@ def _indexed_pairs(
                 pairs.append(pair)
     pairs.sort(key=lambda p: (p.worker_index, p.task_index))
     return pairs
-
-
-def candidate_pairs(
-    workers: list[Worker],
-    tasks: list[Task],
-    current_time: float,
-    index: IndexKind = "kdtree",
-) -> list[CandidatePair]:
-    """Enumerate all feasible worker-task pairs, sorted by (worker, task).
-
-    Parameters
-    ----------
-    index:
-        ``"kdtree"`` (default) or ``"grid"`` query a spatial index built
-        over the task locations; ``"dense"`` is the exhaustive scan used as
-        the correctness oracle and for tiny instances; ``"auto"`` scans
-        exhaustively below :data:`DENSE_SCAN_THRESHOLD` cells and uses the
-        kd-tree beyond it.
-    """
-    if index not in ("kdtree", "grid", "dense", "auto"):
-        raise ValueError(f"unknown index kind {index!r}")
-    if not workers or not tasks:
-        return []
-    if index == "auto":
-        index = (
-            "dense"
-            if len(workers) * len(tasks) <= DENSE_SCAN_THRESHOLD
-            else "kdtree"
-        )
-    if index == "dense":
-        return _dense_pairs(workers, tasks, current_time)
-    return _indexed_pairs(workers, tasks, current_time, index)

@@ -9,10 +9,15 @@ JSON object format Perfetto / ``chrome://tracing`` open directly::
                       "args": {"shard": 3}}, ...],
      "displayTimeUnit": "ms"}
 
-Timestamps are microseconds relative to the tracer's epoch, taken from
-``time.time_ns()`` — the wall clock, *not* ``perf_counter`` — so spans
-measured in pool worker processes (which ship ``(start_ns, end_ns, pid,
-tid)`` back with their results) land on the same timeline as the parent's.
+Every timestamp comes from one clock, :func:`clock_ns`, which reads
+monotonic nanoseconds.  That clock never steps backwards, so no span has
+a negative duration, and on Linux it is ``CLOCK_MONOTONIC``, which every
+process on the machine reads alike: an :class:`Interval` measured in a
+forked pool worker lands on the parent's timeline unchanged.  Event
+timestamps are microseconds past the tracer's epoch, read from the same
+clock.  The stream runtime measures each phase once, as an
+:class:`Interval`, and derives its round records, these spans and its
+phase histograms from that one measurement.
 
 The off switch mirrors the registry's: :class:`NullTracer` hands out one
 shared no-op span, so un-instrumented code paths cost an ``enabled`` check
@@ -32,20 +37,49 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.exceptions import DataError
 from repro.ioutil import atomic_write_text
 
 __all__ = [
+    "Interval",
     "NULL_TRACER",
     "NullTracer",
     "Tracer",
+    "clock_ns",
     "validate_trace_events",
 ]
 
 #: Event phases the emitter produces and the validator accepts.
 _PHASES = ("X", "i", "M")
+
+
+def clock_ns() -> int:
+    """The one clock every measured phase and trace event reads.
+
+    ``time.monotonic_ns``: wall-clock steps (NTP, DST) cannot move it, and
+    forked pool workers read the same ``CLOCK_MONOTONIC`` as the parent.
+    """
+    return time.monotonic_ns()
+
+
+class Interval(NamedTuple):
+    """One measured phase: monotonic start/end and the thread that ran it."""
+
+    start_ns: int
+    end_ns: int
+    pid: int
+    tid: int
+
+    @classmethod
+    def since(cls, start_ns: int) -> "Interval":
+        """The interval from ``start_ns`` to now, on the calling thread."""
+        return cls(start_ns, clock_ns(), os.getpid(), threading.get_ident())
+
+    @property
+    def seconds(self) -> float:
+        return (self.end_ns - self.start_ns) / 1e9
 
 
 class _Span:
@@ -58,7 +92,7 @@ class _Span:
         self.name = name
         self.cat = cat
         self.args = args
-        self._start_ns = time.time_ns()
+        self._start_ns = clock_ns()
 
     def note(self, **args: Any) -> None:
         """Attach result arguments discovered while the span was open."""
@@ -71,7 +105,7 @@ class _Span:
         self._tracer.complete(
             self.name,
             self._start_ns,
-            time.time_ns(),
+            clock_ns(),
             cat=self.cat,
             args=self.args or None,
         )
@@ -96,13 +130,13 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Thread-safe collector of trace events on one wall-clock timeline."""
+    """Thread-safe collector of trace events on one monotonic timeline."""
 
     enabled = True
 
     def __init__(self, process_name: str = "repro-stream") -> None:
         self.process_name = process_name
-        self.epoch_ns = time.time_ns()
+        self.epoch_ns = clock_ns()
         self._pid = os.getpid()
         self._events: list[dict] = []
         self._lock = threading.Lock()
@@ -126,7 +160,7 @@ class Tracer:
         tid: int | None = None,
         args: Mapping[str, Any] | None = None,
     ) -> None:
-        """Record one finished span from explicit wall-clock nanoseconds.
+        """Record one finished span from explicit :func:`clock_ns` readings.
 
         ``pid``/``tid`` default to the calling process/thread; pass the
         values shipped back from a pool worker to attribute its solve span
@@ -137,7 +171,7 @@ class Tracer:
             "ph": "X",
             "cat": cat,
             "ts": self._ts(start_ns),
-            "dur": max((end_ns - start_ns) / 1e3, 0.0),
+            "dur": (end_ns - start_ns) / 1e3,
             "pid": int(pid if pid is not None else self._pid),
             "tid": int(tid if tid is not None else threading.get_ident()),
         }
@@ -159,7 +193,7 @@ class Tracer:
             "ph": "i",
             "s": "p",  # process-scoped instant
             "cat": cat,
-            "ts": self._ts(time.time_ns()),
+            "ts": self._ts(clock_ns()),
             "pid": self._pid,
             "tid": threading.get_ident(),
         }

@@ -42,14 +42,27 @@ class RoundRecord:
     round's drain; ``deferred_tasks`` / ``shed_tasks`` count publish events
     diverted by the admission controller (both stay 0 without one).
 
-    The phase timings attribute the round's cost: ``drain_seconds`` covers
-    the event-cursor scan that fed the round, and
-    ``prepare_seconds`` / ``solve_seconds`` / ``merge_seconds`` split the
-    assignment block.  They are *cumulative per-phase spans* — under a
-    pipelined executor the shards' prepare/solve spans overlap, so the
-    phase sums can exceed the ``round_seconds`` wall clock (that gap is
-    exactly the pipelining win).  ``repacks`` counts shard-layout repacks
-    applied at this round's boundary (0 or 1 without custom rebalancers).
+    The phase timings attribute the round's cost.  Each phase is measured
+    once, as a monotonic interval, and the trace span with the same
+    round index is that interval, so with a tracer attached:
+
+    * ``drain_seconds`` is the ``round.drain`` span: the event-cursor scan
+      that fed the round;
+    * ``prepare_seconds`` is the sum of the round's ``shard.prepare``
+      spans, each ending when the shard's prepare returns;
+    * ``solve_seconds`` is the sum of its ``shard.solve`` spans, measured
+      by whichever thread or worker process ran the solve;
+    * ``merge_seconds`` is the ``round.merge`` span;
+    * ``round_seconds`` runs from the end of the drain until the sharded
+      round returns; it has no span of its own (``round`` also covers the
+      drain and the bookkeeping).
+
+    The process backend's scratch publish and pool submit belong to no
+    phase.  Prepare and solve are *cumulative across shards* — under a
+    pipelined executor the shards' intervals overlap, so the phase sums
+    can exceed ``round_seconds`` (that gap is exactly the pipelining
+    win).  ``repacks`` counts shard-layout repacks applied at this round's
+    boundary (0 or 1 without custom rebalancers).
     """
 
     index: int

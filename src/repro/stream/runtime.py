@@ -51,13 +51,11 @@ state to disk (including shard layout and per-shard RNG state), and
 from __future__ import annotations
 
 import os
-import threading
-import time
 from array import array
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -70,6 +68,7 @@ from repro.entities import Assignment
 from repro.influence import InfluenceModel
 from repro.obs import NULL_OBS, Observability
 from repro.obs.histo import SECONDS_HISTOGRAM
+from repro.obs.trace import Interval, clock_ns
 from repro.stream.events import KIND_PUBLISH, EventLog
 from repro.stream.metrics import RoundRecord, StreamMetrics, StreamSummary
 from repro.stream.scheduler import Trigger
@@ -295,45 +294,56 @@ class AdmissionController:
         self._round_shed = 0
 
 
-def _span_tuple(start_ns: int, end_ns: int) -> tuple[int, int, int, int]:
-    """A shippable ``(start_ns, end_ns, pid, tid)`` solve-span record."""
-    return (start_ns, end_ns, os.getpid(), threading.get_ident())
-
-
 def _solve_shard(
     assigner: Assigner, shard: int, prepared: PreparedInstance
-) -> tuple[int, Assignment, float, tuple[int, int, int, int]]:
+) -> tuple[int, Assignment, Interval]:
     """One shard's timed solve, in the calling thread or on a pool thread.
 
-    The span tuple places the solve on the wall-clock timeline (thread id
-    included), so the tracer can attribute it to the thread that ran it.
+    The interval carries the thread that ran the solve, so its trace span
+    lands on that thread's row.
     """
-    started = time.perf_counter()
-    start_ns = time.time_ns()
+    start_ns = clock_ns()
     part = assigner.assign(prepared)
-    elapsed = time.perf_counter() - started
-    return shard, part, elapsed, _span_tuple(start_ns, time.time_ns())
+    return shard, part, Interval.since(start_ns)
 
 
 @dataclass(frozen=True)
 class RoundExecution:
-    """One round's outcome with its per-phase cost attribution.
+    """One round's outcome with its measured phase intervals.
 
-    The phase spans are *cumulative across shards*: under the pipelined
-    executor the per-shard prepare/solve spans overlap in time, so their
-    sum can exceed the round's wall clock — that gap is the overlap win.
-    ``shard_seconds`` keeps the per-shard solve spans for the latency
-    rebalancer's EWMA.  ``events`` holds each pair's recorded
-    ``(worker_event, task_event)`` log indices, in pair order.
+    ``prepare`` and ``solve`` map each solved shard to its interval, and
+    ``merge`` is the merge interval; the runtime derives the round
+    record's seconds and the trace spans from these same intervals.  The
+    phase seconds are *cumulative across shards*: under the pipelined
+    executor the per-shard prepare/solve intervals overlap in time, so
+    their sum can exceed the round's wall clock — that gap is the overlap
+    win.  ``events`` holds each pair's recorded ``(worker_event,
+    task_event)`` log indices, in pair order.
     """
 
     assignment: Assignment
     waits: list[tuple[float, float]]
     events: list[tuple[int, int]]
-    prepare_seconds: float
-    solve_seconds: float
-    merge_seconds: float
-    shard_seconds: dict[int, float] = field(default_factory=dict)
+    prepare: dict[int, Interval]
+    solve: dict[int, Interval]
+    merge: Interval
+
+    @property
+    def prepare_seconds(self) -> float:
+        return sum(interval.seconds for interval in self.prepare.values())
+
+    @property
+    def solve_seconds(self) -> float:
+        return sum(interval.seconds for interval in self.solve.values())
+
+    @property
+    def merge_seconds(self) -> float:
+        return self.merge.seconds
+
+    @property
+    def shard_seconds(self) -> dict[int, float]:
+        """Per-shard solve seconds (the latency rebalancer's input)."""
+        return {shard: interval.seconds for shard, interval in self.solve.items()}
 
 
 class ShardExecutor:
@@ -400,7 +410,6 @@ class ShardExecutor:
         max_workers: int | None = None,
         rng: np.random.Generator | None = None,
         rebalancer: ShardRebalancer | None = None,
-        obs: Observability | None = None,
     ) -> None:
         if backend not in EXECUTOR_BACKENDS:
             raise ValueError(
@@ -413,7 +422,6 @@ class ShardExecutor:
         self.influence = influence
         self.backend = backend
         self.rebalancer = rebalancer
-        self.obs = obs if obs is not None else NULL_OBS
         # Cap the default at the core count: pools wider than the machine
         # only add fork/pickle overhead (notably on the process backend).
         self.max_workers = max_workers or min(
@@ -554,32 +562,17 @@ class ShardExecutor:
         state: StreamState,
         sub_instance: SCInstance,
         assigner: Assigner,
-    ) -> tuple[
-        int, Assignment, float, float,
-        tuple[int, int, int, int], tuple[int, int, int, int],
-    ]:
+    ) -> tuple[int, Assignment, Interval, Interval]:
         """One shard's prepare+solve unit (the pipelined thread-pool task).
 
-        The two span tuples are the prepare and solve spans — this unit
-        runs on a pool thread, so the spans carry their own tid for the
-        parent tracer to attribute.
+        Returns the prepare and solve intervals, which meet at the one
+        clock reading taken when the prepare returns.
         """
-        started = time.perf_counter()
-        prepare_start_ns = time.time_ns()
+        start_ns = clock_ns()
         prepared = self._prepare_shard(shard, state, sub_instance)
-        prepared_at = time.perf_counter()
-        solve_start_ns = time.time_ns()
+        prepare = Interval.since(start_ns)
         part = assigner.assign(prepared)
-        solved = time.perf_counter() - prepared_at
-        end_ns = time.time_ns()
-        return (
-            shard,
-            part,
-            prepared_at - started,
-            solved,
-            _span_tuple(prepare_start_ns, solve_start_ns),
-            _span_tuple(solve_start_ns, end_ns),
-        )
+        return shard, part, prepare, Interval.since(prepare.end_ns)
 
     def _component_entities(self, state: StreamState) -> dict[int, int]:
         """Pooled entities per layout component (rebalancer attribution)."""
@@ -612,7 +605,7 @@ class ShardExecutor:
         ``pipeline=True`` overlaps the per-shard phases (see the class
         docstring); it is a no-op on the serial backend and for rounds with
         at most one populated shard.  ``round_index`` labels worker-crash
-        errors and trace spans.
+        errors.
         """
         layout = self.layout
         buckets = bucket_pools(
@@ -632,25 +625,13 @@ class ShardExecutor:
             sub_instance.current_time = now
             shard_instances.append((shard, sub_instance))
 
-        prepare_seconds = 0.0
-        solve_seconds = 0.0
-        shard_seconds: dict[int, float] = {}
+        prepare: dict[int, Interval] = {}
+        solve: dict[int, Interval] = {}
         parts: list[Assignment] = []
-        tracer = self.obs.tracer
 
-        def emit(name: str, span: tuple[int, int, int, int], shard: int) -> None:
-            tracer.complete(
-                name, span[0], span[1], cat="shard", pid=span[2], tid=span[3],
-                args={"shard": shard, "round": round_index},
-            )
-
-        def collect(shard: int, part: Assignment, solved: float, span) -> None:
-            nonlocal solve_seconds
+        def collect(shard: int, part: Assignment, solved: Interval) -> None:
             parts.append(part)
-            solve_seconds += solved
-            shard_seconds[shard] = shard_seconds.get(shard, 0.0) + solved
-            if tracer.enabled:
-                emit("shard.solve", span, shard)
+            solve[shard] = solved
 
         pooled = self.backend != "serial" and len(shard_instances) > 1
         if pooled and pipeline and self.backend == "thread":
@@ -665,34 +646,25 @@ class ShardExecutor:
                 for shard, sub in shard_instances
             ]
             for (shard, _), future in zip(shard_instances, futures):
-                shard, part, prep, solved, prep_span, solve_span = (
-                    self._shard_result(future, shard, round_index)
+                shard, part, prepare[shard], solved = self._shard_result(
+                    future, shard, round_index
                 )
-                prepare_seconds += prep
-                if tracer.enabled:
-                    emit("shard.prepare", prep_span, shard)
-                collect(shard, part, solved, solve_span)
+                collect(shard, part, solved)
         else:
             # Prepare in the calling thread (the influence caches live
             # here).  A pipelined process round submits each shard the
             # moment it is prepared, so earlier shards solve while later
-            # shards prepare; otherwise every shard prepares first.
+            # shards prepare; otherwise every shard prepares first.  The
+            # scratch publish and submit belong to no phase.
             work: list[tuple[int, PreparedInstance, Any]] = []
             for shard, sub_instance in shard_instances:
-                started = time.perf_counter()
-                prepare_start_ns = time.time_ns()
+                start_ns = clock_ns()
                 prepared = self._prepare_shard(shard, state, sub_instance)
-                if tracer.enabled:
-                    emit(
-                        "shard.prepare",
-                        _span_tuple(prepare_start_ns, time.time_ns()),
-                        shard,
-                    )
+                prepare[shard] = Interval.since(start_ns)
                 future = (
                     self._submit(assigner, shard, prepared, now)
                     if pooled and pipeline else None
                 )
-                prepare_seconds += time.perf_counter() - started
                 work.append((shard, prepared, future))
             if not pooled:
                 for shard, prepared, _ in work:
@@ -704,7 +676,7 @@ class ShardExecutor:
                     for shard, prepared, future in work
                 ]
                 for (shard, prepared, _), future in zip(work, futures):
-                    _, part, solved, span = self._shard_result(
+                    _, part, solved = self._shard_result(
                         future, shard, round_index
                     )
                     if self.backend == "process":
@@ -713,29 +685,24 @@ class ShardExecutor:
                         # full-fidelity prepared instance (which
                         # re-validates feasibility and one-to-one matching).
                         part = prepared.build_assignment(part)
-                    collect(shard, part, solved, span)
+                    collect(shard, part, solved)
 
-        merge_started = time.perf_counter()
-        merge_start_ns = time.time_ns()
+        start_ns = clock_ns()
         merged = merge_assignments(parts)
         waits, events = state.retire_pairs(merged, now)
-        merge_seconds = time.perf_counter() - merge_started
-        if tracer.enabled:
-            tracer.complete(
-                "round.merge", merge_start_ns, time.time_ns(), cat="stream",
-                args={"round": round_index, "pairs": len(merged)},
-            )
-        if self.rebalancer is not None:
-            self.rebalancer.observe(layout, shard_seconds, component_entities)
-        return RoundExecution(
+        execution = RoundExecution(
             assignment=merged,
             waits=waits,
             events=events,
-            prepare_seconds=prepare_seconds,
-            solve_seconds=solve_seconds,
-            merge_seconds=merge_seconds,
-            shard_seconds=shard_seconds,
+            prepare=prepare,
+            solve=solve,
+            merge=Interval.since(start_ns),
         )
+        if self.rebalancer is not None:
+            self.rebalancer.observe(
+                layout, execution.shard_seconds, component_entities
+            )
+        return execution
 
     def maybe_repack(self, round_index: int) -> int:
         """Apply a latency-driven repack at this round boundary.
@@ -925,7 +892,7 @@ class StreamRuntime:
             executor = "serial"
         self.shard_executor = ShardExecutor(
             layout, influence=influence_model, backend=executor, rng=rng,
-            rebalancer=rebalance, obs=self.obs,
+            rebalancer=rebalance,
         )
         self.state = StreamState(
             base_instance,
@@ -1055,36 +1022,29 @@ class StreamRuntime:
 
     # ----------------------------------------------------------------- round
     def _fire_round(self, fire_time: float) -> RoundRecord:
-        tracer = self.obs.tracer
         round_index = len(self._result.rounds)
-        round_start_ns = time.time_ns()
-        drain_started = time.perf_counter()
+        round_start_ns = clock_ns()
         drained, expired, churned, cancelled, relocated = self._drain_until(
             fire_time
         )
-        drain_seconds = time.perf_counter() - drain_started
-        if tracer.enabled:
-            tracer.complete(
-                "round.drain", round_start_ns, time.time_ns(), cat="stream",
-                args={"round": round_index, "events": drained},
-            )
+        drain = Interval.since(round_start_ns)
         state = self.state
         pool_workers = state.num_online_workers
         pool_tasks = state.num_open_tasks
         assigned = 0
         elapsed = 0.0
+        execution = None
         prepare_seconds = solve_seconds = merge_seconds = 0.0
         if pool_workers and pool_tasks:
-            started = time.perf_counter()
             execution = self.shard_executor.run_round(
                 state, self.assigner, fire_time, pipeline=self.pipeline,
                 round_index=round_index,
             )
+            elapsed = Interval.since(drain.end_ns).seconds
             assignment = execution.assignment
             prepare_seconds = execution.prepare_seconds
             solve_seconds = execution.solve_seconds
             merge_seconds = execution.merge_seconds
-            elapsed = time.perf_counter() - started
             result = self._result
             for pair, (task_wait, worker_wait), (worker_event, task_event) in zip(
                 assignment, execution.waits, execution.events
@@ -1115,7 +1075,7 @@ class StreamRuntime:
             relocated_workers=relocated,
             deferred_tasks=deferred,
             shed_tasks=shed,
-            drain_seconds=drain_seconds,
+            drain_seconds=drain.seconds,
             prepare_seconds=prepare_seconds,
             solve_seconds=solve_seconds,
             merge_seconds=merge_seconds,
@@ -1129,20 +1089,51 @@ class StreamRuntime:
         self._pending_start_round = False
         if fire_time >= self._end_time:
             self._done = True
-        if tracer.enabled:
-            tracer.complete(
-                "round", round_start_ns, time.time_ns(), cat="stream",
-                args={
-                    "round": record.index,
-                    "time": record.time,
-                    "online_workers": record.online_workers,
-                    "open_tasks": record.open_tasks,
-                    "assigned": record.assigned,
-                },
+        if self.obs.tracer.enabled:
+            self._trace_round(
+                record, Interval.since(round_start_ns), drain, execution
             )
         if self.obs.enabled:
             self._observe_round(record)
         return record
+
+    def _trace_round(
+        self,
+        record: RoundRecord,
+        whole: Interval,
+        drain: Interval,
+        execution: RoundExecution | None,
+    ) -> None:
+        """Emit one finished round's spans from its measured intervals.
+
+        Each phase span is the interval its ``RoundRecord`` field was
+        derived from, so the spans and the record agree exactly.
+        """
+        tracer = self.obs.tracer
+
+        def emit(name: str, cat: str, interval: Interval, args: dict) -> None:
+            tracer.complete(
+                name, interval.start_ns, interval.end_ns, cat=cat,
+                pid=interval.pid, tid=interval.tid, args=args,
+            )
+
+        index = record.index
+        emit("round.drain", "stream", drain,
+             {"round": index, "events": record.drained_events})
+        if execution is not None:
+            for phase in ("prepare", "solve"):
+                for shard, interval in getattr(execution, phase).items():
+                    emit(f"shard.{phase}", "shard", interval,
+                         {"shard": shard, "round": index})
+            emit("round.merge", "stream", execution.merge,
+                 {"round": index, "pairs": len(execution.assignment)})
+        emit("round", "stream", whole, {
+            "round": index,
+            "time": record.time,
+            "online_workers": record.online_workers,
+            "open_tasks": record.open_tasks,
+            "assigned": record.assigned,
+        })
 
     def _observe_round(self, record: RoundRecord) -> None:
         """Fold one finished round into the registry + instant events.
@@ -1258,14 +1249,14 @@ class StreamRuntime:
         if max_rounds is not None and max_rounds < 0:
             raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
         self._start()
-        started = time.perf_counter()
+        start_ns = clock_ns()
         fired = 0
         try:
             while not self._done and (max_rounds is None or fired < max_rounds):
                 self._fire_round(self._next_fire_time())
                 fired += 1
         finally:
-            self._result.metrics.add_wall_seconds(time.perf_counter() - started)
+            self._result.metrics.add_wall_seconds(Interval.since(start_ns).seconds)
         return self._result
 
     def close(self) -> None:

@@ -23,9 +23,6 @@ the CPU-bound part, is all that crosses the process boundary.
 
 from __future__ import annotations
 
-import os
-import threading
-import time
 from multiprocessing import get_context, shared_memory
 
 import numpy as np
@@ -34,6 +31,7 @@ from repro.assignment.base import Assigner, FeasiblePairs, PreparedInstance
 from repro.data.instance import SCInstance
 from repro.entities import Task, Worker
 from repro.geo import Point
+from repro.obs.trace import Interval, clock_ns
 
 __all__ = [
     "ShardScratch",
@@ -197,7 +195,7 @@ def _attach_scratch(shard: int, name: str) -> shared_memory.SharedMemory:
 
 def solve_shared_shard(
     assigner: Assigner, header: dict
-) -> tuple[int, tuple[np.ndarray, np.ndarray], float, tuple[int, int, int, int]]:
+) -> tuple[int, tuple[np.ndarray, np.ndarray], Interval]:
     """One shard's solve against its scratch block; runs in the pool worker.
 
     Entities are rebuilt from the attribute rows shipped in the block (in
@@ -208,9 +206,10 @@ def solve_shared_shard(
     returned index pairs against its own full-fidelity prepared instance
     anyway.
 
-    The ``(start_ns, end_ns, pid, tid)`` tuple is the solve span on the
-    worker's wall clock: the parent's tracer (when one is live) replays it
-    onto the shared timeline, attributed to the worker process.
+    The returned :class:`~repro.obs.trace.Interval` is the solve as the
+    worker measured it on the shared monotonic clock; the parent derives
+    the round's solve seconds and its ``shard.solve`` span from it,
+    attributed to the worker process.
     """
     block = _attach_scratch(header["shard"], header["name"])
     views = _scratch_views(block.buf, header["workers"], header["tasks"])
@@ -257,11 +256,9 @@ def solve_shared_shard(
         task.task_id: float(value)
         for task, value in zip(tasks, views["entropy"])
     }
-    started = time.perf_counter()
-    start_ns = time.time_ns()
+    start_ns = clock_ns()
     part = assigner.assign(prepared)
-    solved = time.perf_counter() - started
-    span = (start_ns, time.time_ns(), os.getpid(), threading.get_ident())
+    solved = Interval.since(start_ns)
     row_of = {worker.worker_id: row for row, worker in enumerate(workers)}
     column_of = {task.task_id: column for column, task in enumerate(tasks)}
     rows = np.empty(len(part), dtype=np.int64)
@@ -272,4 +269,4 @@ def solve_shared_shard(
     # Views die here; only the cached SharedMemory handles persist, so a
     # regrown scratch block can be re-attached without BufferError.
     del views, prepared, part
-    return header["shard"], (rows, cols), solved, span
+    return header["shard"], (rows, cols), solved

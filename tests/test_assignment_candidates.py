@@ -1,11 +1,15 @@
-"""Tests for repro.assignment.candidates — index-backed feasibility."""
+"""Tests for repro.assignment.candidates — grid-indexed feasibility.
 
-import numpy as np
+The exhaustive scan ``_dense_pairs`` is the reference the grid path is
+compared against.
+"""
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assignment import candidate_pairs, compute_feasible
+from repro.assignment.candidates import _dense_pairs
 from repro.entities import Task, Worker
 from repro.geo import Point
 
@@ -28,34 +32,6 @@ class TestCandidatePairs:
         assert candidate_pairs([], tasks, 0.0) == []
         assert candidate_pairs(workers, [], 0.0) == []
 
-    def test_unknown_index_kind(self):
-        workers, tasks = build_world([(0, 0)], [(1, 1)])
-        with pytest.raises(ValueError):
-            candidate_pairs(workers, tasks, 0.0, index="rtree")
-
-    def test_auto_matches_explicit_kinds(self):
-        # Small world: auto scans densely; results must match the kd-tree.
-        rng = np.random.default_rng(7)
-        worker_coords = [(float(x), float(y)) for x, y in rng.uniform(0, 20, (12, 2))]
-        task_coords = [(float(x), float(y)) for x, y in rng.uniform(0, 20, (9, 2))]
-        workers, tasks = build_world(worker_coords, task_coords)
-        auto = candidate_pairs(workers, tasks, 0.0, index="auto")
-        dense = candidate_pairs(workers, tasks, 0.0, index="dense")
-        kdtree = candidate_pairs(workers, tasks, 0.0, index="kdtree")
-        key = lambda p: (p.worker_index, p.task_index)
-        assert sorted(auto, key=key) == sorted(dense, key=key) == sorted(kdtree, key=key)
-
-    def test_auto_uses_index_above_threshold(self, monkeypatch):
-        import repro.assignment.candidates as candidates_module
-
-        monkeypatch.setattr(candidates_module, "DENSE_SCAN_THRESHOLD", 0)
-        workers, tasks = build_world([(0.0, 0.0)], [(1.0, 1.0)])
-        auto = candidate_pairs(workers, tasks, 0.0, index="auto")
-        dense = candidate_pairs(workers, tasks, 0.0, index="dense")
-        assert [(p.worker_index, p.task_index) for p in auto] == [
-            (p.worker_index, p.task_index) for p in dense
-        ]
-
     def test_radius_excludes_far_task(self):
         workers, tasks = build_world([(0, 0)], [(50, 50)], radius=5.0)
         assert candidate_pairs(workers, tasks, 0.0) == []
@@ -75,9 +51,11 @@ class TestCandidatePairs:
         assert candidate_pairs(workers, tasks, 0.0) != []
         assert candidate_pairs(workers, tasks, 10.0) == []
 
-    @pytest.mark.parametrize("kind", ["kdtree", "grid", "dense"])
-    def test_matches_dense_mask(self, kind, tiny_instance):
-        """Every index kind reproduces compute_feasible exactly."""
+    @pytest.mark.parametrize(
+        "enumerate_pairs", [candidate_pairs, _dense_pairs], ids=["grid", "dense"]
+    )
+    def test_matches_dense_mask(self, enumerate_pairs, tiny_instance):
+        """The grid path and the reference reproduce compute_feasible exactly."""
         workers = tiny_instance.workers
         tasks = tiny_instance.tasks
         t = tiny_instance.current_time
@@ -85,11 +63,10 @@ class TestCandidatePairs:
         expected = set(zip(*feasible.feasible_indices()))
         got = {
             (p.worker_index, p.task_index)
-            for p in candidate_pairs(workers, tasks, t, index=kind)
+            for p in enumerate_pairs(workers, tasks, t)
         }
         assert got == {(int(r), int(c)) for r, c in expected}
 
-    @pytest.mark.parametrize("kind", ["kdtree", "grid"])
     @settings(max_examples=25, deadline=None)
     @given(
         worker_coords=st.lists(
@@ -102,10 +79,10 @@ class TestCandidatePairs:
         ),
         radius=st.floats(0.5, 40, width=32),
     )
-    def test_index_matches_dense_property(self, kind, worker_coords, task_coords, radius):
+    def test_index_matches_dense_property(self, worker_coords, task_coords, radius):
         workers, tasks = build_world(worker_coords, task_coords, radius=float(radius))
-        dense = candidate_pairs(workers, tasks, 0.0, index="dense")
-        indexed = candidate_pairs(workers, tasks, 0.0, index=kind)
+        dense = _dense_pairs(workers, tasks, 0.0)
+        indexed = candidate_pairs(workers, tasks, 0.0)
         key = lambda pairs: [(p.worker_index, p.task_index) for p in pairs]
         assert key(indexed) == key(dense)
         for a, b in zip(indexed, dense):

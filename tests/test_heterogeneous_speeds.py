@@ -15,6 +15,7 @@ from repro.assignment import (
     candidate_pairs,
     compute_feasible,
 )
+from repro.assignment.candidates import _dense_pairs
 from repro.data.instance import SCInstance
 from repro.entities import Task, Worker
 from repro.framework import OnlineSimulator, WorkerArrival
@@ -60,8 +61,8 @@ class TestFeasibilityWithSpeeds:
     def test_candidates_respect_speed(self):
         workers = [worker(0, 0, 0, speed=5.0), worker(1, 0, 0, speed=25.0)]
         tasks = [task(0, 20.0, 0.0, phi=2.0)]
-        for kind in ("dense", "grid", "kdtree"):
-            pairs = candidate_pairs(workers, tasks, 0.0, index=kind)
+        for enumerate_pairs in (candidate_pairs, _dense_pairs):
+            pairs = enumerate_pairs(workers, tasks, 0.0)
             assert [(p.worker_index, p.task_index) for p in pairs] == [(1, 0)]
 
     def test_speed_validation(self):
