@@ -16,13 +16,11 @@ from repro.geo.distance import (
 )
 from repro.geo.bbox import BoundingBox
 from repro.geo.grid import GridIndex, cell_gap_km, cell_key
-from repro.geo.kdtree import KDTree
 
 __all__ = [
     "Point",
     "BoundingBox",
     "GridIndex",
-    "KDTree",
     "cell_key",
     "cell_gap_km",
     "euclidean",

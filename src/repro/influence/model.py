@@ -4,10 +4,13 @@ The full influence of a candidate worker ``w_s`` for task ``s`` is
 
     if(w_s, s) = P_aff(w_s, s) * sum_{w_i != w_s} P_wil(w_i, s) * P_pro(w_s, w_i)
 
-The expensive inner sum is evaluated for *all* candidate workers and tasks
-at once through the RRR membership matrix (see
-:meth:`~repro.propagation.RRRCollection.weighted_root_cover_batch`), making
-the full ``|W| x |S|`` influence matrix a handful of sparse/dense products.
+Each input is computed once, keyed by what it depends on.  The willingness
+column ``P_wil(., s)`` depends only on the task's location, so it is cached
+per location.  ``P_pro`` depends only on the RRR collection, which serves it
+as one sparse ``|W| x |W|`` kernel (see
+:meth:`~repro.propagation.RRRCollection.propagation_kernel`).  The inner sum
+for every candidate and task of a call is then the candidates' kernel rows
+times the call's willingness columns: one sparse/dense product.
 
 Ablations (Section V-B1) drop one factor:
 
@@ -27,6 +30,7 @@ import numpy as np
 from repro.affinity import AffinityModel
 from repro.entities import Task, Worker
 from repro.exceptions import ConfigurationError
+from repro.geo import Point
 from repro.propagation import RRRCollection, SocialGraph
 from repro.willingness import HistoricalAcceptance
 
@@ -94,26 +98,20 @@ class InfluenceModel:
         self.propagation = propagation
         self.components = components or InfluenceComponents.full()
         self._sigma_cache: np.ndarray | None = None
-        # Root-count per worker for the self-term correction: the sets
-        # rooted at w always contain w, so P_pro(w, w) = |W|/N * #roots(w).
+        # P_pro(w, w) for the self-term correction: the kernel's diagonal.
         self._self_pro: np.ndarray | None = None
-        # Per-task column caches (keyed by the frozen Task): the willingness
-        # column P_wil(., s) over all network workers and the propagation
-        # inner sum from weighted_root_cover.  Each column depends only on
-        # the task, so successive online rounds that mostly re-see the same
-        # open tasks pay for the expensive |W|-sized columns exactly once.
-        self._wil_columns: dict[Task, np.ndarray] = {}
-        self._wil_totals: dict[Task, float] = {}
-        self._inner_columns: dict[Task, np.ndarray] = {}
+        # Location-keyed willingness cache: the |W|-sized column P_wil(., l)
+        # over all network workers and its total.  The column depends only on
+        # the task location, so tasks sharing a location (and successive
+        # online rounds re-seeing the same open tasks) pay for it once.
+        self._wil_columns: dict[Point, tuple[np.ndarray, float]] = {}
         self._rows_in_graph: np.ndarray | None = None
         self._propagation_version = propagation.version
-        # The column caches above are mutated on lookup (fill + eviction), so
-        # concurrent shard prepares under the pipelined runtime serialize
-        # through this lock; the numpy math itself runs outside any cache
-        # mutation and stays parallel.
+        # The caches above are filled and evicted on lookup, so concurrent
+        # shard prepares under the pipelined runtime serialize through this.
         self._lock = threading.RLock()
 
-    #: Soft cap on cached per-task columns; beyond it the oldest entries are
+    #: Soft cap on cached location columns; beyond it the oldest entries are
     #: evicted (insertion order).  Bounds memory on long multi-day runs where
     #: expired tasks never return, while keeping every open task warm.
     MAX_CACHED_TASK_COLUMNS = 4096
@@ -125,7 +123,6 @@ class InfluenceModel:
             self._propagation_version = self.propagation.version
             self._sigma_cache = None
             self._self_pro = None
-            self._inner_columns.clear()
 
     def _sigma_all(self) -> np.ndarray:
         if self._sigma_cache is None:
@@ -134,57 +131,44 @@ class InfluenceModel:
 
     def _self_propagation(self) -> np.ndarray:
         if self._self_pro is None:
-            counts = np.bincount(
-                self.propagation.roots, minlength=self.graph.num_workers
-            ).astype(float)
-            n_sets = max(len(self.propagation), 1)
-            self._self_pro = self.graph.num_workers * counts / n_sets
+            self._self_pro = self.propagation.propagation_kernel().diagonal()
         return self._self_pro
 
-    def _ensure_task_columns(self, tasks: Sequence[Task], need_inner: bool) -> None:
-        """Populate the per-task column caches for every unseen task.
-
-        The willingness column ``P_wil(., s)`` spans all network workers; the
-        inner column is its :meth:`weighted_root_cover` image.  The sparse
-        product in ``weighted_root_cover_batch`` is independent per column,
-        so batching only the missing tasks yields bit-identical columns to a
-        full recomputation.
-        """
+    def _willingness_columns(
+        self, tasks: Sequence[Task]
+    ) -> list[tuple[np.ndarray, float]]:
+        """The cached ``(P_wil(., s.l), total)`` of every task, filling the
+        cache for each unseen location."""
         n = self.graph.num_workers
         if self._rows_in_graph is None:
             self._rows_in_graph = self.graph.indices_of(self.willingness.worker_ids)
+        columns = []
         for task in tasks:
-            if task not in self._wil_columns:
+            entry = self._wil_columns.get(task.location)
+            if entry is None:
                 column = np.zeros(n)
                 column[self._rows_in_graph] = self.willingness.willingness_all(
                     task.location
                 )
-                self._wil_columns[task] = column
-                self._wil_totals[task] = float(column.sum())
-        if need_inner:
-            missing = [task for task in tasks if task not in self._inner_columns]
-            if missing:
-                wil = np.stack([self._wil_columns[task] for task in missing], axis=1)
-                fresh = self.propagation.weighted_root_cover_batch(wil)
-                for slot, task in enumerate(missing):
-                    self._inner_columns[task] = fresh[:, slot]
+                entry = self._wil_columns[task.location] = (
+                    column, float(column.sum())
+                )
+            columns.append(entry)
         self._evict_stale_columns(tasks)
+        return columns
 
     def _evict_stale_columns(self, tasks: Sequence[Task]) -> None:
         """Drop the oldest cached columns once past the soft cap, never
-        evicting a task referenced by the current call."""
+        evicting a location referenced by the current call."""
         cap = max(self.MAX_CACHED_TASK_COLUMNS, 2 * len(tasks))
         if len(self._wil_columns) <= cap:
             return
-        keep = set(tasks)
-        for task in list(self._wil_columns):
+        keep = {task.location for task in tasks}
+        for location in list(self._wil_columns):
             if len(self._wil_columns) <= cap:
                 break
-            if task in keep:
-                continue
-            del self._wil_columns[task]
-            self._wil_totals.pop(task, None)
-            self._inner_columns.pop(task, None)
+            if location not in keep:
+                del self._wil_columns[location]
 
     # ------------------------------------------------------------------- API
     def sigma(self, worker_id: int) -> float:
@@ -221,24 +205,19 @@ class InfluenceModel:
         use = self.components
 
         if use.willingness:
-            self._ensure_task_columns(tasks, need_inner=use.propagation)
-            # Gather only the candidate rows of the cached |W|-sized columns:
-            # O(C x T) per call, independent of network size.
-            wil = np.stack(
-                [self._wil_columns[task][candidate_idx] for task in tasks], axis=1
-            )
+            columns = self._willingness_columns(tasks)
+            block = np.stack([column for column, _ in columns], axis=1)
+            wil = block[candidate_idx]
             if use.propagation:
-                inner_all = np.stack(
-                    [self._inner_columns[task][candidate_idx] for task in tasks],
-                    axis=1,
-                )
-                # Remove the self term w_i = w_s.
-                inner = inner_all - (
+                # Candidate kernel rows times the |W| x T willingness block,
+                # minus the self term w_i = w_s.
+                kernel = self.propagation.propagation_kernel()
+                inner = kernel[candidate_idx] @ block - (
                     self._self_propagation()[candidate_idx, None] * wil
                 )
             else:
                 # IA-AW: plain sum of other workers' willingness.
-                totals = np.array([self._wil_totals[task] for task in tasks])
+                totals = np.array([total for _, total in columns])
                 inner = totals[None, :] - wil
         else:
             # IA-AP: propagation only — the informed range of the candidate.

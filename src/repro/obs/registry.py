@@ -138,10 +138,13 @@ class MetricsRegistry:
     ):
         family = self._families.get(name)
         if family is None:
-            family = self._families[name] = Family(
-                name, help_text, kind, tuple(labels), options
-            )
-        elif family.kind != kind or family.labelnames != tuple(labels):
+            family = Family(name, help_text, kind, tuple(labels), options)
+            instrument = family if family.labelnames else family.labels()
+            # Published only once its child exists: a concurrent render never
+            # sees a histogram family without buckets.
+            self._families[name] = family
+            return instrument
+        if family.kind != kind or family.labelnames != tuple(labels):
             raise ValueError(
                 f"metric {name!r} already registered as a {family.kind} with "
                 f"labels {family.labelnames}; cannot re-register as a {kind} "

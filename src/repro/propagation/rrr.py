@@ -12,8 +12,9 @@ list of per-set arrays.  Appends go into capacity-doubled buffers, so
 repeated :meth:`RRRCollection.extend` calls (the RPO ladder) are amortized
 O(new data) with no per-call concatenation, and cover counts are maintained
 incrementally on append.  All queries (``coverage_fraction``, ``sigma``,
-``ppro`` / ``ppro_matrix_row``, ``weighted_root_cover``) run on the CSR
-structure without touching Python loops over sets.
+``ppro`` / ``ppro_matrix_row``, ``propagation_kernel``,
+``weighted_root_cover``) run on the CSR structure without touching Python
+loops over sets.
 
 Sampling is frontier-batched: :func:`sample_rrr_sets_batched` advances the
 reverse BFS of *all* pending sets at once, drawing the Bernoulli outcomes of
@@ -65,6 +66,7 @@ class RRRCollection:
         # Incrementally maintained: updated on every extend, reset on clear.
         self._cover_counts = np.zeros(self.num_workers, dtype=np.int64)
         self._membership: sparse.csr_matrix | None = None
+        self._kernel: sparse.csr_matrix | None = None
         self._version = 0
 
     @property
@@ -149,6 +151,7 @@ class RRRCollection:
 
         self._cover_counts += np.bincount(flat, minlength=self.num_workers)
         self._membership = None
+        self._kernel = None
         self._version += 1
 
     def extend(self, roots: np.ndarray, members: list[np.ndarray]) -> None:
@@ -177,6 +180,7 @@ class RRRCollection:
         self._flat_buf = np.zeros(64, dtype=np.int64)
         self._cover_counts = np.zeros(self.num_workers, dtype=np.int64)
         self._membership = None
+        self._kernel = None
         self._version += 1
 
     # ------------------------------------------------------------ membership
@@ -261,6 +265,25 @@ class RRRCollection:
         counts = np.bincount(self.roots[covering], minlength=self.num_workers)
         return self.num_workers * counts / self._num_sets
 
+    def propagation_kernel(self) -> sparse.csr_matrix:
+        """Sparse ``|W| x |W|`` matrix with entry ``(s, i) = P_pro(s, i)``.
+
+        It is ``M @ R`` for the membership indicator ``M`` and the ``N x |W|``
+        root indicator ``R``: every set counts one at (member, root) for each
+        of its members, duplicates summed.  Row ``s`` equals
+        :meth:`ppro_matrix_row` bit for bit.  Cached until the next mutation.
+        """
+        if self._kernel is None:
+            n = self.num_workers
+            roots = np.repeat(self.roots, np.diff(self.indptr))
+            kernel = sparse.csr_matrix(
+                (np.ones(self._flat_size), (self.flat_members, roots)), shape=(n, n)
+            )
+            kernel.sum_duplicates()
+            kernel.data = n * kernel.data / self._num_sets
+            self._kernel = kernel
+        return self._kernel
+
     def weighted_root_cover(self, weight_by_root: np.ndarray) -> np.ndarray:
         """Vectorized inner sum of the influence formula.
 
@@ -283,7 +306,8 @@ class RRRCollection:
             out[w_s, t] = sum_i weights[i, t] * P_pro(w_s, w_i)
 
         computed as one sparse matrix product: ``scale * M @ weights[roots]``
-        with ``M`` the membership indicator.
+        with ``M`` the membership indicator.  The readable reference for
+        :meth:`propagation_kernel`, which serves the same sum in production.
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
         if weights.shape[0] != self.num_workers:

@@ -66,7 +66,7 @@ from repro.assignment.partitioned import bucket_pools, merge_assignments
 from repro.data.instance import SCInstance
 from repro.entities import Assignment
 from repro.influence import InfluenceModel
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, MetricsRegistry, Observability
 from repro.obs.histo import SECONDS_HISTOGRAM
 from repro.obs.trace import Interval, clock_ns
 from repro.stream.events import KIND_PUBLISH, EventLog
@@ -873,6 +873,8 @@ class StreamRuntime:
         self.pipeline = pipeline
         self.obs = obs if obs is not None else NULL_OBS
         self._instruments: dict[str, Any] | None = None
+        if self.obs.registry.enabled:
+            self._instruments = self._register_instruments(self.obs.registry)
         #: The *requested* shard configuration (vs the planned layout, which
         #: may use fewer bins); persisted in checkpoints so a resume with a
         #: different ``--shards``/cell size fails in the cheap pre-flight.
@@ -1135,6 +1137,68 @@ class StreamRuntime:
             "assigned": record.assigned,
         })
 
+    @staticmethod
+    def _register_instruments(registry: MetricsRegistry) -> dict[str, Any]:
+        """Register the runtime's metric families, each with its children, so
+        a scrape before the first round already renders every one of them."""
+        phase_seconds = registry.histogram(
+            "repro_stream_phase_seconds",
+            "Per-round phase spans (cumulative across shards).",
+            labels=("phase",),
+            **SECONDS_HISTOGRAM,
+        )
+        return {
+            "rounds": registry.counter(
+                "repro_stream_rounds_total", "Assignment rounds fired."
+            ),
+            "events": registry.counter(
+                "repro_stream_events_drained_total",
+                "Event-log entries drained into rounds.",
+            ),
+            "assigned": registry.counter(
+                "repro_stream_assigned_total",
+                "Task-worker pairs assigned.",
+            ),
+            "expired": registry.counter(
+                "repro_stream_expired_tasks_total",
+                "Tasks that expired unassigned.",
+            ),
+            "churned": registry.counter(
+                "repro_stream_churned_workers_total",
+                "Workers that left unassigned.",
+            ),
+            "deferred": registry.counter(
+                "repro_stream_deferred_tasks_total",
+                "Task admissions deferred by the admission controller.",
+            ),
+            "shed": registry.counter(
+                "repro_stream_shed_tasks_total",
+                "Task admissions shed by the admission controller.",
+            ),
+            "repacks": registry.counter(
+                "repro_stream_repacks_total",
+                "Shard-layout repacks applied at round boundaries.",
+            ),
+            "workers": registry.gauge(
+                "repro_stream_online_workers",
+                "Online workers at the last round's start.",
+            ),
+            "tasks": registry.gauge(
+                "repro_stream_open_tasks",
+                "Open tasks at the last round's start.",
+            ),
+            "round_seconds": registry.histogram(
+                "repro_stream_round_seconds",
+                "Wall-clock cost of the assignment computation per round.",
+                **SECONDS_HISTOGRAM,
+            ),
+            # One child per phase up front, so the family renders whole.
+            "phases": {
+                phase: phase_seconds.labels(phase)
+                for phase in ("drain", "prepare", "solve", "merge")
+            },
+        }
+
     def _observe_round(self, record: RoundRecord) -> None:
         """Fold one finished round into the registry + instant events.
 
@@ -1167,63 +1231,9 @@ class StreamRuntime:
                     "shards.repack", cat="shard",
                     args=decision or {"round": record.index},
                 )
-        registry = self.obs.registry
-        if not registry.enabled:
-            return
-        if self._instruments is None:
-            self._instruments = {
-                "rounds": registry.counter(
-                    "repro_stream_rounds_total", "Assignment rounds fired."
-                ),
-                "events": registry.counter(
-                    "repro_stream_events_drained_total",
-                    "Event-log entries drained into rounds.",
-                ),
-                "assigned": registry.counter(
-                    "repro_stream_assigned_total",
-                    "Task-worker pairs assigned.",
-                ),
-                "expired": registry.counter(
-                    "repro_stream_expired_tasks_total",
-                    "Tasks that expired unassigned.",
-                ),
-                "churned": registry.counter(
-                    "repro_stream_churned_workers_total",
-                    "Workers that left unassigned.",
-                ),
-                "deferred": registry.counter(
-                    "repro_stream_deferred_tasks_total",
-                    "Task admissions deferred by the admission controller.",
-                ),
-                "shed": registry.counter(
-                    "repro_stream_shed_tasks_total",
-                    "Task admissions shed by the admission controller.",
-                ),
-                "repacks": registry.counter(
-                    "repro_stream_repacks_total",
-                    "Shard-layout repacks applied at round boundaries.",
-                ),
-                "workers": registry.gauge(
-                    "repro_stream_online_workers",
-                    "Online workers at the last round's start.",
-                ),
-                "tasks": registry.gauge(
-                    "repro_stream_open_tasks",
-                    "Open tasks at the last round's start.",
-                ),
-                "round_seconds": registry.histogram(
-                    "repro_stream_round_seconds",
-                    "Wall-clock cost of the assignment computation per round.",
-                    **SECONDS_HISTOGRAM,
-                ),
-                "phase_seconds": registry.histogram(
-                    "repro_stream_phase_seconds",
-                    "Per-round phase spans (cumulative across shards).",
-                    labels=("phase",),
-                    **SECONDS_HISTOGRAM,
-                ),
-            }
         instruments = self._instruments
+        if instruments is None:
+            return
         instruments["rounds"].inc()
         instruments["events"].inc(record.drained_events)
         instruments["assigned"].inc(record.assigned)
@@ -1235,9 +1245,8 @@ class StreamRuntime:
         instruments["workers"].set(record.online_workers)
         instruments["tasks"].set(record.open_tasks)
         instruments["round_seconds"].record(record.round_seconds)
-        phases = instruments["phase_seconds"]
-        for phase in ("drain", "prepare", "solve", "merge"):
-            phases.labels(phase).record(getattr(record, f"{phase}_seconds"))
+        for phase, histogram in instruments["phases"].items():
+            histogram.record(getattr(record, f"{phase}_seconds"))
 
     # ------------------------------------------------------------------- run
     def run(self, max_rounds: int | None = None) -> StreamResult:

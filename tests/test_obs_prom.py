@@ -5,10 +5,13 @@ import urllib.request
 
 import pytest
 
+from repro.assignment import MTAAssigner
 from repro.exceptions import DataError
+from repro.obs import Observability
 from repro.obs.histo import SECONDS_HISTOGRAM
 from repro.obs.prom import MetricsServer, render_prometheus, validate_exposition
 from repro.obs.registry import MetricsRegistry
+from repro.stream import StreamRuntime, TimeWindowTrigger, synthetic_stream
 
 
 def sample_registry():
@@ -110,3 +113,23 @@ class TestMetricsServer:
         server = MetricsServer(MetricsRegistry(), port=0).start()
         server.close()
         server.close()
+
+
+class TestStreamRuntimeExposition:
+    def test_scrape_before_the_first_round_shows_every_family(self):
+        """The runtime registers its families at construction, so a scrape
+        that lands before any round already validates and counts zero."""
+        base, log = synthetic_stream(20, 20, duration_hours=2.0, seed=5)
+        registry = MetricsRegistry()
+        with StreamRuntime(
+            MTAAssigner(), None, TimeWindowTrigger(0.5), base, log,
+            obs=Observability(registry=registry),
+        ) as runtime:
+            text = render_prometheus(registry)
+            validate_exposition(text)
+            assert "\nrepro_stream_rounds_total 0.0\n" in text
+            assert 'repro_stream_phase_seconds_count{phase="solve"} 0' in text
+            runtime.run(max_rounds=1)
+            text = render_prometheus(registry)
+        validate_exposition(text)
+        assert "\nrepro_stream_rounds_total 1.0\n" in text

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.obs.histo import SECONDS_HISTOGRAM
+from repro.obs.prom import render_prometheus, validate_exposition
 from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
+    Family,
     Gauge,
     MetricsRegistry,
 )
@@ -69,6 +71,25 @@ class TestRegistry:
         registry.counter("repro_b")
         registry.counter("repro_a")
         assert [f.name for f in registry.families()] == ["repro_a", "repro_b"]
+
+    def test_family_published_only_once_its_child_exists(self, monkeypatch):
+        """A scrape racing a registration must never see a histogram family
+        without its child (and so without its ``+Inf`` bucket)."""
+        registry = MetricsRegistry()
+        renders = []
+        original = Family.labels
+
+        def render_mid_registration(family, *values):
+            renders.append(render_prometheus(registry))
+            return original(family, *values)
+
+        monkeypatch.setattr(Family, "labels", render_mid_registration)
+        histogram = registry.histogram("repro_seconds", **SECONDS_HISTOGRAM)
+        assert renders
+        for text in renders:
+            validate_exposition(text)
+        histogram.record(0.5)
+        validate_exposition(render_prometheus(registry))
 
 
 class TestSnapshotDeterminism:

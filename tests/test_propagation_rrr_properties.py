@@ -101,3 +101,59 @@ class TestQueryIdentities:
         assert len(collection) == 0
         assert collection.sigma_all().sum() == 0.0
         assert collection.ppro(0, 1) == 0.0
+
+
+def assert_matches_reference(actual, reference):
+    """Within 1e-12 relative, and 1e-12 of the reference's largest entry."""
+    scale = float(np.abs(reference).max()) if reference.size else 0.0
+    np.testing.assert_allclose(actual, reference, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestPropagationKernel:
+    """``propagation_kernel`` is the production ``P_pro``; these pin it to
+    the per-row and batched-product references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(collection=collections())
+    def test_rows_equal_ppro_matrix_row_bit_for_bit(self, collection):
+        dense = collection.propagation_kernel().toarray()
+        assert dense.shape == (collection.num_workers, collection.num_workers)
+        for source in range(collection.num_workers):
+            assert np.array_equal(
+                dense[source], collection.ppro_matrix_row(source)
+            ), source
+
+    @settings(max_examples=40, deadline=None)
+    @given(collection=collections(), seed=st.integers(0, 2**16))
+    def test_product_matches_weighted_root_cover_batch(self, collection, seed):
+        weights = np.random.default_rng(seed).random((collection.num_workers, 4))
+        assert_matches_reference(
+            collection.propagation_kernel() @ weights,
+            collection.weighted_root_cover_batch(weights),
+        )
+
+    def test_rebuilt_after_extend_and_clear(self):
+        collection = RRRCollection(num_workers=3)
+        collection.extend(
+            np.array([0], dtype=np.int64), [np.array([0, 1], dtype=np.int64)]
+        )
+        first = collection.propagation_kernel()
+        assert collection.propagation_kernel() is first  # cached
+        np.testing.assert_array_equal(
+            first.toarray(), [[3.0, 0, 0], [3.0, 0, 0], [0, 0, 0]]
+        )
+
+        collection.extend(
+            np.array([2], dtype=np.int64), [np.array([1, 2], dtype=np.int64)]
+        )
+        extended = collection.propagation_kernel()
+        for source in range(3):
+            assert np.array_equal(
+                extended.toarray()[source], collection.ppro_matrix_row(source)
+            )
+        np.testing.assert_array_equal(
+            extended.toarray(), [[1.5, 0, 0], [1.5, 0, 1.5], [0, 0, 1.5]]
+        )
+
+        collection.clear()
+        assert collection.propagation_kernel().nnz == 0

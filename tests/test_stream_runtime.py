@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import DITAPipeline
 from repro.assignment import IAAssigner, MTAAssigner, NearestNeighborAssigner
 from repro.data.instance import SCInstance
 from repro.entities import Task, Worker
@@ -20,6 +21,7 @@ from repro.stream import (
     WorkerChurnEvent,
     day_stream,
     log_from_arrivals,
+    multi_day_stream,
 )
 
 
@@ -499,6 +501,28 @@ class TestPipelinedRuntime:
             pipelined = runtime.run()
         assert pairs(pipelined) == pairs(plain)
         assert round_rows(pipelined) == round_rows(plain)
+
+    def test_pipelined_influence_matches_serial(self, tiny_dataset, fast_config):
+        """IA over a freshly fitted model: the shared propagation kernel and
+        willingness cache are first built under concurrent shard prepares."""
+        # A short reach lets the planner split the small world into shards.
+        base, log = multi_day_stream(tiny_dataset, [6, 7], reachable_km=3.0)
+
+        def fresh_model():
+            return DITAPipeline(fast_config).fit(base).influence_model()
+
+        with StreamRuntime(
+            IAAssigner(), fresh_model(), TimeWindowTrigger(1.0), base, log,
+            shards=4, executor="thread", pipeline=True,
+        ) as runtime:
+            assert runtime.shard_executor.layout.num_shards > 1
+            pipelined = runtime.run()
+        serial = StreamRuntime(
+            IAAssigner(), fresh_model(), TimeWindowTrigger(1.0), base, log,
+        ).run()
+        assert serial.total_assigned > 0
+        assert pairs(pipelined) == pairs(serial)
+        assert round_rows(pipelined) == round_rows(serial)
 
     def test_phase_timings_recorded(self):
         base, log = clustered()
