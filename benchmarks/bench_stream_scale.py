@@ -156,13 +156,9 @@ def child_main(days, mode):
         gc.collect()
     events = len(log)
 
-    # incremental=False: the incremental round cache registers every
-    # worker/task id it ever sees and regrows its (rows x cols) matrices
-    # accordingly — over a multi-day horizon that dwarfs the event log in
-    # both modes and would drown the signal this bench isolates.
     runtime = StreamRuntime(
         NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base, log,
-        patience_hours=8.0, incremental=False,
+        patience_hours=8.0,
     )
     started = time.perf_counter()
     try:

@@ -40,19 +40,31 @@ def test_online_batch_size(benchmark, online_world, batch_hours):
 @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
 def test_online_round_preparation_cost(benchmark, online_world, incremental):
     """Incremental RoundState preparation vs per-round full recomputation:
-    same assignments, lower per-round CPU."""
+    same assignments, lower per-round CPU.  The parametrized mode is timed;
+    the other one runs untimed as the reference."""
     instance, arrivals, influence = online_world
-    simulator = OnlineSimulator(
-        IAAssigner(), influence, batch_hours=1.0, incremental=incremental
-    )
+
+    def simulate(mode):
+        return OnlineSimulator(
+            IAAssigner(), influence, batch_hours=1.0, incremental=mode
+        ).run(instance, arrivals)
+
     result = benchmark.pedantic(
-        lambda: simulator.run(instance, arrivals), rounds=1, iterations=1
+        lambda: simulate(incremental), rounds=1, iterations=1
     )
+    other = simulate(not incremental)
     print(
         f"\n{'incremental' if incremental else 'full':>11}: "
         f"{len(result.steps)} rounds, {result.total_assigned} assigned"
     )
     assert result.total_assigned > 0
+
+    def pairs(run):
+        return sorted(
+            (pair.worker.worker_id, pair.task.task_id) for pair in run.assignment.pairs
+        )
+
+    assert pairs(result) == pairs(other)
 
 
 def test_online_vs_single_round(benchmark, online_world):

@@ -23,6 +23,17 @@ from repro.exceptions import NotFittedError
 from repro.text import LDAModel, VariationalLDA
 
 
+def pairwise_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right.T`` summed one component at a time, so that each
+    cell's bits depend only on its own two rows.  A BLAS product rounds
+    differently for matrix and vector shapes, and incremental round
+    preparation needs its sub-rectangles to equal the full matrix."""
+    product = np.zeros((left.shape[0], right.shape[0]))
+    for k in range(left.shape[1]):
+        product += left[:, k, None] * right[:, k]
+    return product
+
+
 class AffinityModel:
     """Computes ``P_aff(w, s)`` from worker histories and task categories.
 
@@ -139,4 +150,4 @@ class AffinityModel:
             return np.zeros((len(worker_ids), len(tasks)))
         theta_w = self.topic_matrix(worker_ids)
         theta_s = np.stack([self.task_topics(t.categories) for t in tasks])
-        return theta_w @ theta_s.T
+        return pairwise_dot(theta_w, theta_s)

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.affinity.model import pairwise_dot
 from repro.entities import Task, TaskHistory
 from repro.exceptions import NotFittedError
 
@@ -127,4 +128,4 @@ class TfidfAffinity:
             return np.zeros((len(worker_ids), len(tasks)))
         worker_stack = np.stack([self.worker_vector(w) for w in worker_ids])
         task_stack = np.stack([self.task_vector(t.categories) for t in tasks])
-        return worker_stack @ task_stack.T
+        return pairwise_dot(worker_stack, task_stack)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.data.instance import SCInstance
 from repro.entities import Assignment, Task, Worker
-from repro.geo import pairwise_euclidean
+from repro.geo import pairwise_euclidean, pairwise_euclidean_xy
 from repro.influence import InfluenceModel, entropy_of_tasks
 
 
@@ -172,166 +173,141 @@ class PreparedInstance:
         return assignment
 
 
+class _Members(NamedTuple):
+    """One round's workers or tasks in matrix order, their ids, and the
+    argsort of the ids, which the next round searches."""
+
+    entities: tuple
+    ids: np.ndarray
+    order: np.ndarray
+
+
+_NO_MEMBERS = _Members((), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def _match(kind: str, entities: Sequence, previous: _Members) -> tuple[_Members, np.ndarray]:
+    """Match one round's entities against the previous round's.
+
+    Returns this round's members and, per entity, its position in the
+    previous round, or -1 where it is new: first seen, absent last round,
+    or unequal to the cached payload.
+    """
+    cached, cached_ids, cached_order = previous
+    ids = np.fromiter(
+        map(attrgetter(f"{kind}_id"), entities), dtype=np.int64, count=len(entities)
+    )
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if repeated.size:
+        raise ValueError(f"{kind} id {int(repeated[0])} appears more than once in one round")
+    source = np.full(ids.size, -1, dtype=np.int64)
+    if cached_ids.size:
+        at = np.searchsorted(cached_ids, ids, sorter=cached_order)
+        at = cached_order[at.clip(max=cached_ids.size - 1)]
+        hits = np.flatnonzero(cached_ids[at] == ids).tolist()
+        kept = [
+            p for p, c in zip(hits, at[hits].tolist())
+            if entities[p] is cached[c] or entities[p] == cached[c]
+        ]
+        source[kept] = at[kept]
+    return _Members(tuple(entities), ids, order), source
+
+
+def _carried(previous: np.ndarray, source: np.ndarray, fresh: list) -> np.ndarray:
+    """Per-entity attribute rows: gathered from ``previous`` for kept
+    entities, ``fresh`` (in matrix order) for new ones."""
+    attrs = np.empty((source.size, previous.shape[1]))
+    kept = source >= 0
+    attrs[kept] = previous[source[kept]]
+    attrs[~kept] = np.reshape(fresh, (-1, previous.shape[1]))
+    return attrs
+
+
 class RoundState:
     """Incremental round preparation for online (batched-arrival) loops.
 
-    Rebuilding a :class:`PreparedInstance` from scratch every batch round
-    recomputes the distance, feasibility and influence matrices for the
-    *whole* pool, although between rounds the pool only gains newly arrived
-    workers and newly published tasks (assigned/expired entries merely
-    leave).  ``RoundState`` keeps per-worker rows and per-task columns of
-    those matrices in growing buffers keyed by (worker, task) identity, so
-    each round only computes the rectangles
+    ``RoundState`` carries exactly the previous round: its workers and
+    tasks with their ids, the distance and influence matrices, and each
+    entity's location, radius/speed or deadline/entropy.  A round's entity
+    is *kept* when its id was in the previous round and its payload is (or
+    equals) the cached object; kept x kept cells are gathered.  Every other
+    entity is *new* — first seen, absent last round, or relocated or
+    republished under its id — and new rows x all columns, then kept rows
+    x new columns, are computed.  Entities absent from a round are
+    dropped, so the cache is as large as the live pool.
 
-    * new workers x current tasks, and
-    * previously seen workers x new tasks.
-
-    Every cached quantity is time-independent (distances, influence values,
-    location entropy); the time-dependent feasibility mask is re-derived
-    from the cached distances each round, which keeps results bit-identical
-    to a full per-round recomputation.
+    Cached values are time-independent and no cell depends on the shape of
+    the rectangle it was computed in, so results are bit-identical to a
+    full per-round recomputation; the feasibility mask is re-derived each
+    round.  The returned ``distance_km`` and ``influence_matrix`` are
+    carried into the next round and are read-only.  Ids must be unique
+    within a round.
     """
 
     def __init__(self, influence: InfluenceModel | None = None) -> None:
         self.influence = influence
-        self._row_of: dict[int, int] = {}
-        self._col_of: dict[int, int] = {}
-        self._row_worker: list[Worker] = []
-        self._col_task: list[Task] = []
-        self._distance = np.zeros((0, 0))
-        self._influence_vals = np.zeros((0, 0))
-        self._valid = np.zeros((0, 0), dtype=bool)
-        self._entropy: dict[int, float] = {}
+        self._rows = self._columns = _NO_MEMBERS
+        self._distance = self._influence = np.zeros((0, 0))
+        # Per worker (x, y, radius, speed); per task (x, y, deadline, entropy).
+        self._row_attrs = self._column_attrs = np.zeros((0, 4))
 
-    # ---------------------------------------------------------------- buffers
-    def _ensure_capacity(self, rows: int, columns: int) -> None:
-        grown_rows = max(self._distance.shape[0], 4)
-        while grown_rows < rows:
-            grown_rows *= 2
-        grown_columns = max(self._distance.shape[1], 4)
-        while grown_columns < columns:
-            grown_columns *= 2
-        if (grown_rows, grown_columns) == self._distance.shape:
-            return
-        old_rows, old_columns = self._distance.shape
-
-        def regrow(buffer: np.ndarray) -> np.ndarray:
-            fresh = np.zeros((grown_rows, grown_columns), dtype=buffer.dtype)
-            fresh[:old_rows, :old_columns] = buffer
-            return fresh
-
-        self._distance = regrow(self._distance)
-        self._influence_vals = regrow(self._influence_vals)
-        self._valid = regrow(self._valid)
-
-    def _register(self, workers: Sequence[Worker], tasks: Sequence[Task]) -> tuple[list[int], list[int]]:
-        """Assign buffer rows/columns to unseen entities; returns the
-        positions (within ``workers`` / ``tasks``) whose cells need filling."""
-        new_worker_positions: list[int] = []
-        for position, worker in enumerate(workers):
-            row = self._row_of.get(worker.worker_id)
-            if row is None:
-                row = len(self._row_worker)
-                self._row_of[worker.worker_id] = row
-                self._row_worker.append(worker)
-                new_worker_positions.append(position)
-            elif self._row_worker[row] != worker:
-                # Same id, different attributes: every cached cell of the
-                # row is stale, including columns absent from this round.
-                self._row_worker[row] = worker
-                self._valid[row, :] = False
-                new_worker_positions.append(position)
-        new_task_positions: list[int] = []
-        for position, task in enumerate(tasks):
-            column = self._col_of.get(task.task_id)
-            if column is None:
-                column = len(self._col_task)
-                self._col_of[task.task_id] = column
-                self._col_task.append(task)
-                new_task_positions.append(position)
-            elif self._col_task[column] != task:
-                self._col_task[column] = task
-                self._valid[:, column] = False
-                self._entropy.pop(task.task_id, None)
-                new_task_positions.append(position)
-        self._ensure_capacity(len(self._row_worker), len(self._col_task))
-        return new_worker_positions, new_task_positions
-
-    def _fill(self, workers: Sequence[Worker], tasks: Sequence[Task],
-              rows: np.ndarray, columns: np.ndarray) -> None:
-        """Compute and store the ``workers x tasks`` rectangle."""
-        if len(workers) == 0 or len(tasks) == 0:
-            return
-        grid = np.ix_(rows, columns)
-        self._distance[grid] = pairwise_euclidean(
-            [w.location for w in workers], [t.location for t in tasks]
-        )
-        if self.influence is not None:
-            self._influence_vals[grid] = self.influence.influence_matrix(
-                list(workers), list(tasks)
-            )
-        self._valid[grid] = True
-
-    # ------------------------------------------------------------------- API
     def prepare(self, instance: SCInstance) -> PreparedInstance:
         """A :class:`PreparedInstance` for this round, with the feasibility,
         influence and entropy caches pre-populated incrementally."""
         workers, tasks = instance.workers, instance.tasks
+        rows, row_source = _match("worker", workers, self._rows)
+        columns, column_source = _match("task", tasks, self._columns)
+        kept_rows, new_rows = np.flatnonzero(row_source >= 0), np.flatnonzero(row_source < 0)
+        new_columns = np.flatnonzero(column_source < 0)
+        new_tasks = [tasks[p] for p in new_columns.tolist()]
+        entropy = entropy_of_tasks(new_tasks, instance.venue_visits)
+        row_attrs = _carried(self._row_attrs, row_source, [
+            (w.location.x, w.location.y, w.reachable_km, w.speed_kmh)
+            for w in (workers[p] for p in new_rows.tolist())
+        ])
+        column_attrs = _carried(self._column_attrs, column_source, [
+            (t.location.x, t.location.y, t.expiry_time, entropy[t.task_id])
+            for t in new_tasks
+        ])
+
+        shape = (len(workers), len(tasks))
+        distance, influence = np.empty(shape), np.zeros(shape)
+        if kept_rows.size and new_columns.size < shape[1]:
+            # One gather; the cells of new rows and columns read row or
+            # column -1 here and are overwritten just below.
+            carried = np.ix_(row_source, column_source)
+            distance = self._distance[carried]
+            if self.influence is not None:
+                influence = self._influence[carried]
+        for fill_rows, fill_columns in ((new_rows, np.arange(shape[1])), (kept_rows, new_columns)):
+            if fill_rows.size == 0 or fill_columns.size == 0:
+                continue
+            grid = np.ix_(fill_rows, fill_columns)
+            distance[grid] = pairwise_euclidean_xy(
+                row_attrs[fill_rows, :2], column_attrs[fill_columns, :2]
+            )
+            if self.influence is not None:
+                influence[grid] = self.influence.influence_matrix(
+                    [workers[p] for p in fill_rows.tolist()],
+                    [tasks[p] for p in fill_columns.tolist()],
+                )
+        distance.flags.writeable = influence.flags.writeable = False
+        mask = (distance <= row_attrs[:, 2:3]) & (
+            instance.current_time + distance / row_attrs[:, 3:] <= column_attrs[:, 2]
+        )
+
+        self._rows, self._columns = rows, columns
+        self._distance, self._influence = distance, influence
+        self._row_attrs, self._column_attrs = row_attrs, column_attrs
         prepared = PreparedInstance(instance, self.influence)
-        if not workers or not tasks:
-            return prepared
-
-        new_worker_positions, new_task_positions = self._register(workers, tasks)
-        rows = np.fromiter(
-            (self._row_of[w.worker_id] for w in workers), dtype=np.int64, count=len(workers)
-        )
-        columns = np.fromiter(
-            (self._col_of[t.task_id] for t in tasks), dtype=np.int64, count=len(tasks)
-        )
-
-        # Rectangle 1: new workers x every current task.
-        self._fill(
-            [workers[p] for p in new_worker_positions], tasks,
-            rows[new_worker_positions], columns,
-        )
-        # Rectangle 2: previously seen workers x new tasks.
-        fresh_rows = set(new_worker_positions)
-        old_positions = [p for p in range(len(workers)) if p not in fresh_rows]
-        self._fill(
-            [workers[p] for p in old_positions],
-            [tasks[p] for p in new_task_positions],
-            rows[old_positions], columns[new_task_positions],
-        )
-        # Safety net: any cell still unfilled (cannot happen while pools are
-        # append-only, but identity invalidation keeps this exact).
-        sub_valid = self._valid[np.ix_(rows, columns)]
-        if not sub_valid.all():
-            stale = np.nonzero(~sub_valid.all(axis=1))[0]
-            self._fill([workers[p] for p in stale], tasks, rows[stale], columns)
-
-        distance = self._distance[np.ix_(rows, columns)]
-        radius = np.array([w.reachable_km for w in workers])[:, None]
-        speed = np.array([w.speed_kmh for w in workers])[:, None]
-        deadline = np.array([t.expiry_time for t in tasks])[None, :]
-        mask = (distance <= radius) & (
-            instance.current_time + distance / speed <= deadline
-        )
         prepared.__dict__["feasible"] = FeasiblePairs(
-            workers=tuple(workers),
-            tasks=tuple(tasks),
-            distance_km=distance,
-            mask=mask,
+            rows.entities, columns.entities, distance, mask
         )
-        prepared.__dict__["influence_matrix"] = self._influence_vals[
-            np.ix_(rows, columns)
-        ]
-
-        unseen = [t for t in tasks if t.task_id not in self._entropy]
-        if unseen:
-            self._entropy.update(entropy_of_tasks(unseen, instance.venue_visits))
-        prepared.__dict__["entropy_by_task"] = {
-            t.task_id: self._entropy[t.task_id] for t in tasks
-        }
+        prepared.__dict__["influence_matrix"] = influence
+        prepared.__dict__["entropy_by_task"] = dict(
+            zip(columns.ids.tolist(), column_attrs[:, 3].tolist())
+        )
         return prepared
 
 

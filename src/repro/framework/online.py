@@ -12,11 +12,10 @@ window.
 The influence components are fitted once from history (they do not depend
 on the intra-day arrival order), so the online loop reuses one
 :class:`~repro.influence.InfluenceModel` across rounds.  Round preparation
-is incremental: a :class:`~repro.assignment.RoundState` caches per-worker
-influence/distance rows and per-task columns keyed by identity, so each
-batch round only computes the rectangles introduced by newly arrived
-workers and newly published tasks instead of rebuilding the prepared
-instance from scratch.
+is incremental: a :class:`~repro.assignment.RoundState` carries the
+previous round's influence/distance matrices, so each batch round only
+computes the rows and columns of newly arrived workers and newly published
+tasks instead of rebuilding the prepared instance from scratch.
 
 .. note::
    The event-driven :class:`~repro.stream.StreamRuntime` is a strict

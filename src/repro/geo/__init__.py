@@ -13,6 +13,7 @@ from repro.geo.distance import (
     haversine_km,
     travel_time_hours,
     pairwise_euclidean,
+    pairwise_euclidean_xy,
 )
 from repro.geo.bbox import BoundingBox
 from repro.geo.grid import GridIndex, cell_gap_km, cell_key
@@ -27,4 +28,5 @@ __all__ = [
     "haversine_km",
     "travel_time_hours",
     "pairwise_euclidean",
+    "pairwise_euclidean_xy",
 ]

@@ -58,7 +58,13 @@ def pairwise_euclidean(points_a: Sequence[Point], points_b: Sequence[Point]) -> 
     """
     if not points_a or not points_b:
         return np.zeros((len(points_a), len(points_b)))
-    arr_a = np.array([(p.x, p.y) for p in points_a], dtype=float)
-    arr_b = np.array([(p.x, p.y) for p in points_b], dtype=float)
-    diff = arr_a[:, None, :] - arr_b[None, :, :]
+    return pairwise_euclidean_xy(
+        np.array([(p.x, p.y) for p in points_a], dtype=float),
+        np.array([(p.x, p.y) for p in points_b], dtype=float),
+    )
+
+
+def pairwise_euclidean_xy(xy_a: np.ndarray, xy_b: np.ndarray) -> np.ndarray:
+    """:func:`pairwise_euclidean` of two ``(n, 2)`` coordinate arrays."""
+    diff = xy_a[:, None, :] - xy_b[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))

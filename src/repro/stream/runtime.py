@@ -352,8 +352,8 @@ class ShardExecutor:
     Each round: bucket the live pools by
     :meth:`~repro.stream.shards.ShardLayout.shard_of`, prepare every
     non-empty shard through its own persistent
-    :class:`~repro.assignment.RoundState` (the incremental rectangles, per
-    shard), solve the shards on the configured backend, and merge the
+    :class:`~repro.assignment.RoundState` (the previous round's matrices,
+    per shard), solve the shards on the configured backend, and merge the
     per-shard assignments in ascending shard order.  An unsharded
     :class:`StreamRuntime` runs a one-shard serial executor, so this is
     the only round path.
@@ -793,7 +793,7 @@ class StreamRuntime:
         :class:`~repro.stream.events.WorkerChurnEvent` entries work with or
         without it.
     incremental:
-        Prepare rounds through the persistent per-shard cache rectangles
+        Prepare rounds through the persistent per-shard round caches
         (True, default) or from scratch every round (False, the reference
         path).
     index_cell_km:

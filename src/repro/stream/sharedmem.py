@@ -243,8 +243,8 @@ def solve_shared_shard(
         all_worker_ids=(),
     )
     prepared = PreparedInstance(instance, None)
-    # Inject the shared rectangles zero-copy, exactly like RoundState does
-    # for its incremental caches — the lazy properties never recompute.
+    # Inject the shared matrices zero-copy, exactly like RoundState injects
+    # the round's matrices — the lazy properties never recompute.
     prepared.__dict__["feasible"] = FeasiblePairs(
         workers=workers,
         tasks=tasks,

@@ -135,8 +135,8 @@ class StreamState:
             # A live worker's location update: the pooled worker object is
             # replaced (arrival time unchanged — the wait keeps accruing).
             # The task grid index holds tasks only, so nothing spatial moves
-            # here; the RoundState rectangles invalidate themselves because
-            # the same id now maps to a different (frozen) Worker.
+            # here; RoundState recomputes the worker's row because the same
+            # id now carries a payload unequal to its cached Worker.
             if entity_id in self.workers:
                 self.workers[entity_id] = worker
                 self.worker_events[entity_id] = event

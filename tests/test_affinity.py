@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.affinity import AffinityModel
+from repro.affinity.model import pairwise_dot
 from repro.entities import Task
 from repro.exceptions import NotFittedError
 from repro.geo import Point
@@ -108,10 +109,28 @@ class TestDenseTopicMatrix:
         ]
         worker_ids = [0, 1, 2, 99]  # 99 is unknown -> uniform prior
         matrix = model.affinity_matrix(worker_ids, tasks)
-        stacked = np.stack([model.worker_topics(w) for w in worker_ids]) @ np.stack(
-            [model.task_topics(t.categories) for t in tasks]
-        ).T
+        stacked = pairwise_dot(
+            np.stack([model.worker_topics(w) for w in worker_ids]),
+            np.stack([model.task_topics(t.categories) for t in tasks]),
+        )
         np.testing.assert_array_equal(matrix, stacked)
+
+    def test_cells_do_not_depend_on_matrix_shape(self, topical_histories):
+        """Single rows, single columns and single cells equal the full
+        matrix bit for bit — incremental round preparation fills influence
+        in such sub-rectangles."""
+        model = AffinityModel(num_topics=4, seed=0).fit(topical_histories)
+        categories = [("restaurant",), ("nightclub", "bar"), ("cafe",), ("bar",), ("gym",)]
+        tasks = [make_task(c, task_id=i) for i, c in enumerate(categories)]
+        worker_ids = [2, 0, 99, 1]
+        full = model.affinity_matrix(worker_ids, tasks)
+        for i, worker_id in enumerate(worker_ids):
+            np.testing.assert_array_equal(model.affinity_matrix([worker_id], tasks)[0], full[i])
+            for j, task in enumerate(tasks):
+                assert model.affinity_matrix([worker_id], [task])[0, 0] == full[i, j]
+        for j, task in enumerate(tasks):
+            column = model.affinity_matrix(worker_ids, [task])[:, 0]
+            np.testing.assert_array_equal(column, full[:, j])
 
     def test_topic_matrix_rows_match_worker_topics(self, topical_histories):
         model = AffinityModel(num_topics=4, seed=0).fit(topical_histories)

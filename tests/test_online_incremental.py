@@ -5,9 +5,14 @@ optimization: every prepared matrix and every resulting assignment has to
 match the from-scratch per-round path bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.assignment.base as assignment_base
 from repro.assignment import (
     IAAssigner,
     MTAAssigner,
@@ -147,6 +152,189 @@ class TestRoundStatePreparation:
             np.testing.assert_array_equal(
                 incremental.feasible.mask, fresh.feasible.mask
             )
+
+
+#: Payload variants an entity may appear with in a round: the original
+#: object, an equal but distinct copy, and two relocations.
+SAME, EQUAL_COPY, MOVED_EAST, MOVED_SOUTH = range(4)
+UNIVERSE = 8
+
+
+def variant(entity, kind):
+    if kind == SAME:
+        return entity
+    if kind == EQUAL_COPY:
+        return replace(entity)
+    dx, dy = (0.7, 0.0) if kind == MOVED_EAST else (0.0, -1.3)
+    moved = Point(entity.location.x + dx, entity.location.y + dy)
+    return replace(entity, location=moved)
+
+
+def picks():
+    """One round's members in matrix order: unique universe indices, each
+    with a payload variant, in drawn (so unsorted-id) order."""
+    return st.lists(
+        st.tuples(st.integers(0, UNIVERSE - 1), st.integers(SAME, MOVED_SOUTH)),
+        max_size=UNIVERSE, unique_by=lambda pick: pick[0],
+    )
+
+
+def assert_matches_fresh(prepared, fresh):
+    np.testing.assert_array_equal(
+        prepared.feasible.distance_km, fresh.feasible.distance_km, strict=True
+    )
+    np.testing.assert_array_equal(prepared.feasible.mask, fresh.feasible.mask, strict=True)
+    np.testing.assert_array_equal(
+        prepared.influence_matrix, fresh.influence_matrix, strict=True
+    )
+    assert prepared.entropy_by_task == fresh.entropy_by_task
+    assert list(prepared.entropy_by_task) == list(fresh.entropy_by_task)
+
+
+class TestCarriedRoundCache:
+    """The cache carries exactly the previous round: entities join, leave,
+    return after an absent round, return relocated, or return as an equal
+    but distinct object, and every round equals a fresh preparation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        fitted=st.just(False),
+        rounds=st.lists(
+            st.tuples(picks(), picks(), st.sampled_from([0.0, 1.0, 3.0])),
+            min_size=1, max_size=6,
+        ),
+    )
+    @example(
+        fitted=True,
+        rounds=[
+            ([(3, SAME), (0, SAME), (5, SAME)], [(4, SAME), (1, SAME), (6, SAME)], 0.0),
+            # 0 and task 6 leave, 7 and task 2 join.
+            ([(5, SAME), (7, SAME), (3, EQUAL_COPY)], [(2, SAME), (4, SAME), (1, SAME)], 1.0),
+            # 0 returns after an absent round, 5 relocates, task 6 returns
+            # as an equal copy, task 1 relocates.
+            ([(0, SAME), (5, MOVED_EAST), (7, SAME)], [(6, EQUAL_COPY), (1, MOVED_SOUTH)], 1.0),
+            ([(5, SAME), (3, SAME)], [(1, SAME), (4, SAME)], 3.0),
+            ([], [(4, SAME)], 3.0),
+            ([(3, SAME)], [], 3.0),
+        ],
+    )
+    def test_rounds_equal_fresh_preparation(
+        self, fitted, rounds, tiny_instance, fitted_models
+    ):
+        workers = tiny_instance.workers[:UNIVERSE]
+        tasks = tiny_instance.tasks[:UNIVERSE]
+        if fitted:
+            state = RoundState(fitted_models.influence_model())
+            reference = fitted_models.influence_model()
+        else:
+            state, reference = RoundState(None), None
+        for worker_picks, task_picks, hours in rounds:
+            instance = tiny_instance.with_workers(
+                [variant(workers[i], kind) for i, kind in worker_picks]
+            ).with_tasks([variant(tasks[i], kind) for i, kind in task_picks])
+            instance.current_time = tiny_instance.current_time + hours
+            prepared = state.prepare(instance)
+            assert_matches_fresh(prepared, PreparedInstance(instance, reference))
+
+    def test_only_new_rows_and_columns_are_computed(self, monkeypatch):
+        """Kept entities are found in unsorted rounds and reused: a round
+        computes new rows x all columns and kept rows x new columns only."""
+        shapes = []
+        computed = assignment_base.pairwise_euclidean_xy
+
+        def spy(xy_a, xy_b):
+            shapes.append((len(xy_a), len(xy_b)))
+            return computed(xy_a, xy_b)
+
+        monkeypatch.setattr(assignment_base, "pairwise_euclidean_xy", spy)
+        state = RoundState(influence=None)
+        tasks = [make_task(i, float(i), 0.0, phi=50.0) for i in (7, 2, 9, 4)]
+        workers = [make_worker(i, 0.3 * i, 0.5) for i in (5, 1, 8)]
+        state.prepare(make_instance(tasks, workers))
+        assert shapes == [(3, 4)]
+        shapes.clear()
+        # Reordered, one worker and one task left, one of each joined.
+        state.prepare(make_instance(
+            [tasks[3], make_task(3, 1.5, 0.0, phi=50.0), tasks[0], tasks[2]],
+            [workers[2], make_worker(6, 1.0, 1.0), workers[0]],
+            current_time=1.0,
+        ))
+        assert shapes == [(1, 4), (2, 1)]
+
+    def test_cache_shrinks_to_the_round(self):
+        """Nothing of an entity that left is carried: every cached array is
+        sized by the latest round's pool, not by every entity ever seen."""
+        state = RoundState(influence=None)
+        tasks = [make_task(i, float(i), 0.0, phi=50.0) for i in range(9)]
+        workers = [make_worker(i, 0.3 * i, 0.5) for i in range(7)]
+        state.prepare(make_instance(tasks, workers))
+        prepared = state.prepare(make_instance(tasks[2:6], workers[4:7], current_time=1.0))
+        assert prepared.feasible.distance_km.shape == (3, 4)
+        arrays = [
+            item
+            for value in vars(state).values()
+            for item in (value if isinstance(value, tuple) else (value,))
+            if isinstance(item, np.ndarray)
+        ]
+        assert arrays
+        for array in arrays:
+            assert max(array.shape) <= 4, array.shape
+
+    def test_returned_matrices_are_read_only(self, fitted_models, tiny_instance):
+        state = RoundState(fitted_models.influence_model())
+        round_instance = tiny_instance.with_workers(
+            list(tiny_instance.workers[:4])
+        ).with_tasks(list(tiny_instance.tasks[:3]))
+        prepared = state.prepare(round_instance)
+        with pytest.raises(ValueError, match="read-only"):
+            prepared.feasible.distance_km[0, 0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            prepared.influence_matrix[0, 0] = -1.0
+        # The next round still equals a fresh preparation.
+        again = state.prepare(round_instance)
+        assert_matches_fresh(
+            again, PreparedInstance(round_instance, fitted_models.influence_model())
+        )
+
+
+class TestDuplicateIds:
+    """Ids are unique within a round; a repeated id is rejected by name
+    rather than silently sharing one cached row or column."""
+
+    def test_duplicate_worker_on_fresh_state(self):
+        instance = make_instance(
+            [make_task(0, 0.0, 0.0)], [make_worker(5, 1.0, 0.0), make_worker(5, 8.0, 0.0)]
+        )
+        with pytest.raises(ValueError, match="worker id 5 "):
+            RoundState(influence=None).prepare(instance)
+
+    def test_duplicate_worker_after_earlier_round(self):
+        state = RoundState(influence=None)
+        task = make_task(0, 0.0, 0.0)
+        state.prepare(make_instance([task], [make_worker(5, 1.0, 0.0)]))
+        duplicated = make_instance(
+            [task], [make_worker(5, 1.0, 0.0), make_worker(5, 8.0, 0.0)]
+        )
+        with pytest.raises(ValueError, match="worker id 5 "):
+            state.prepare(duplicated)
+
+    def test_duplicate_task_on_fresh_state(self):
+        instance = make_instance(
+            [make_task(3, 0.0, 0.0), make_task(3, 4.0, 0.0)], [make_worker(1, 1.0, 0.0)]
+        )
+        with pytest.raises(ValueError, match="task id 3 "):
+            RoundState(influence=None).prepare(instance)
+
+    def test_duplicate_task_after_earlier_round(self):
+        state = RoundState(influence=None)
+        worker = make_worker(1, 1.0, 0.0)
+        state.prepare(make_instance([make_task(3, 0.0, 0.0)], [worker]))
+        duplicated = make_instance(
+            [make_task(2, 2.0, 0.0), make_task(3, 0.0, 0.0), make_task(3, 4.0, 0.0)],
+            [worker],
+        )
+        with pytest.raises(ValueError, match="task id 3 "):
+            state.prepare(duplicated)
 
 
 class TestOnlineEquivalence:
