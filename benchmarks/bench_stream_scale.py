@@ -5,11 +5,15 @@ memory is bounded by the *segment window*, not the *horizon length*: the
 30-day horizon should stream through the runtime holding roughly two
 days of events, while the materialized log holds all thirty.  This bench
 measures exactly that — each (horizon, mode) cell runs in its own child
-process (``ru_maxrss`` is a process-lifetime maximum, so in-process
+process (peak RSS is a process-lifetime maximum, so in-process
 before/after sampling cannot isolate a single replay) and reports
 
 * **events/sec** of the full replay;
-* **peak RSS** of the child process;
+* **peak RSS** of the child process: ``VmHWM`` from ``/proc/self/status``,
+  which starts afresh at ``execve``.  ``ru_maxrss`` does not: on Linux it
+  carries the forking parent's peak into the child, so under a large
+  pytest parent every child would report the parent's peak.  It is the
+  fallback only where ``/proc`` is missing;
 * a **digest** over the assignment pairs and per-round counts, so the
   parent can assert the segmented replay is bit-identical to the
   materialized one at every horizon.
@@ -144,7 +148,6 @@ def make_segmented(days, max_cached=2):
 def child_main(days, mode):
     """Run one (horizon, mode) replay and print a JSON measurement line."""
     import gc
-    import resource
 
     from repro.assignment import NearestNeighborAssigner
     from repro.stream import StreamRuntime, TimeWindowTrigger
@@ -180,9 +183,7 @@ def child_main(days, mode):
         json.dumps([pairs, counts], sort_keys=True).encode()
     ).hexdigest()
 
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # ru_maxrss is bytes there, KiB on Linux
-        rss_kb //= 1024
+    rss_kb = peak_rss_kb()
     print(json.dumps({
         "days": days,
         "mode": mode,
@@ -194,6 +195,23 @@ def child_main(days, mode):
         "rss_kb": int(rss_kb),
         "digest": digest,
     }))
+
+
+def peak_rss_kb():
+    """This process's own peak RSS in KiB (see the module docstring)."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    import resource
+
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # ru_maxrss is bytes there, KiB on Linux
+        rss_kb //= 1024
+    return rss_kb
 
 
 def measure(days, mode):

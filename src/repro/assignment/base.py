@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.data.instance import SCInstance
-from repro.entities import Assignment, Task, Worker
+from repro.entities import AssignedPair, Assignment, Task, Worker
 from repro.geo import pairwise_euclidean, pairwise_euclidean_xy
 from repro.influence import InfluenceModel, entropy_of_tasks
 
@@ -141,11 +141,11 @@ class PreparedInstance:
                 and (rows.size == 0 or bool(self.feasible.mask[rows, columns].all()))
             )
             if valid:
-                assignment = Assignment()
                 workers, tasks = self.instance.workers, self.instance.tasks
-                for row, column in zip(rows.tolist(), columns.tolist()):
-                    assignment.add(tasks[column], workers[row])
-                return assignment
+                return Assignment([
+                    AssignedPair(task=tasks[column], worker=workers[row])
+                    for row, column in zip(rows.tolist(), columns.tolist())
+                ])
             pairs = list(zip(rows.tolist(), columns.tolist()))
         assignment = Assignment()
         used_rows: set[int] = set()
@@ -174,15 +174,22 @@ class PreparedInstance:
 
 
 class _Members(NamedTuple):
-    """One round's workers or tasks in matrix order, their ids, and the
-    argsort of the ids, which the next round searches."""
+    """One round's workers or tasks in matrix order, their ids, the argsort
+    of the ids, which the next round searches, and each payload's
+    ``id()``, which tells a kept object from an equal copy."""
 
     entities: tuple
     ids: np.ndarray
     order: np.ndarray
+    objects: np.ndarray
 
 
-_NO_MEMBERS = _Members((), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+_NO_MEMBERS = _Members(
+    (),
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.uintp),
+)
 
 
 def _match(kind: str, entities: Sequence, previous: _Members) -> tuple[_Members, np.ndarray]:
@@ -190,28 +197,30 @@ def _match(kind: str, entities: Sequence, previous: _Members) -> tuple[_Members,
 
     Returns this round's members and, per entity, its position in the
     previous round, or -1 where it is new: first seen, absent last round,
-    or unequal to the cached payload.
+    or unequal to the cached payload.  The cached payloads are alive, so
+    an equal ``id()`` is the same object; ``==`` runs only where the ids
+    match but the objects differ.
     """
-    cached, cached_ids, cached_order = previous
-    ids = np.fromiter(
-        map(attrgetter(f"{kind}_id"), entities), dtype=np.int64, count=len(entities)
-    )
+    cached, cached_ids, cached_order, cached_objects = previous
+    count = len(entities)
+    ids = np.fromiter(map(attrgetter(f"{kind}_id"), entities), dtype=np.int64, count=count)
+    objects = np.fromiter(map(id, entities), dtype=np.uintp, count=count)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
     if repeated.size:
         raise ValueError(f"{kind} id {int(repeated[0])} appears more than once in one round")
-    source = np.full(ids.size, -1, dtype=np.int64)
+    source = np.full(count, -1, dtype=np.int64)
     if cached_ids.size:
         at = np.searchsorted(cached_ids, ids, sorter=cached_order)
         at = cached_order[at.clip(max=cached_ids.size - 1)]
-        hits = np.flatnonzero(cached_ids[at] == ids).tolist()
-        kept = [
-            p for p, c in zip(hits, at[hits].tolist())
-            if entities[p] is cached[c] or entities[p] == cached[c]
-        ]
-        source[kept] = at[kept]
-    return _Members(tuple(entities), ids, order), source
+        hit = cached_ids[at] == ids
+        same = hit & (cached_objects[at] == objects)
+        source[same] = at[same]
+        for p in np.flatnonzero(hit & ~same).tolist():
+            if entities[p] == cached[at[p]]:
+                source[p] = at[p]
+    return _Members(tuple(entities), ids, order, objects), source
 
 
 def _carried(previous: np.ndarray, source: np.ndarray, fresh: list) -> np.ndarray:
@@ -228,27 +237,31 @@ class RoundState:
     """Incremental round preparation for online (batched-arrival) loops.
 
     ``RoundState`` carries exactly the previous round: its workers and
-    tasks with their ids, the distance and influence matrices, and each
-    entity's location, radius/speed or deadline/entropy.  A round's entity
-    is *kept* when its id was in the previous round and its payload is (or
-    equals) the cached object; kept x kept cells are gathered.  Every other
-    entity is *new* — first seen, absent last round, or relocated or
-    republished under its id — and new rows x all columns, then kept rows
-    x new columns, are computed.  Entities absent from a round are
-    dropped, so the cache is as large as the live pool.
+    tasks with their ids, each entity's attribute row (location,
+    radius/speed or deadline/entropy) and, when an influence model is
+    set, the influence matrix.  A round's entity is *kept* when its id
+    was in the previous round and its payload is (or equals) the cached
+    object; its attribute row is gathered.  Every other entity is *new* —
+    first seen, absent last round, or relocated or republished under its
+    id — and its row is read off the payload.  Kept x kept influence
+    cells are gathered, and new rows x all columns, then kept rows x new
+    columns, are computed.  Distances and the feasibility mask are
+    recomputed in full each round from the attribute rows: one W x T
+    kernel costs less than gathering and filling the carried matrix.
+    Entities absent from a round are dropped, so the cache is as large as
+    the live pool.
 
     Cached values are time-independent and no cell depends on the shape of
     the rectangle it was computed in, so results are bit-identical to a
-    full per-round recomputation; the feasibility mask is re-derived each
-    round.  The returned ``distance_km`` and ``influence_matrix`` are
-    carried into the next round and are read-only.  Ids must be unique
-    within a round.
+    full per-round recomputation.  The returned ``distance_km`` and
+    ``influence_matrix`` are read-only; the influence matrix is carried
+    into the next round.  Ids must be unique within a round.
     """
 
     def __init__(self, influence: InfluenceModel | None = None) -> None:
         self.influence = influence
         self._rows = self._columns = _NO_MEMBERS
-        self._distance = self._influence = np.zeros((0, 0))
+        self._influence = np.zeros((0, 0))
         # Per worker (x, y, radius, speed); per task (x, y, deadline, entropy).
         self._row_attrs = self._column_attrs = np.zeros((0, 4))
 
@@ -258,7 +271,7 @@ class RoundState:
         workers, tasks = instance.workers, instance.tasks
         rows, row_source = _match("worker", workers, self._rows)
         columns, column_source = _match("task", tasks, self._columns)
-        kept_rows, new_rows = np.flatnonzero(row_source >= 0), np.flatnonzero(row_source < 0)
+        new_rows = np.flatnonzero(row_source < 0)
         new_columns = np.flatnonzero(column_source < 0)
         new_tasks = [tasks[p] for p in new_columns.tolist()]
         entropy = entropy_of_tasks(new_tasks, instance.venue_visits)
@@ -271,34 +284,21 @@ class RoundState:
             for t in new_tasks
         ])
 
-        shape = (len(workers), len(tasks))
-        distance, influence = np.empty(shape), np.zeros(shape)
-        if kept_rows.size and new_columns.size < shape[1]:
-            # One gather; the cells of new rows and columns read row or
-            # column -1 here and are overwritten just below.
-            carried = np.ix_(row_source, column_source)
-            distance = self._distance[carried]
-            if self.influence is not None:
-                influence = self._influence[carried]
-        for fill_rows, fill_columns in ((new_rows, np.arange(shape[1])), (kept_rows, new_columns)):
-            if fill_rows.size == 0 or fill_columns.size == 0:
-                continue
-            grid = np.ix_(fill_rows, fill_columns)
-            distance[grid] = pairwise_euclidean_xy(
-                row_attrs[fill_rows, :2], column_attrs[fill_columns, :2]
-            )
-            if self.influence is not None:
-                influence[grid] = self.influence.influence_matrix(
-                    [workers[p] for p in fill_rows.tolist()],
-                    [tasks[p] for p in fill_columns.tolist()],
-                )
-        distance.flags.writeable = influence.flags.writeable = False
+        distance = pairwise_euclidean_xy(row_attrs[:, :2], column_attrs[:, :2])
         mask = (distance <= row_attrs[:, 2:3]) & (
             instance.current_time + distance / row_attrs[:, 3:] <= column_attrs[:, 2]
         )
+        shape = distance.shape
+        if self.influence is None:
+            influence = np.zeros(shape)
+        else:
+            influence = self._fill_influence(
+                workers, tasks, row_source, column_source, new_rows, new_columns
+            )
+            self._influence = influence
+        distance.flags.writeable = influence.flags.writeable = False
 
         self._rows, self._columns = rows, columns
-        self._distance, self._influence = distance, influence
         self._row_attrs, self._column_attrs = row_attrs, column_attrs
         prepared = PreparedInstance(instance, self.influence)
         prepared.__dict__["feasible"] = FeasiblePairs(
@@ -309,6 +309,33 @@ class RoundState:
             zip(columns.ids.tolist(), column_attrs[:, 3].tolist())
         )
         return prepared
+
+    def _fill_influence(
+        self,
+        workers: Sequence[Worker],
+        tasks: Sequence[Task],
+        row_source: np.ndarray,
+        column_source: np.ndarray,
+        new_rows: np.ndarray,
+        new_columns: np.ndarray,
+    ) -> np.ndarray:
+        """This round's influence matrix: kept x kept cells gathered from
+        the previous round's, new rows x all columns and kept rows x new
+        columns computed."""
+        shape = (len(workers), len(tasks))
+        kept_rows = np.flatnonzero(row_source >= 0)
+        influence = np.zeros(shape)
+        if kept_rows.size and new_columns.size < shape[1]:
+            # One gather; the cells of new rows and columns read row or
+            # column -1 here and are overwritten just below.
+            influence = self._influence[np.ix_(row_source, column_source)]
+        for fill_rows, fill_columns in ((new_rows, np.arange(shape[1])), (kept_rows, new_columns)):
+            if fill_rows.size and fill_columns.size:
+                influence[np.ix_(fill_rows, fill_columns)] = self.influence.influence_matrix(
+                    [workers[p] for p in fill_rows.tolist()],
+                    [tasks[p] for p in fill_columns.tolist()],
+                )
+        return influence
 
 
 class Assigner(abc.ABC):

@@ -14,6 +14,17 @@ from repro.assignment.base import Assigner, PreparedInstance
 from repro.entities import Assignment
 
 
+def feasibility_csr(mask: np.ndarray) -> sparse.csr_matrix:
+    """The boolean ``mask`` as a CSR matrix of ones, read straight off it:
+    row counts give ``indptr`` and the row-major nonzero columns give
+    ``indices``, with no dense copy and no COO round trip."""
+    indptr = np.zeros(mask.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    indices = np.nonzero(mask)[1]
+    data = np.ones(indices.size, dtype=np.int8)
+    return sparse.csr_matrix((data, indices, indptr), shape=mask.shape)
+
+
 class MTAAssigner(Assigner):
     """Max-cardinality assignment, ignoring influence.
 
@@ -27,10 +38,9 @@ class MTAAssigner(Assigner):
     name = "MTA"
 
     def assign(self, prepared: PreparedInstance) -> Assignment:
-        feasible = prepared.feasible
-        if feasible.num_feasible == 0:
+        graph = feasibility_csr(prepared.feasible.mask)
+        if graph.indptr[-1] == 0:
             return Assignment()
-        graph = sparse.csr_matrix(feasible.mask.astype(np.int8))
         match = maximum_bipartite_matching(graph, perm_type="column")
         rows = np.flatnonzero(match >= 0)
         return prepared.build_assignment((rows, match[rows].astype(np.int64)))

@@ -5,8 +5,8 @@ size; the standard scaling remedy in spatial crowdsourcing (see the
 authors' follow-up, "Task allocation with geographic partition", CIKM'21)
 is to split the area into cells, solve each cell independently, and merge.
 
-This module holds the **partition/merge core** shared by the two spatial
-decompositions in the library:
+This module holds the **partition/merge core** of the library's spatial
+decompositions:
 
 * :func:`bucket_pools` groups workers and tasks by an arbitrary spatial
   key; :func:`merge_assignments` folds per-bucket assignments back together
@@ -19,9 +19,11 @@ decompositions in the library:
   quality/latency trade-off, quantified in
   ``benchmarks/bench_substrate_partition.py``.
 * The streaming :class:`~repro.stream.shards.ShardLayout` /
-  ``ShardExecutor`` pair applies the same core with a radius-aware
-  component key whose buckets never split a feasible pair, making the
-  merge exact rather than an approximation.
+  ``ShardExecutor`` pair routes whole pools with one array lookup
+  (``ShardLayout.shards_of``) over a radius-aware component map whose
+  shards never split a feasible pair, and merges through the same
+  :func:`merge_assignments`, making the merge exact rather than an
+  approximation.
 
 The wrapper preserves the per-instance invariants (each worker and task at
 most once) by construction, since the buckets partition both sets.
@@ -44,8 +46,8 @@ def bucket_pools(
 ) -> dict[Hashable, tuple[list[Worker], list[Task]]]:
     """Group workers and tasks by the spatial key of their location.
 
-    The shared partition step of every spatial decomposition: offline
-    cells, streaming shards.  Input order is preserved inside each bucket.
+    The partition step of the offline cells.  Input order is preserved
+    inside each bucket.
     """
     buckets: dict[Hashable, tuple[list[Worker], list[Task]]] = defaultdict(
         lambda: ([], [])
@@ -66,8 +68,7 @@ def merge_assignments(parts: Sequence[Assignment]) -> Assignment:
     """
     merged = Assignment()
     for part in parts:
-        for pair in part:
-            merged.add(pair.task, pair.worker)
+        merged.extend(part)
     return merged
 
 

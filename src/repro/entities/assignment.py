@@ -31,11 +31,15 @@ class Assignment:
     """
 
     def __init__(self, pairs: Iterable[AssignedPair] = ()) -> None:
-        self.pairs: list[AssignedPair] = []
-        self._workers: set[int] = set()
-        self._tasks: set[int] = set()
-        for pair in pairs:
-            self.add(pair.task, pair.worker)
+        self.pairs: list[AssignedPair] = list(pairs)
+        self._workers: set[int] = {pair.worker.worker_id for pair in self.pairs}
+        self._tasks: set[int] = {pair.task.task_id for pair in self.pairs}
+        if len(self._workers) < len(self.pairs) or len(self._tasks) < len(self.pairs):
+            # Replay pair by pair to name the first repeated id.
+            pairs, self.pairs = self.pairs, []
+            self._workers, self._tasks = set(), set()
+            for pair in pairs:
+                self.add(pair.task, pair.worker)
 
     def __len__(self) -> int:
         """``|A|`` — the total number of assigned tasks."""
@@ -56,6 +60,19 @@ class Assignment:
         self.pairs.append(AssignedPair(task=task, worker=worker))
         self._workers.add(worker.worker_id)
         self._tasks.add(task.task_id)
+
+    def extend(self, other: "Assignment") -> None:
+        """Append every pair of ``other``, enforcing the at-most-once
+        invariant across both; raises :class:`ValueError` without changing
+        this assignment when they share a worker or a task.  The checks
+        cost O(len(other)), however long this assignment has grown."""
+        if not self._workers.isdisjoint(other._workers):
+            raise ValueError(f"worker {min(self._workers & other._workers)} already assigned")
+        if not self._tasks.isdisjoint(other._tasks):
+            raise ValueError(f"task {min(self._tasks & other._tasks)} already assigned")
+        self.pairs.extend(other.pairs)
+        self._workers |= other._workers
+        self._tasks |= other._tasks
 
     @property
     def assigned_worker_ids(self) -> frozenset[int]:

@@ -25,7 +25,7 @@ tasks instead of rebuilding the prepared instance from scratch.
    :meth:`OnlineSimulator.run` bit-identically (a regression-tested golden
    cross-check), and adds count/hybrid/latency-adaptive micro-batching,
    churn/cancellation/relocation events, multi-day replay, latency-budget
-   admission control, a live spatial task index, wait/latency metrics, and
+   admission control, wait/latency metrics, and
    checkpoint/replay.  This module remains the compact reference
    implementation the streaming runtime is pinned against — the scenario
    differential matrix in ``tests/scenarios/`` cross-checks every

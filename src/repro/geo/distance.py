@@ -65,6 +65,15 @@ def pairwise_euclidean(points_a: Sequence[Point], points_b: Sequence[Point]) -> 
 
 
 def pairwise_euclidean_xy(xy_a: np.ndarray, xy_b: np.ndarray) -> np.ndarray:
-    """:func:`pairwise_euclidean` of two ``(n, 2)`` coordinate arrays."""
-    diff = xy_a[:, None, :] - xy_b[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    """:func:`pairwise_euclidean` of two ``(n, 2)`` coordinate arrays.
+
+    ``sqrt(dx*dx + dy*dy)`` over two broadcast 2-D differences, in place:
+    the same IEEE operations, in the same order, as summing the squared
+    ``(n, m, 2)`` difference over its last axis, without that temporary.
+    """
+    dx = xy_a[:, 0, None] - xy_b[None, :, 0]
+    dy = xy_a[:, 1, None] - xy_b[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)

@@ -93,8 +93,7 @@ class GridIndex(Generic[T]):
     def remove(self, point: Point, item: T) -> None:
         """Remove one ``(point, item)`` pair inserted earlier.
 
-        Live indexes (e.g. the streaming runtime's open-task index) retire
-        entries as tasks are assigned, expire, or are cancelled.  Raises
+        A live index retires entries as its items leave.  Raises
         :class:`KeyError` if the pair is not present, so callers notice
         bookkeeping bugs instead of silently diverging from their pools.
         """

@@ -76,6 +76,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.entities import AssignedPair, Assignment
 from repro.exceptions import DataError
 from repro.ioutil import atomic_write_bytes
 from repro.stream.shards import ShardLayout
@@ -671,14 +672,15 @@ def _restore_runtime(runtime: "StreamRuntime", path: str | Path) -> "StreamRunti
         state.tasks[task.task_id] = task
         state.published_at[task.task_id] = published
         state.task_events[task.task_id] = event_index
-        state.task_index.insert(task.location, task.task_id)
 
     result = runtime.result
-    for worker_index, task_index in zip(
-        payload["assigned_worker_events"].tolist(),
-        payload["assigned_task_events"].tolist(),
-    ):
-        result.assignment.add(log.task_at(task_index), log.worker_at(worker_index))
+    result.assignment.extend(Assignment([
+        AssignedPair(task=log.task_at(task_event), worker=log.worker_at(worker_event))
+        for worker_event, task_event in zip(
+            payload["assigned_worker_events"].tolist(),
+            payload["assigned_task_events"].tolist(),
+        )
+    ]))
     result.worker_events.extend(payload["assigned_worker_events"].tolist())
     result.task_events.extend(payload["assigned_task_events"].tolist())
     result.metrics.load_state_dict(

@@ -13,7 +13,7 @@ batched :class:`~repro.framework.online.OnlineSimulator`:
   ``OnlineSimulator.run`` — pinned by a golden cross-check test;
 * count/hybrid/adaptive triggers, churn/cancellation/relocation events,
   admission control (:class:`AdmissionController` — defer or shed low-value
-  task admissions when round latency blows a budget), live spatial queries,
+  task admissions when round latency blows a budget),
   wait/latency metrics and checkpoint/replay go beyond it.
 
 Every round runs through :class:`ShardExecutor`: it splits the round's
@@ -62,7 +62,7 @@ from typing import Any
 import numpy as np
 
 from repro.assignment.base import Assigner, PreparedInstance, RoundState
-from repro.assignment.partitioned import bucket_pools, merge_assignments
+from repro.assignment.partitioned import merge_assignments
 from repro.data.instance import SCInstance
 from repro.entities import Assignment
 from repro.influence import InfluenceModel
@@ -79,6 +79,24 @@ from repro.stream.sharedmem import (
     solve_shared_shard,
 )
 from repro.stream.state import StreamState
+
+
+def _locations(entities: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x, y)`` coordinate arrays of workers' or tasks' locations."""
+    count = len(entities)
+    return (
+        np.fromiter((entity.location.x for entity in entities), np.float64, count),
+        np.fromiter((entity.location.y for entity in entities), np.float64, count),
+    )
+
+
+def _split(entities: list, shards: np.ndarray, num_shards: int) -> list[list]:
+    """``entities`` grouped by shard, one list per shard id, each in input
+    order (one stable argsort)."""
+    order = np.argsort(shards, kind="stable")
+    bounds = np.searchsorted(shards[order], np.arange(num_shards + 1)).tolist()
+    ordered = [entities[position] for position in order.tolist()]
+    return [ordered[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 class StreamResult:
@@ -349,9 +367,10 @@ class RoundExecution:
 class ShardExecutor:
     """Runs one assignment round as independent per-shard solves.
 
-    Each round: bucket the live pools by
-    :meth:`~repro.stream.shards.ShardLayout.shard_of`, prepare every
-    non-empty shard through its own persistent
+    Each round: route each id-sorted live pool with one
+    :meth:`~repro.stream.shards.ShardLayout.shards_of` call and split it
+    by one stable argsort on shard (so every shard lists its entities by
+    ascending id), prepare every non-empty shard through its own persistent
     :class:`~repro.assignment.RoundState` (the previous round's matrices,
     per shard), solve the shards on the configured backend, and merge the
     per-shard assignments in ascending shard order.  An unsharded
@@ -574,19 +593,12 @@ class ShardExecutor:
         part = assigner.assign(prepared)
         return shard, part, prepare, Interval.since(prepare.end_ns)
 
-    def _component_entities(self, state: StreamState) -> dict[int, int]:
-        """Pooled entities per layout component (rebalancer attribution)."""
-        layout = self.layout
-        counts: dict[int, int] = {}
-        for worker in state.workers.values():
-            component = layout.component_of(worker.location)
-            if component >= 0:
-                counts[component] = counts.get(component, 0) + 1
-        for task in state.tasks.values():
-            component = layout.component_of(task.location)
-            if component >= 0:
-                counts[component] = counts.get(component, 0) + 1
-        return counts
+    def _component_entities(self, *locations: tuple[np.ndarray, np.ndarray]) -> dict[int, int]:
+        """Pooled entities per layout component (rebalancer attribution),
+        from the pools' ``(x, y)`` coordinate arrays."""
+        components = np.concatenate([self.layout.components_of(*xy) for xy in locations])
+        values, counts = np.unique(components[components >= 0], return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
 
     def run_round(
         self,
@@ -600,25 +612,29 @@ class ShardExecutor:
 
         Returns a :class:`RoundExecution` carrying the merged assignment and
         each pair's ``(task_wait, worker_wait)`` hours (publication/arrival
-        to ``now``), in pair order.  Pools are bucketed in ascending id
-        order, so each shard's instance is deterministic.
+        to ``now``), in pair order.  Each pool is routed in ascending id
+        order with one :meth:`~repro.stream.shards.ShardLayout.shards_of`
+        call and split by one stable argsort on shard, so each shard's
+        instance lists its entities by ascending id and is deterministic.
         ``pipeline=True`` overlaps the per-shard phases (see the class
         docstring); it is a no-op on the serial backend and for rounds with
         at most one populated shard.  ``round_index`` labels worker-crash
         errors.
         """
         layout = self.layout
-        buckets = bucket_pools(
-            (state.workers[key] for key in sorted(state.workers)),
-            (state.tasks[key] for key in sorted(state.tasks)),
-            layout.shard_of,
+        pooled_workers = [state.workers[key] for key in sorted(state.workers)]
+        pooled_tasks = [state.tasks[key] for key in sorted(state.tasks)]
+        worker_xy, task_xy = _locations(pooled_workers), _locations(pooled_tasks)
+        shard_workers = _split(
+            pooled_workers, layout.shards_of(*worker_xy), layout.num_shards
         )
+        shard_tasks = _split(pooled_tasks, layout.shards_of(*task_xy), layout.num_shards)
         component_entities = (
-            self._component_entities(state) if self.rebalancer is not None else {}
+            self._component_entities(worker_xy, task_xy)
+            if self.rebalancer is not None else {}
         )
         shard_instances: list[tuple[int, SCInstance]] = []
-        for shard in sorted(buckets):
-            workers, tasks = buckets[shard]
+        for shard, (workers, tasks) in enumerate(zip(shard_workers, shard_tasks)):
             if not workers or not tasks:
                 continue
             sub_instance = state.base_instance.with_workers(workers).with_tasks(tasks)
@@ -796,8 +812,6 @@ class StreamRuntime:
         Prepare rounds through the persistent per-shard round caches
         (True, default) or from scratch every round (False, the reference
         path).
-    index_cell_km:
-        Cell size of the live open-task grid index.
     rng:
         Optional generator for stochastic policies; its state is captured
         by checkpoints so replays stay deterministic.
@@ -846,7 +860,6 @@ class StreamRuntime:
         end_time: float | None = None,
         patience_hours: float | None = None,
         incremental: bool = True,
-        index_cell_km: float = 25.0,
         rng: np.random.Generator | None = None,
         shards: int | None = None,
         executor: str = "serial",
@@ -896,11 +909,7 @@ class StreamRuntime:
             layout, influence=influence_model, backend=executor, rng=rng,
             rebalancer=rebalance,
         )
-        self.state = StreamState(
-            base_instance,
-            incremental=incremental,
-            index_cell_km=index_cell_km,
-        )
+        self.state = StreamState(base_instance, incremental=incremental)
         self._result = StreamResult()
         self._cursor = 0
         self._clock = base_instance.current_time
@@ -1048,10 +1057,10 @@ class StreamRuntime:
             solve_seconds = execution.solve_seconds
             merge_seconds = execution.merge_seconds
             result = self._result
-            for pair, (task_wait, worker_wait), (worker_event, task_event) in zip(
-                assignment, execution.waits, execution.events
+            result.assignment.extend(assignment)
+            for (task_wait, worker_wait), (worker_event, task_event) in zip(
+                execution.waits, execution.events
             ):
-                result.assignment.add(pair.task, pair.worker)
                 result.worker_events.append(worker_event)
                 result.task_events.append(task_event)
                 result.metrics.on_assigned(task_wait, worker_wait)
@@ -1306,7 +1315,6 @@ class StreamRuntime:
         log: EventLog,
         patience_hours: float | None = None,
         incremental: bool = True,
-        index_cell_km: float = 25.0,
         rng: np.random.Generator | None = None,
         shards: int | None = None,
         executor: str = "serial",
@@ -1339,7 +1347,6 @@ class StreamRuntime:
             log,
             patience_hours=patience_hours,
             incremental=incremental,
-            index_cell_km=index_cell_km,
             rng=rng,
             shards=shards,
             executor=executor,

@@ -38,17 +38,26 @@ the worker radius — which is what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
 from repro.geo import Point, cell_gap_km, cell_key
+from repro.geo.grid import MAX_CELL_INDEX
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.stream.events import EventLog
 
 #: Fallback cell size when the log names no worker radius (no arrivals).
 DEFAULT_CELL_KM = 25.0
+
+
+def _pack_cells(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """The int64 cell packing of :meth:`EventLog.cell_keys` (whose offset
+    equals ``MAX_CELL_INDEX``), which :func:`unpack_cell` inverts; packed
+    keys sort like ``(kx, ky)``."""
+    return (kx + MAX_CELL_INDEX) * (2 * MAX_CELL_INDEX) + (ky + MAX_CELL_INDEX)
 
 
 def unpack_cell(packed: int) -> tuple[int, int]:
@@ -106,6 +115,10 @@ class ShardLayout:
         the component→shard packing may change over a run (see
         :meth:`repacked` and :class:`ShardRebalancer`); the component
         partition itself is immutable.
+
+    ``cells`` and ``components`` are read into a sorted lookup table the
+    first time a location is routed, so they must not change afterwards;
+    :meth:`repacked` returns a new layout instead.
     """
 
     cell_km: float
@@ -201,28 +214,86 @@ class ShardLayout:
 
         Every location reachable through the event log is in ``cells``;
         the hash fallback only exists so hand-mutated pools cannot crash
-        the executor, and is as deterministic as the map itself.
+        the executor, and is as deterministic as the map itself.  The
+        scalar statement of the rule :meth:`shards_of` applies to arrays.
         """
         shard = self.cells.get(key)
         if shard is not None:
             return shard
         return ((key[0] * 73856093) ^ (key[1] * 19349663)) % self.num_shards
 
+    @cached_property
+    def _cell_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(packed_keys, shards, components)`` of ``cells``, sorted by key;
+        component ``-1`` where a cell has none."""
+        keys = np.array(list(self.cells), dtype=np.int64).reshape(-1, 2)
+        packed = _pack_cells(keys[:, 0], keys[:, 1])
+        shards = np.fromiter(self.cells.values(), dtype=np.int64, count=len(keys))
+        components = np.fromiter(
+            (self.components.get(key, -1) for key in self.cells),
+            dtype=np.int64, count=len(keys),
+        )
+        order = np.argsort(packed)
+        return packed[order], shards[order], components[order]
+
+    def _locate(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(kx, ky, row)`` per point: its :func:`~repro.geo.cell_key`
+        indices and its row of :attr:`_cell_table` (``-1`` if unplanned).
+
+        Quantizes with the same IEEE operations as ``cell_key`` and raises
+        its :class:`~repro.exceptions.DataError` for the first point
+        outside ``|k| < MAX_CELL_INDEX``.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        fx = np.floor(x / self.cell_km)
+        fy = np.floor(y / self.cell_km)
+        inside = (np.abs(fx) < MAX_CELL_INDEX) & (np.abs(fy) < MAX_CELL_INDEX)
+        if not inside.all():
+            first = int(np.flatnonzero(~inside)[0])
+            cell_key(float(x[first]), float(y[first]), self.cell_km)  # raises
+        kx, ky = fx.astype(np.int64), fy.astype(np.int64)
+        keys = self._cell_table[0]
+        row = np.full(kx.shape, -1, dtype=np.int64)
+        if keys.size:
+            packed = _pack_cells(kx, ky)
+            at = np.searchsorted(keys, packed).clip(max=keys.size - 1)
+            found = keys[at] == packed
+            row[found] = at[found]
+        return kx, ky, row
+
+    def shards_of(self, x, y) -> np.ndarray:
+        """Shard of each planar point ``(x[i], y[i])``, as an int64 array.
+
+        :meth:`shard_of_cell` of each point's cell: a sorted-table lookup
+        for planned cells and the same hash for the rest.
+        """
+        kx, ky, row = self._locate(x, y)
+        shards = ((kx * 73856093) ^ (ky * 19349663)) % self.num_shards
+        planned = row >= 0
+        shards[planned] = self._cell_table[1][row[planned]]
+        return shards
+
     def shard_of(self, location: Point) -> int:
         """Shard owning a planar location."""
-        return self.shard_of_cell(cell_key(location.x, location.y, self.cell_km))
+        return int(self.shards_of([location.x], [location.y])[0])
 
     def component_count(self) -> int:
         """Distinct shards that actually own at least one cell."""
         return len(set(self.cells.values())) if self.cells else 1
 
-    def component_of_cell(self, key: tuple[int, int]) -> int:
-        """Component of a planning cell, ``-1`` for cells never planned."""
-        return self.components.get(key, -1)
+    def components_of(self, x, y) -> np.ndarray:
+        """Component of each planar point, ``-1`` where its cell was never
+        planned, as an int64 array."""
+        _, _, row = self._locate(x, y)
+        components = np.full(row.shape, -1, dtype=np.int64)
+        planned = row >= 0
+        components[planned] = self._cell_table[2][row[planned]]
+        return components
 
     def component_of(self, location: Point) -> int:
         """Component owning a planar location (``-1`` if unplanned)."""
-        return self.component_of_cell(cell_key(location.x, location.y, self.cell_km))
+        return int(self.components_of([location.x], [location.y])[0])
 
     def component_bins(self) -> dict[int, int]:
         """The current component→shard packing, derived from ``cells``."""

@@ -1,14 +1,12 @@
-"""Live runtime state: worker/task pools with a live spatial index.
+"""Live runtime state: the worker and task pools between rounds.
 
 :class:`StreamState` is the mutable heart of the streaming runtime.  It
-keeps the online worker pool and the open task pool, applies drained events
-to them, and maintains a :class:`~repro.geo.GridIndex` over the open tasks,
-updated on every publish/assign/expire/cancel, so "which tasks could this
-worker reach" is an output-sensitive lookup at any instant
-(:meth:`tasks_near`) instead of a pool scan.  Rounds are prepared and
-solved by :class:`~repro.stream.runtime.ShardExecutor`, which keeps the
-incremental :class:`~repro.assignment.RoundState` caches per shard; the
-state layer retires the matched pairs (:meth:`retire_pairs`).
+keeps the online worker pool and the open task pool and applies drained
+events to them.  Rounds are prepared and solved by
+:class:`~repro.stream.runtime.ShardExecutor`, which routes the pools to
+shards and keeps the incremental :class:`~repro.assignment.RoundState`
+caches per shard; the state layer retires the matched pairs
+(:meth:`retire_pairs`).
 
 Beside each pooled entity the state records the global index of the log
 row that set its current state, which is what checkpoints store (see
@@ -22,11 +20,8 @@ which is what makes the runtime's golden cross-check bit-identical.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.data.instance import SCInstance
 from repro.entities import Assignment, Task, Worker
-from repro.geo import GridIndex, Point
 from repro.stream.events import (
     KIND_ARRIVAL,
     KIND_CANCEL,
@@ -39,7 +34,7 @@ from repro.stream.events import (
 
 
 class StreamState:
-    """Mutable pools + incremental indexes between assignment rounds.
+    """Mutable pools between assignment rounds.
 
     Parameters
     ----------
@@ -51,17 +46,9 @@ class StreamState:
         :class:`~repro.assignment.RoundState` caches; False rebuilds each
         round from scratch (the regression reference, exactly as in the
         online simulator).
-    index_cell_km:
-        Cell size of the live task index; defaults to the paper's 25 km
-        reachable radius so a range query touches O(9) cells.
     """
 
-    def __init__(
-        self,
-        base_instance: SCInstance,
-        incremental: bool = True,
-        index_cell_km: float = 25.0,
-    ) -> None:
+    def __init__(self, base_instance: SCInstance, incremental: bool = True) -> None:
         self.base_instance = base_instance
         self.incremental = incremental
         self.workers: dict[int, Worker] = {}
@@ -72,8 +59,6 @@ class StreamState:
         #: current state (same keys as :attr:`workers` / :attr:`tasks`).
         self.worker_events: dict[int, int] = {}
         self.task_events: dict[int, int] = {}
-        self.task_index: GridIndex[int] = GridIndex(index_cell_km)
-        self._index_cell_km = index_cell_km
 
     # -------------------------------------------------------------- pools
     @property
@@ -86,9 +71,6 @@ class StreamState:
         """Tasks currently open."""
         return len(self.tasks)
 
-    def _index_remove(self, task: Task) -> None:
-        self.task_index.remove(task.location, task.task_id)
-
     def apply_kind(
         self,
         kind: int,
@@ -98,7 +80,7 @@ class StreamState:
         worker: Worker | None = None,
         task: Task | None = None,
     ) -> tuple[bool, bool]:
-        """Apply one kind-coded event to the pools and the live index.
+        """Apply one kind-coded event to the pools.
 
         ``event`` is the row's global log index, recorded for the entity
         whose state the row sets; ``worker``/``task`` is that row's payload.
@@ -112,17 +94,12 @@ class StreamState:
             self.arrived_at[entity_id] = time
             self.worker_events[entity_id] = event
         elif kind == KIND_PUBLISH:
-            previous = self.tasks.get(entity_id)
-            if previous is not None:
-                self._index_remove(previous)
             self.tasks[entity_id] = task
             self.published_at[entity_id] = time
             self.task_events[entity_id] = event
-            self.task_index.insert(task.location, entity_id)
         elif kind == KIND_CANCEL or kind == KIND_EXPIRY:
             pooled = self.tasks.pop(entity_id, None)
             if pooled is not None:
-                self._index_remove(pooled)
                 del self.published_at[entity_id]
                 del self.task_events[entity_id]
                 return True, False
@@ -134,9 +111,8 @@ class StreamState:
         elif kind == KIND_RELOCATE:
             # A live worker's location update: the pooled worker object is
             # replaced (arrival time unchanged — the wait keeps accruing).
-            # The task grid index holds tasks only, so nothing spatial moves
-            # here; RoundState recomputes the worker's row because the same
-            # id now carries a payload unequal to its cached Worker.
+            # RoundState recomputes the worker's row because the same id
+            # now carries a payload unequal to its cached Worker.
             if entity_id in self.workers:
                 self.workers[entity_id] = worker
                 self.worker_events[entity_id] = event
@@ -222,7 +198,6 @@ class StreamState:
         expired = [task for task in self.tasks.values() if task.expiry_time < now]
         for task in expired:
             del self.tasks[task.task_id]
-            self._index_remove(task)
             del self.published_at[task.task_id]
             del self.task_events[task.task_id]
         return expired
@@ -242,12 +217,6 @@ class StreamState:
             del self.worker_events[worker_id]
         return churned
 
-    # ------------------------------------------------------------- queries
-    def tasks_near(self, center: Point, radius_km: float) -> Iterator[Task]:
-        """Open tasks within ``radius_km`` of ``center`` (live index)."""
-        for _, task_id in self.task_index.query_radius(center, radius_km):
-            yield self.tasks[task_id]
-
     # -------------------------------------------------------------- rounds
     def retire_pairs(
         self, assignment: Assignment, now: float
@@ -258,7 +227,7 @@ class StreamState:
         (publication/arrival to ``now``) and ``events`` each pair's
         recorded ``(worker_event, task_event)`` log indices, both in pair
         order.  Every retirement path (assign, expire, cancel, churn)
-        clears the pools, the live index, the timestamp maps and the
+        clears the pools, the timestamp maps and the
         event-index maps in this layer, so they stay consistent.
         """
         waits: list[tuple[float, float]] = []
@@ -266,7 +235,7 @@ class StreamState:
         for pair in assignment:
             worker_id, task_id = pair.worker.worker_id, pair.task.task_id
             del self.workers[worker_id]
-            self._index_remove(self.tasks.pop(task_id))
+            del self.tasks[task_id]
             waits.append(
                 (
                     now - self.published_at.pop(task_id),

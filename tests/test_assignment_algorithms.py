@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from repro.assignment import (
     DIAAssigner,
@@ -13,6 +17,7 @@ from repro.assignment import (
     PreparedInstance,
     solve_lexicographic_mcmf,
 )
+from repro.assignment.mta import feasibility_csr
 from repro.assignment.solvers import build_figure4_network
 from repro.flow import Dinic
 from repro.framework.metrics import evaluate_assignment
@@ -157,6 +162,48 @@ class TestEngineConsistency:
         )
         cost_mcmf = sum(costs[row, column] for row, column in mcmf)
         assert cost_dense == pytest.approx(cost_mcmf, abs=1e-6)
+
+
+class TestFeasibilityCSR:
+    """MTA's graph, read straight off the mask, is scipy's CSR of it."""
+
+    @staticmethod
+    def assert_same_csr(mask):
+        got, want = feasibility_csr(mask), sparse.csr_matrix(mask)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.nnz == got.indptr[-1] == np.count_nonzero(mask)
+        assert got.has_sorted_indices
+        np.testing.assert_array_equal(got.toarray() != 0, mask)
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.zeros((4, 5), dtype=bool),
+            np.zeros((0, 3), dtype=bool),
+            np.zeros((3, 0), dtype=bool),
+            np.ones((3, 4), dtype=bool),
+            np.array([[0, 0, 0], [1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=bool),
+        ],
+        ids=["all-false", "no-rows", "no-columns", "all-true", "empty-rows"],
+    )
+    def test_edge_masks(self, mask):
+        self.assert_same_csr(mask)
+
+    @settings(max_examples=150)
+    @given(arrays(np.bool_, st.tuples(st.integers(0, 9), st.integers(0, 9))))
+    def test_random_masks(self, mask):
+        self.assert_same_csr(mask)
+
+    def test_all_false_mask_assigns_nothing(self, prepared):
+        blocked = PreparedInstance(prepared.instance, prepared.influence)
+        feasible = prepared.feasible
+        blocked.__dict__["feasible"] = type(feasible)(
+            feasible.workers, feasible.tasks, feasible.distance_km,
+            np.zeros_like(feasible.mask),
+        )
+        assert len(MTAAssigner().assign(blocked)) == 0
 
 
 class TestCostMatrices:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.entities import (
+    AssignedPair,
     Assignment,
     CheckIn,
     PerformedTask,
@@ -204,6 +205,42 @@ class TestAssignment:
         assignment.add(t, w1)
         with pytest.raises(ValueError, match="task 3"):
             assignment.add(t, w2)
+
+    def test_extend_appends_disjoint_pairs(self):
+        assignment = Assignment([AssignedPair(*self.make_pair(1, 1))])
+        other = Assignment([AssignedPair(*self.make_pair(2, 2)), AssignedPair(*self.make_pair(3, 3))])
+        assignment.extend(other)
+        assert [pair.task.task_id for pair in assignment] == [1, 2, 3]
+        assert assignment.assigned_worker_ids == {1, 2, 3}
+        assert assignment.assigned_task_ids == {1, 2, 3}
+        assignment.add(*self.make_pair(4, 4))
+        assert len(assignment) == 4
+
+    @pytest.mark.parametrize(
+        "other, message",
+        [((9, 5), "worker 5"), ((3, 9), "task 3"), ((3, 5), "worker 5")],
+    )
+    def test_extend_rejects_repeats_without_mutating(self, other, message):
+        assignment = Assignment(
+            [AssignedPair(*self.make_pair(3, 1)), AssignedPair(*self.make_pair(4, 5))]
+        )
+        incoming = Assignment(
+            [AssignedPair(*self.make_pair(8, 8)), AssignedPair(*self.make_pair(*other))]
+        )
+        before = list(assignment.pairs)
+        with pytest.raises(ValueError, match=message):
+            assignment.extend(incoming)
+        assert assignment.pairs == before
+        assert assignment.assigned_worker_ids == {1, 5}
+        assert assignment.assigned_task_ids == {3, 4}
+
+    def test_constructor_names_first_repeat(self):
+        pairs = [self.make_pair(1, 1), self.make_pair(2, 2), self.make_pair(3, 1)]
+        with pytest.raises(ValueError, match="worker 1 already assigned"):
+            Assignment([AssignedPair(task, worker) for task, worker in pairs])
+        pairs = [self.make_pair(1, 1), self.make_pair(1, 2), self.make_pair(3, 1)]
+        with pytest.raises(ValueError, match="task 1 already assigned"):
+            Assignment([AssignedPair(task, worker) for task, worker in pairs])
 
     def test_travel_costs(self):
         assignment = Assignment()

@@ -2,11 +2,35 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import Point, euclidean, haversine_km, pairwise_euclidean, travel_time_hours
+from repro.geo import (
+    Point,
+    euclidean,
+    haversine_km,
+    pairwise_euclidean,
+    pairwise_euclidean_xy,
+    travel_time_hours,
+)
 from repro.geo.distance import DEFAULT_SPEED_KMH
+
+
+def summed_squares_reference(xy_a, xy_b):
+    """The kernel's earlier form: the squared ``(n, m, 2)`` difference
+    summed over its last axis."""
+    diff = xy_a[:, None, :] - xy_b[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+#: Coordinates over every magnitude a float can take: negative, tiny
+#: (subnormal squares) and huge (overflowing squares).
+any_coordinate = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-170, 1e-160, 1.5e154, -1e155, 1e308]
+)
+coordinate_arrays = st.lists(
+    st.tuples(any_coordinate, any_coordinate), max_size=7
+).map(lambda rows: np.array(rows, dtype=np.float64).reshape(-1, 2))
 
 
 class TestEuclidean:
@@ -60,6 +84,16 @@ class TestPairwise:
         assert matrix[0, 1] == pytest.approx(2.0)
         assert matrix[0, 2] == pytest.approx(5.0)
         assert matrix[1, 0] == pytest.approx(1.0)
+
+    @settings(max_examples=300)
+    @given(coordinate_arrays, coordinate_arrays)
+    def test_bit_identical_to_summed_squares(self, xy_a, xy_b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pairwise_euclidean_xy(xy_a, xy_b)
+            want = summed_squares_reference(xy_a, xy_b)
+        assert got.shape == want.shape == (len(xy_a), len(xy_b))
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_empty_inputs(self):
         assert pairwise_euclidean([], [Point(0, 0)]).shape == (0, 1)

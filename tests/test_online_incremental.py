@@ -236,30 +236,41 @@ class TestCarriedRoundCache:
             prepared = state.prepare(instance)
             assert_matches_fresh(prepared, PreparedInstance(instance, reference))
 
-    def test_only_new_rows_and_columns_are_computed(self, monkeypatch):
+    def test_only_new_rows_and_columns_are_computed(self, monkeypatch, fitted_models):
         """Kept entities are found in unsorted rounds and reused: a round
-        computes new rows x all columns and kept rows x new columns only."""
-        shapes = []
-        computed = assignment_base.pairwise_euclidean_xy
+        computes influence for new rows x all columns and kept rows x new
+        columns only, and distances once, at the round's full shape."""
+        model = fitted_models.influence_model()
+        influence_shapes, distance_shapes = [], []
+        influence_matrix = model.influence_matrix
+        pairwise = assignment_base.pairwise_euclidean_xy
 
-        def spy(xy_a, xy_b):
-            shapes.append((len(xy_a), len(xy_b)))
-            return computed(xy_a, xy_b)
+        def influence_spy(workers, tasks):
+            influence_shapes.append((len(workers), len(tasks)))
+            return influence_matrix(workers, tasks)
 
-        monkeypatch.setattr(assignment_base, "pairwise_euclidean_xy", spy)
-        state = RoundState(influence=None)
+        def distance_spy(xy_a, xy_b):
+            distance_shapes.append((len(xy_a), len(xy_b)))
+            return pairwise(xy_a, xy_b)
+
+        monkeypatch.setattr(model, "influence_matrix", influence_spy)
+        monkeypatch.setattr(assignment_base, "pairwise_euclidean_xy", distance_spy)
+        state = RoundState(model)
         tasks = [make_task(i, float(i), 0.0, phi=50.0) for i in (7, 2, 9, 4)]
         workers = [make_worker(i, 0.3 * i, 0.5) for i in (5, 1, 8)]
         state.prepare(make_instance(tasks, workers))
-        assert shapes == [(3, 4)]
-        shapes.clear()
+        assert influence_shapes == [(3, 4)]
+        assert distance_shapes == [(3, 4)]
+        influence_shapes.clear()
+        distance_shapes.clear()
         # Reordered, one worker and one task left, one of each joined.
         state.prepare(make_instance(
             [tasks[3], make_task(3, 1.5, 0.0, phi=50.0), tasks[0], tasks[2]],
             [workers[2], make_worker(6, 1.0, 1.0), workers[0]],
             current_time=1.0,
         ))
-        assert shapes == [(1, 4), (2, 1)]
+        assert influence_shapes == [(1, 4), (2, 1)]
+        assert distance_shapes == [(3, 4)]
 
     def test_cache_shrinks_to_the_round(self):
         """Nothing of an entity that left is carried: every cached array is

@@ -374,19 +374,6 @@ class TestEdgeCases:
         assert summary.assigned == 1
         assert summary.rounds == len(result.rounds)
 
-    def test_live_task_index_tracks_pools(self):
-        tasks = [make_task(i, 2.0 * i, published=0.0, phi=3.0) for i in range(5)]
-        arrivals = [make_arrival(9, 0.0, 0.0, at=0.0, radius=3.0)]
-        runtime = StreamRuntime(
-            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
-            make_instance(tasks), log_from_arrivals(arrivals, tasks),
-            end_time=4.0,
-        )
-        runtime.run(max_rounds=1)
-        assert len(runtime.state.task_index) == runtime.state.num_open_tasks == 4
-        runtime.run()  # the t=4 round drains the t=3 expiries
-        assert len(runtime.state.task_index) == runtime.state.num_open_tasks == 0
-
 
 class TestAdmissionControllerValidation:
     def test_rejects_bad_parameters(self):

@@ -16,7 +16,8 @@ from repro.assignment import IAAssigner, MTAAssigner, NearestNeighborAssigner
 from repro.entities import Task, Worker
 from repro.exceptions import DataError
 from repro.framework import OnlineSimulator, WorkerArrival
-from repro.geo import Point
+from repro.geo import Point, cell_key
+from repro.geo.grid import MAX_CELL_INDEX
 from repro.stream import (
     HybridTrigger,
     ShardExecutor,
@@ -270,6 +271,91 @@ class TestShardedRoundDeterminism:
         assert plain.total_assigned > 0
         assert sorted_pairs(sharded) == sorted_pairs(plain)
         assert round_rows(sharded) == round_rows(plain)
+
+
+def routing_layouts():
+    """Small hand-built layouts: a few planned cells with their shards, some
+    with a component and some without, at a drawn cell size."""
+    cell = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    return st.builds(
+        lambda cell_km, num_shards, planned: ShardLayout(
+            cell_km=cell_km,
+            num_shards=num_shards,
+            max_radius_km=cell_km,
+            cells={key: shard % num_shards for key, (shard, _) in planned.items()},
+            components={
+                key: component
+                for key, (_, component) in planned.items() if component >= 0
+            },
+        ),
+        st.sampled_from([0.5, 1.0, 2.5, 3.0, 25.0]),
+        st.integers(1, 5),
+        st.dictionaries(cell, st.tuples(st.integers(0, 9), st.integers(-1, 4)), max_size=12),
+    )
+
+
+def routing_points(layout):
+    """Points in planned cells, on exact cell edges and corners, in unplanned
+    and negative cells, and far enough out to leave ``|k| < MAX_CELL_INDEX``."""
+    cell_km = layout.cell_km
+    on_edge = st.integers(-8, 8).map(lambda k: k * cell_km)
+    inside = st.tuples(
+        st.integers(-8, 8), st.floats(0.0, 1.0, exclude_max=True)
+    ).map(lambda kf: (kf[0] + kf[1]) * cell_km)
+    near = on_edge | inside | st.floats(-30.0, 30.0)
+    far = st.sampled_from([1e9, -1e9, 1e12, -3.4e7 * cell_km, 3.3e7 * cell_km]) | st.sampled_from(
+        [-1, 0, 1]
+    ).map(lambda step: (MAX_CELL_INDEX - 1 + step) * cell_km * (-1) ** step)
+    planned = (
+        st.sampled_from(sorted(layout.cells)).flatmap(
+            lambda key: st.tuples(
+                st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True)
+            ).map(lambda f: ((key[0] + f[0]) * cell_km, (key[1] + f[1]) * cell_km))
+        )
+        if layout.cells else st.nothing()
+    )
+    return st.lists(planned | st.tuples(near, near) | st.tuples(near | far, near | far), max_size=20)
+
+
+class TestArrayRouting:
+    """``shards_of``/``components_of`` are the per-point scalar rules
+    (``shard_of_cell(cell_key(...))``), applied to arrays."""
+
+    @settings(max_examples=300)
+    @given(st.data(), routing_layouts())
+    def test_matches_per_point_rule(self, data, layout):
+        points = data.draw(routing_points(layout))
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
+        try:
+            keys = [cell_key(x, y, layout.cell_km) for x, y in points]
+        except DataError:
+            with pytest.raises(DataError):
+                layout.shards_of(xs, ys)
+            with pytest.raises(DataError):
+                layout.components_of(xs, ys)
+            return
+        shards = layout.shards_of(xs, ys)
+        assert shards.dtype == np.int64
+        assert shards.tolist() == [layout.shard_of_cell(key) for key in keys]
+        assert all(0 <= shard < layout.num_shards for shard in shards.tolist())
+        components = layout.components_of(xs, ys)
+        assert components.tolist() == [layout.components.get(key, -1) for key in keys]
+        for (x, y), shard, component in zip(points, shards.tolist(), components.tolist()):
+            assert layout.shard_of(Point(x, y)) == shard
+            assert layout.component_of(Point(x, y)) == component
+
+    def test_out_of_range_raises_the_scalar_error(self):
+        layout = ShardLayout(cell_km=1.0, num_shards=2, max_radius_km=1.0, cells={(0, 0): 1})
+        with pytest.raises(DataError, match=r"coordinate \(0.5, 40000000.0\) quantizes to cell \(0, 40000000\)"):
+            layout.shards_of([0.5, 0.5], [0.5, 4e7])
+        for edge in (float(MAX_CELL_INDEX), -float(MAX_CELL_INDEX)):
+            with pytest.raises(DataError):
+                layout.shards_of([edge], [0.5])
+            with pytest.raises(DataError):
+                layout.components_of([0.5], [edge])
+        inside = float(MAX_CELL_INDEX - 1)
+        assert layout.shards_of([inside, -inside], [-inside, 0.5]).shape == (2,)
 
 
 class TestShardExecutor:

@@ -1,4 +1,4 @@
-"""Tests for repro.stream.state — live pools and the spatial task index."""
+"""Tests for repro.stream.state — the live worker and task pools."""
 
 import pytest
 
@@ -105,7 +105,6 @@ class TestEventApplication:
         assert state.num_open_tasks == 1
         assert state.arrived_at[3] == pytest.approx(1.0)
         assert state.published_at[7] == pytest.approx(2.0)
-        assert len(state.task_index) == 1
 
     def test_rearrival_replaces_worker(self, state):
         arrive(state, 1.0, make_worker(3, x=0.0))
@@ -118,9 +117,7 @@ class TestEventApplication:
         publish(state, 0.0, make_task(7, x=1.0))
         publish(state, 1.0, make_task(7, x=30.0))
         assert state.num_open_tasks == 1
-        assert len(state.task_index) == 1
-        near = list(state.tasks_near(Point(30.0, 0.0), 1.0))
-        assert [t.task_id for t in near] == [7]
+        assert state.tasks[7].location.x == pytest.approx(30.0)
 
     def test_cancel_and_expiry_remove_tasks(self, state):
         publish(state, 0.0, make_task(1))
@@ -128,7 +125,6 @@ class TestEventApplication:
         cancel(state, 1.0, 1)
         expire(state, 5.0, 2)
         assert state.num_open_tasks == 0
-        assert len(state.task_index) == 0
 
     def test_cancel_unknown_task_is_noop(self, state):
         cancel(state, 1.0, 99)
@@ -158,7 +154,6 @@ class TestSweeps:
         expired = state.expire_tasks(2.5)
         assert [t.task_id for t in expired] == [1]
         assert state.num_open_tasks == 1
-        assert len(state.task_index) == 1
 
     def test_churn_workers_strict_patience(self, state):
         arrive(state, 0.0, make_worker(1))
@@ -170,12 +165,6 @@ class TestSweeps:
 
 
 class TestQueriesAndRounds:
-    def test_tasks_near_uses_live_index(self, state):
-        publish(state, 0.0, make_task(1, x=1.0))
-        publish(state, 0.0, make_task(2, x=100.0))
-        near = sorted(t.task_id for t in state.tasks_near(Point(0.0, 0.0), 5.0))
-        assert near == [1]
-
     def test_round_instance_sorted_and_timed(self, state, executor):
         arrive(state, 0.0, make_worker(5))
         arrive(state, 0.0, make_worker(2))
@@ -198,7 +187,6 @@ class TestQueriesAndRounds:
         assert waits == [(pytest.approx(1.5), pytest.approx(2.0))]
         assert state.num_online_workers == 0
         assert state.num_open_tasks == 0
-        assert len(state.task_index) == 0
         assert state.arrived_at == {} and state.published_at == {}
 
     def test_timestamp_maps_track_pools_on_every_retirement(self, state):
