@@ -8,11 +8,12 @@ hybrid, latency-adaptive).  A cross-check against the batched
 at bench scale.
 
 Further column groups cover a clustered 8-shard world: **pipelined vs
-serial** (the overlapped per-shard prepare+solve path must beat the serial
-sharded path by >= 1.3x round p50 at the 100x rate), **rebalance on vs
-off** (the EWMA repacker must not regress round latency while producing
-identical output), and the **lexicographic round solve** (round-solve
-p50/p99 of the production solver).
+serial** (the overlapped per-shard prepare+solve path on the thread
+backend must beat the serial sharded path by >= 1.3x round p50 at the
+100x rate), **rebalance on vs off** (the EWMA repacker must not regress
+round latency while producing identical output), the **lexicographic
+round solve** (round-solve p50/p99 of the production solver) and
+**observability on vs off** (identical output, bounded overhead).
 
 ``REPRO_BENCH_SCALE`` scales the stream volumes like the other benches
 (default 0.15; CI smoke runs 0.05; 1.0 is the full 10-100x grid).
@@ -227,52 +228,6 @@ def test_pipelined_vs_serial_rounds(benchmark, rate_factor):
     if BENCH_SCALE >= 0.15 and rate_factor >= 100:
         assert speedup >= 1.3, (
             f"pipelined round latency regressed: {speedup:.2f}x < 1.3x"
-        )
-
-
-@pytest.mark.parametrize("rate_factor", [10, 100])
-def test_shared_process_vs_thread_rounds(benchmark, rate_factor):
-    """Fork-once shared-memory process workers vs the GIL-bound thread pool.
-
-    The process backend ships each round's shard rectangles and entity
-    rows through reusable shared scratch blocks, so
-    CPU-bound solves parallelise across cores instead of serialising on
-    the GIL.  Exactness against the thread backend is always asserted;
-    the p50 floor only arms on multi-core machines at full bench scale
-    (a single-core runner has no parallel speedup to measure).
-    """
-    base, log = make_clustered_stream(rate_factor)
-    threaded = run_sharded(
-        base, log, trigger=CountTrigger(PIPELINE_BATCH), executor="thread"
-    )
-    shared = benchmark.pedantic(
-        lambda: run_sharded(base, log, trigger=CountTrigger(PIPELINE_BATCH),
-                            executor="process"),
-        rounds=1, iterations=1,
-    )
-
-    assert sorted_pairs(shared) == sorted_pairs(threaded)
-    assert [r.assigned for r in shared.rounds] == [
-        r.assigned for r in threaded.rounds
-    ]
-
-    thread_summary = threaded.summary()
-    shared_summary = shared.summary()
-    speedup = (
-        thread_summary.round_latency_p50 / shared_summary.round_latency_p50
-        if shared_summary.round_latency_p50 > 0 else float("inf")
-    )
-    cores = os.cpu_count() or 1
-    print(
-        f"\n{rate_factor:>3}x rate, {CLUSTERS} shards, {cores} cores: "
-        f"{latency_columns('thread', thread_summary)}, "
-        f"{latency_columns('shared-process', shared_summary)} "
-        f"({speedup:.2f}x)"
-    )
-    if BENCH_SCALE >= 0.15 and rate_factor >= 100 and cores >= 2:
-        assert speedup >= 1.1, (
-            f"shared-memory process rounds failed to beat threads: "
-            f"{speedup:.2f}x < 1.1x"
         )
 
 

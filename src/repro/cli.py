@@ -567,6 +567,8 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
 
 # -------------------------------------------------------------------- parser
 def build_parser() -> argparse.ArgumentParser:
+    from repro.stream.runtime import EXECUTOR_BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Influence-aware task assignment (ICDE 2022) reproduction",
@@ -675,8 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--shards", type=int, default=None,
                         help="run rounds sharded by grid-cell components "
                              "(at most this many shards; exact decomposition)")
-    stream.add_argument("--executor",
-                        choices=("serial", "thread", "process"),
+    stream.add_argument("--executor", choices=EXECUTOR_BACKENDS,
                         default="serial",
                         help="shard backend (requires --shards)")
     stream.add_argument("--pipeline", action="store_true",

@@ -10,7 +10,7 @@ Four modules, one bundle:
   counters/gauges/histograms with a structural no-op default
   (:data:`NULL_REGISTRY`);
 * :mod:`repro.obs.trace` — :class:`Tracer`, Chrome trace-event / Perfetto
-  span recording with worker-process span shipping and a schema validator;
+  span recording on one monotonic clock, with a schema validator;
 * :mod:`repro.obs.prom` — Prometheus text exposition + the stdlib-HTTP
   ``/metrics`` endpoint (:class:`MetricsServer`).
 

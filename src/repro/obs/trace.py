@@ -11,13 +11,12 @@ JSON object format Perfetto / ``chrome://tracing`` open directly::
 
 Every timestamp comes from one clock, :func:`clock_ns`, which reads
 monotonic nanoseconds.  That clock never steps backwards, so no span has
-a negative duration, and on Linux it is ``CLOCK_MONOTONIC``, which every
-process on the machine reads alike: an :class:`Interval` measured in a
-forked pool worker lands on the parent's timeline unchanged.  Event
-timestamps are microseconds past the tracer's epoch, read from the same
-clock.  The stream runtime measures each phase once, as an
-:class:`Interval`, and derives its round records, these spans and its
-phase histograms from that one measurement.
+a negative duration, and every thread reads it alike: an
+:class:`Interval` measured on a pool thread lands on the caller's
+timeline unchanged.  Event timestamps are microseconds past the tracer's
+epoch, read from the same clock.  The stream runtime measures each phase
+once, as an :class:`Interval`, and derives its round records, these spans
+and its phase histograms from that one measurement.
 
 The off switch mirrors the registry's: :class:`NullTracer` hands out one
 shared no-op span, so un-instrumented code paths cost an ``enabled`` check
@@ -58,8 +57,7 @@ _PHASES = ("X", "i", "M")
 def clock_ns() -> int:
     """The one clock every measured phase and trace event reads.
 
-    ``time.monotonic_ns``: wall-clock steps (NTP, DST) cannot move it, and
-    forked pool workers read the same ``CLOCK_MONOTONIC`` as the parent.
+    ``time.monotonic_ns``: wall-clock steps (NTP, DST) cannot move it.
     """
     return time.monotonic_ns()
 
@@ -69,13 +67,12 @@ class Interval(NamedTuple):
 
     start_ns: int
     end_ns: int
-    pid: int
     tid: int
 
     @classmethod
     def since(cls, start_ns: int) -> "Interval":
         """The interval from ``start_ns`` to now, on the calling thread."""
-        return cls(start_ns, clock_ns(), os.getpid(), threading.get_ident())
+        return cls(start_ns, clock_ns(), threading.get_ident())
 
     @property
     def seconds(self) -> float:
@@ -163,8 +160,8 @@ class Tracer:
         """Record one finished span from explicit :func:`clock_ns` readings.
 
         ``pid``/``tid`` default to the calling process/thread; pass the
-        values shipped back from a pool worker to attribute its solve span
-        to the worker's own timeline row.
+        ``tid`` of the pool thread that ran a phase to put its span on that
+        thread's timeline row.
         """
         event = {
             "name": name,

@@ -17,7 +17,7 @@ day loop:
 * :mod:`repro.stream.runtime` — :class:`StreamRuntime`, the loop tying it
   together (bit-identical to the batched ``OnlineSimulator`` under
   equivalent boundaries), plus :class:`ShardExecutor`, the cell-sharded
-  round executor (serial / thread-pool / process-pool backends);
+  round executor (serial / thread-pool backends);
 * :mod:`repro.stream.shards` — :class:`ShardLayout`, the radius-aware
   cell partition that never splits a feasible (worker, task) pair;
 * :mod:`repro.stream.segments` — :class:`SegmentedEventLog`, the
@@ -28,10 +28,7 @@ day loop:
 * :mod:`repro.stream.checkpoint` — atomic, content-addressed chunked
   snapshots (v7 manifest + sha256 chunk store) with bit-identical resume
   (including shard layout, per-shard RNG state, wait-histogram state and
-  the segmented-log fingerprint chain in the manifest meta);
-* :mod:`repro.stream.sharedmem` — the process executor's shared-memory
-  transport (per-shard round rectangles and entity rows shipped through
-  reusable scratch buffers).
+  the segmented-log fingerprint chain in the manifest meta).
 """
 
 from repro.stream.checkpoint import (

@@ -51,18 +51,18 @@ class RoundRecord:
     * ``prepare_seconds`` is the sum of the round's ``shard.prepare``
       spans, each ending when the shard's prepare returns;
     * ``solve_seconds`` is the sum of its ``shard.solve`` spans, measured
-      by whichever thread or worker process ran the solve;
+      by whichever thread ran the solve;
     * ``merge_seconds`` is the ``round.merge`` span;
     * ``round_seconds`` runs from the end of the drain until the sharded
       round returns; it has no span of its own (``round`` also covers the
       drain and the bookkeeping).
 
-    The process backend's scratch publish and pool submit belong to no
-    phase.  Prepare and solve are *cumulative across shards* — under a
-    pipelined executor the shards' intervals overlap, so the phase sums
-    can exceed ``round_seconds`` (that gap is exactly the pipelining
-    win).  ``repacks`` counts shard-layout repacks applied at this round's
-    boundary (0 or 1 without custom rebalancers).
+    A pool submit belongs to no phase.  Prepare and solve are
+    *cumulative across shards* — under a pipelined executor the shards'
+    intervals overlap, so the phase sums can exceed ``round_seconds``
+    (that gap is exactly the pipelining win).  ``repacks`` counts
+    shard-layout repacks applied at this round's boundary (0 or 1 without
+    custom rebalancers).
     """
 
     index: int

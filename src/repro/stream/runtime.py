@@ -19,7 +19,7 @@ batched :class:`~repro.framework.online.OnlineSimulator`:
 Every round runs through :class:`ShardExecutor`: it splits the round's
 pools along a :class:`~repro.stream.shards.ShardLayout` (planned once per
 run, radius-aware, so no feasible pair is ever split), runs candidate
-generation + assignment per shard — serially or on a thread/process pool —
+generation + assignment per shard — serially or on a thread pool —
 and merges per-shard assignments in deterministic sorted-shard order
 through the same :func:`~repro.assignment.partitioned.merge_assignments`
 core the offline :class:`~repro.assignment.PartitionedAssigner` uses.
@@ -52,9 +52,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -73,11 +71,6 @@ from repro.stream.events import KIND_PUBLISH, EventLog
 from repro.stream.metrics import RoundRecord, StreamMetrics, StreamSummary
 from repro.stream.scheduler import Trigger
 from repro.stream.shards import DEFAULT_CELL_KM, ShardLayout, ShardRebalancer
-from repro.stream.sharedmem import (
-    ShardScratch,
-    fork_capable_context,
-    solve_shared_shard,
-)
 from repro.stream.state import StreamState
 
 
@@ -144,7 +137,7 @@ class StreamResult:
 _SHARD_RNG_ENTROPY = 0x5AD5
 
 #: Recognized :class:`ShardExecutor` backends.
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
+EXECUTOR_BACKENDS = ("serial", "thread")
 
 #: Recognized :class:`AdmissionController` policies.
 ADMISSION_POLICIES = ("defer", "shed")
@@ -377,19 +370,17 @@ class ShardExecutor:
     :class:`StreamRuntime` runs a one-shard serial executor, so this is
     the only round path.
 
-    In the default (non-pipelined) mode preparation happens in the calling
-    thread — prepared instances are fully materialized (feasibility,
-    influence, entropy) before dispatch, so workers only run the solver.
-    In **pipelined** mode (``run_round(..., pipeline=True)``) the phases
-    overlap: on the thread backend each shard's prepare+solve runs as one
-    unit on the pool (per-shard ``RoundState`` objects are disjoint and the
-    influence model's column caches are lock-protected, so concurrent
-    prepares are safe); on the process backend preparation stays in the
-    caller — the caches live in this process — but each shard is submitted
-    as soon as it is prepared, so earlier shards solve while later shards
-    prepare.  Results are always collected in ascending shard order and
-    every prepared instance is deterministic regardless of which thread
-    built it, so pipelined rounds are bit-identical to serial ones.
+    In the default (non-pipelined) mode every shard is prepared in the
+    calling thread — prepared instances are fully materialized
+    (feasibility, influence, entropy) before dispatch, so pool threads only
+    run the solver.  In **pipelined** mode (``run_round(..., pipeline=True)``
+    on the thread backend) each shard's prepare+solve runs as one unit on
+    the pool, so shard k+1 prepares while shard k solves (per-shard
+    ``RoundState`` objects are disjoint and the influence model's column
+    caches are lock-protected, so concurrent prepares are safe).  Results
+    are always collected in ascending shard order and every prepared
+    instance is deterministic regardless of which thread built it, so
+    pipelined rounds are bit-identical to serial ones.
 
     Backends
     --------
@@ -399,18 +390,9 @@ class ShardExecutor:
         entities beat one solve of n for any super-linear solver.
     ``thread``
         A :class:`~concurrent.futures.ThreadPoolExecutor`; effective for
-        numpy-heavy solvers that release the GIL.
-    ``process``
-        A fork-once :class:`~concurrent.futures.ProcessPoolExecutor` over
-        shared memory: each round copies the prepared rectangles and the
-        pooled entities' attribute rows into a reusable per-shard
-        :class:`~repro.stream.sharedmem.ShardScratch` block, submits only a
-        small header dict, and workers return plain index pairs — nothing
-        but the assigner itself is pickled per round, which is what lets
-        CPU-bound solves beat the thread backend.  A crashed worker
-        surfaces as a :class:`RuntimeError` naming the shard and round (not
-        a bare ``BrokenProcessPool``), and :meth:`close` stays safe
-        afterwards.
+        numpy-heavy solvers that release the GIL.  An exception raised by
+        a shard's prepare or solve on a pool thread propagates unchanged
+        out of :meth:`run_round`.
 
     A per-shard :class:`numpy.random.Generator` stream is maintained (and
     checkpointed for sharded runs): :meth:`rng_for` is the seed source for
@@ -441,8 +423,8 @@ class ShardExecutor:
         self.influence = influence
         self.backend = backend
         self.rebalancer = rebalancer
-        # Cap the default at the core count: pools wider than the machine
-        # only add fork/pickle overhead (notably on the process backend).
+        # Cap the default at the core count: threads beyond it only queue
+        # on the GIL and add handoffs.
         self.max_workers = max_workers or min(
             layout.num_shards, os.cpu_count() or 1
         )
@@ -459,9 +441,7 @@ class ShardExecutor:
                 )
                 for shard in range(layout.num_shards)
             }
-        self._pool: _FuturesExecutor | None = None
-        self._broken = False
-        self._scratch: dict[int, ShardScratch] = {}
+        self._pool: ThreadPoolExecutor | None = None
 
     def rng_for(self, shard: int) -> np.random.Generator:
         """The checkpointed random stream owned by ``shard``."""
@@ -483,97 +463,10 @@ class ShardExecutor:
         prepared.entropy_by_task
         return prepared
 
-    def _pool_executor(self) -> _FuturesExecutor:
+    def _pool_executor(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.backend == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            else:
-                # Fork-once: the workers inherit the loaded modules, and
-                # every round reaches them through scratch-block headers.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=fork_capable_context(),
-                )
+            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return self._pool
-
-    def _shard_result(self, future, shard: int, round_index: int | None):
-        """Await one shard's future, translating pool breakage.
-
-        A crashed worker (OOM-killed, segfaulted C extension, ``os._exit``)
-        surfaces from :mod:`concurrent.futures` as a contextless
-        ``BrokenProcessPool``; name the shard and round instead, and mark
-        the pool broken so :meth:`close` never waits on it.
-        """
-        try:
-            return future.result()
-        except BrokenProcessPool as error:
-            self._broken = True
-            where = (
-                f"round {round_index}" if round_index is not None
-                else "the current round"
-            )
-            raise RuntimeError(
-                f"process-backend worker crashed while solving shard {shard} "
-                f"in {where}; the worker pool is broken — close() the "
-                "runtime and resume from its last checkpoint"
-            ) from error
-
-    def _publish_shard(
-        self, shard: int, prepared: PreparedInstance, now: float
-    ) -> dict:
-        """Copy one prepared shard into its scratch block; returns the header.
-
-        The block carries the round rectangles plus the pooled entities'
-        attribute rows and ids in shard-row order, so a worker rebuilds
-        the shard from the block alone — O(workers + tasks) per round
-        beside the O(workers x tasks) rectangles already copied.
-        """
-        feasible = prepared.feasible
-        workers, tasks = feasible.workers, feasible.tasks
-        scratch = self._scratch.get(shard)
-        if scratch is None:
-            scratch = self._scratch[shard] = ShardScratch()
-        return scratch.publish(
-            shard=shard,
-            now=now,
-            distance=feasible.distance_km,
-            mask=feasible.mask,
-            influence=prepared.influence_matrix,
-            entropy=np.fromiter(
-                (prepared.entropy_by_task[task.task_id] for task in tasks),
-                dtype=np.float64, count=len(tasks),
-            ),
-            worker_attrs=np.array(
-                [
-                    (w.location.x, w.location.y, w.reachable_km, w.speed_kmh)
-                    for w in workers
-                ],
-                dtype=np.float64,
-            ).reshape(len(workers), 4),
-            worker_ids=np.fromiter(
-                (w.worker_id for w in workers), dtype=np.int64, count=len(workers)
-            ),
-            task_attrs=np.array(
-                [
-                    (t.location.x, t.location.y, t.publication_time, t.valid_hours)
-                    for t in tasks
-                ],
-                dtype=np.float64,
-            ).reshape(len(tasks), 4),
-            task_ids=np.fromiter(
-                (t.task_id for t in tasks), dtype=np.int64, count=len(tasks)
-            ),
-        )
-
-    def _submit(
-        self, assigner: Assigner, shard: int, prepared: PreparedInstance, now: float
-    ):
-        """Dispatch one prepared shard's solve to the worker pool."""
-        pool = self._pool_executor()
-        if self.backend == "process":
-            header = self._publish_shard(shard, prepared, now)
-            return pool.submit(solve_shared_shard, assigner, header)
-        return pool.submit(_solve_shard, assigner, shard, prepared)
 
     def _prepare_and_solve(
         self,
@@ -606,7 +499,6 @@ class ShardExecutor:
         assigner: Assigner,
         now: float,
         pipeline: bool = False,
-        round_index: int | None = None,
     ) -> RoundExecution:
         """Solve one round shard-by-shard and retire the matched pairs.
 
@@ -618,8 +510,7 @@ class ShardExecutor:
         instance lists its entities by ascending id and is deterministic.
         ``pipeline=True`` overlaps the per-shard phases (see the class
         docstring); it is a no-op on the serial backend and for rounds with
-        at most one populated shard.  ``round_index`` labels worker-crash
-        errors.
+        at most one populated shard.
         """
         layout = self.layout
         pooled_workers = [state.workers[key] for key in sorted(state.workers)]
@@ -649,8 +540,8 @@ class ShardExecutor:
             parts.append(part)
             solve[shard] = solved
 
-        pooled = self.backend != "serial" and len(shard_instances) > 1
-        if pooled and pipeline and self.backend == "thread":
+        pooled = self.backend == "thread" and len(shard_instances) > 1
+        if pooled and pipeline:
             # Whole prepare+solve units on the pool: shard k+1 prepares
             # while shard k solves, and collection in ascending shard
             # order merges finished shards while later ones still run.
@@ -661,47 +552,29 @@ class ShardExecutor:
                 )
                 for shard, sub in shard_instances
             ]
-            for (shard, _), future in zip(shard_instances, futures):
-                shard, part, prepare[shard], solved = self._shard_result(
-                    future, shard, round_index
-                )
+            for future in futures:
+                shard, part, prepare[shard], solved = future.result()
                 collect(shard, part, solved)
         else:
-            # Prepare in the calling thread (the influence caches live
-            # here).  A pipelined process round submits each shard the
-            # moment it is prepared, so earlier shards solve while later
-            # shards prepare; otherwise every shard prepares first.  The
-            # scratch publish and submit belong to no phase.
-            work: list[tuple[int, PreparedInstance, Any]] = []
+            # Prepare every shard in the calling thread, then solve them
+            # serially or on the pool.
+            work: list[tuple[int, PreparedInstance]] = []
             for shard, sub_instance in shard_instances:
                 start_ns = clock_ns()
                 prepared = self._prepare_shard(shard, state, sub_instance)
                 prepare[shard] = Interval.since(start_ns)
-                future = (
-                    self._submit(assigner, shard, prepared, now)
-                    if pooled and pipeline else None
-                )
-                work.append((shard, prepared, future))
-            if not pooled:
-                for shard, prepared, _ in work:
-                    collect(*_solve_shard(assigner, shard, prepared))
-            else:
+                work.append((shard, prepared))
+            if pooled:
+                pool = self._pool_executor()
                 futures = [
-                    future if future is not None
-                    else self._submit(assigner, shard, prepared, now)
-                    for shard, prepared, future in work
+                    pool.submit(_solve_shard, assigner, shard, prepared)
+                    for shard, prepared in work
                 ]
-                for (shard, prepared, _), future in zip(work, futures):
-                    _, part, solved = self._shard_result(
-                        future, shard, round_index
-                    )
-                    if self.backend == "process":
-                        # Workers return (row, column) index arrays;
-                        # materialize them against the caller's
-                        # full-fidelity prepared instance (which
-                        # re-validates feasibility and one-to-one matching).
-                        part = prepared.build_assignment(part)
-                    collect(shard, part, solved)
+                for future in futures:
+                    collect(*future.result())
+            else:
+                for shard, prepared in work:
+                    collect(*_solve_shard(assigner, shard, prepared))
 
         start_ns = clock_ns()
         merged = merge_assignments(parts)
@@ -737,26 +610,14 @@ class ShardExecutor:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the pool and release shared memory (idempotent).
+        """Shut down the thread pool, waiting for its threads (idempotent).
 
-        Safe after a worker crash: a broken process pool is shut down
-        without waiting (``shutdown(wait=True)`` can hang forever on
-        workers that will never answer), pending futures are cancelled,
-        and the scratch blocks are always unlinked.  The executor stays
-        reusable — the next round recreates everything.
+        The executor stays reusable — the next pooled round recreates the
+        pool.
         """
         pool, self._pool = self._pool, None
-        broken, self._broken = self._broken, False
-        try:
-            if pool is not None:
-                if broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                else:
-                    pool.shutdown(wait=True)
-        finally:
-            for scratch in self._scratch.values():
-                scratch.close()
-            self._scratch.clear()
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     # ----------------------------------------------------------- checkpoints
     def state_dict(self) -> dict[str, Any]:
@@ -822,8 +683,8 @@ class StreamRuntime:
         round as one shard on the serial backend.  Either way rounds run
         through a :class:`ShardExecutor`.
     executor:
-        Shard backend: ``"serial"`` (default), ``"thread"`` or
-        ``"process"``; ignored without ``shards``.
+        Shard backend: ``"serial"`` (default) or ``"thread"``; ignored
+        without ``shards``.
     shard_cell_km:
         Planning cell size for the shard layout (default: the log's
         largest worker radius).
@@ -1049,7 +910,6 @@ class StreamRuntime:
         if pool_workers and pool_tasks:
             execution = self.shard_executor.run_round(
                 state, self.assigner, fire_time, pipeline=self.pipeline,
-                round_index=round_index,
             )
             elapsed = Interval.since(drain.end_ns).seconds
             assignment = execution.assignment
@@ -1125,7 +985,7 @@ class StreamRuntime:
         def emit(name: str, cat: str, interval: Interval, args: dict) -> None:
             tracer.complete(
                 name, interval.start_ns, interval.end_ns, cat=cat,
-                pid=interval.pid, tid=interval.tid, args=args,
+                tid=interval.tid, args=args,
             )
 
         index = record.index
@@ -1278,11 +1138,9 @@ class StreamRuntime:
         return self._result
 
     def close(self) -> None:
-        """Release executor resources (worker pools, shared memory); the
-        runtime stays resumable — a later ``run`` simply recreates them.
-        Idempotent, including after a worker crash broke the process pool:
-        closing twice (or a runtime that never ran) is a no-op and never
-        hangs."""
+        """Release the executor's worker threads; the runtime stays
+        resumable — a later ``run`` simply recreates them.  Idempotent:
+        closing twice (or a runtime that never ran) is a no-op."""
         self.shard_executor.close()
 
     def __enter__(self) -> "StreamRuntime":

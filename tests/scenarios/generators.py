@@ -68,8 +68,7 @@ class DistanceLexAssigner(LexicographicCostAssigner):
     from the synthetic generators are distinct almost surely, so this
     assigner has a unique optimum per round — the right probe for sharded-
     vs-unsharded differentials that assert pair-level (not just
-    objective-level) bit-identity across the scenario matrix.  Module-level
-    so the process backend can pickle it.
+    objective-level) bit-identity across the scenario matrix.
     """
 
     name = "DistLex"

@@ -191,7 +191,7 @@ class TestShardedUnsharded:
             assert pairs(sharded) == pairs(plain), name
             assert round_rows(sharded) == round_rows(plain), name
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_executor_backends(self, backend):
         scenario = SCENARIOS["mass_relocation"]()
         plain = run_stream(scenario, NearestNeighborAssigner())
@@ -264,7 +264,7 @@ class TestPipelinedSerial:
             assert pairs(pipelined) == pairs(serial), name
             assert round_rows(pipelined) == round_rows(serial), name
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_executor_backends_pipelined(self, backend):
         scenario = SCENARIOS["mass_relocation"]()
         plain = run_stream(scenario, NearestNeighborAssigner())
@@ -315,7 +315,7 @@ class TestObservabilityDifferential:
         assert "repro_stream_rounds_total" in names
         assert any(event["name"] == "round" for event in obs.tracer.events())
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_executor_backends_sharded(self, backend):
         scenario = SCENARIOS["mass_relocation"]()
         plain = run_stream(
@@ -382,7 +382,7 @@ class TestDistanceLexDifferential:
         assert round_rows(sharded) == round_rows(plain)
         assert wait_profile(sharded) == wait_profile(plain)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("pipeline", [False, True])
     def test_sharded_backends_through_relocation_waves(self, backend, pipeline):
         """mass_relocation moves entities across shards on every backend."""
@@ -452,7 +452,7 @@ class TestSegmentedMaterialized:
             assert pairs(streamed) == pairs(plain), name
             assert round_rows(streamed) == round_rows(plain), name
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("pipeline", [False, True])
     def test_executor_backends(self, backend, pipeline):
         scenario = SCENARIOS["mass_relocation"]()
@@ -828,7 +828,7 @@ class TestDeferredExpiryInBacklog:
             scenario, NearestNeighborAssigner(), admission=self._controller()
         )
         assert reference.metrics.total_deferred > 0
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             sharded = run_stream(
                 scenario, NearestNeighborAssigner(),
                 admission=self._controller(), shards=2, executor=backend,
@@ -925,7 +925,7 @@ class TestRecordedEventIndices:
             )
         )
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_sharded(self, backend):
         scenario = SCENARIOS["mass_relocation"]()
         run_checking_indices(

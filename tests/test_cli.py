@@ -23,6 +23,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["info", "--world", "gowalla"])
 
+    def test_executor_choices_are_the_runtime_backends(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["stream", "--shards", "2", "--executor", "process"]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'process'" in err
+        assert "'serial', 'thread'" in err
+
     def test_defaults(self):
         args = build_parser().parse_args(["info"])
         assert args.world == "bk"

@@ -1,5 +1,7 @@
 """Tests for repro.stream.runtime — golden cross-checks and edge cases."""
 
+import threading
+
 import pytest
 
 from repro import DITAPipeline
@@ -475,7 +477,7 @@ class TestPipelinedRuntime:
                 base, log, pipeline=True,
             )
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_pipelined_matches_serial(self, backend):
         base, log = clustered()
         plain = StreamRuntime(
@@ -563,57 +565,47 @@ class TestPipelinedRuntime:
             assert isinstance(runtime, StreamRuntime)
 
 
-class CrashingAssigner(NearestNeighborAssigner):
-    """Kills the hosting *pool worker* mid-solve — an OOM/segfault stand-in.
+class PoolThreadFailure(Exception):
+    """Raised by :class:`FailingOffMainThread` on a pool thread."""
 
-    Module-level so the process backend can pickle it to pool workers;
-    ``os._exit`` skips every handler, exactly like the kernel's OOM killer.
-    Single-shard rounds solve in the calling process (where this behaves
-    like its parent class), so only cross-process solves die.
+
+class FailingOffMainThread(NearestNeighborAssigner):
+    """Raises whenever it solves off the main thread — on a pool thread.
+
+    Single-shard rounds solve in the calling thread, where this behaves
+    like its parent class, so only pooled solves fail.
     """
 
-    def __init__(self):
-        import os
-
-        super().__init__()
-        self._parent_pid = os.getpid()
+    message = "shard solve failed off the main thread"
 
     def assign(self, prepared):
-        import os
-
-        if os.getpid() == self._parent_pid:
+        if threading.current_thread() is threading.main_thread():
             return super().assign(prepared)
-        os._exit(1)
+        raise PoolThreadFailure(self.message)
 
 
-class TestBrokenProcessPool:
-    def _crashing_runtime(self):
+def pool_threads() -> set[threading.Thread]:
+    """Live ``ThreadPoolExecutor`` worker threads (named by its default
+    prefix)."""
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("ThreadPoolExecutor")
+    }
+
+
+class TestThreadPoolFailure:
+    def test_pool_thread_exception_surfaces_and_close_joins_the_pool(self):
+        before = pool_threads()
         base, log = clustered()
-        return StreamRuntime(
-            CrashingAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            shards=4, executor="process",
+        runtime = StreamRuntime(
+            FailingOffMainThread(), None, HybridTrigger(32, 1.0), base, log,
+            shards=4, executor="thread", pipeline=True,
         )
-
-    def test_worker_crash_names_shard_and_round(self):
-        with self._crashing_runtime() as runtime:
-            with pytest.raises(RuntimeError, match=r"shard \d+ in round \d+"):
-                runtime.run()
-
-    def test_crash_message_points_at_recovery(self):
-        with self._crashing_runtime() as runtime:
-            with pytest.raises(RuntimeError, match="resume from its last checkpoint"):
-                runtime.run()
-
-    def test_close_after_crash_is_idempotent_and_fast(self):
-        import time as _time
-
-        runtime = self._crashing_runtime()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(PoolThreadFailure) as failure:
             runtime.run()
-        started = _time.perf_counter()
+        assert type(failure.value) is PoolThreadFailure
+        assert str(failure.value) == FailingOffMainThread.message
+        assert pool_threads() - before, "the failing solve ran on the pool"
         runtime.close()
-        runtime.close()  # second close after a broken pool is still a no-op
-        assert _time.perf_counter() - started < 30.0  # no hang on dead workers
-        # The executor's scratch blocks are gone too.
-        executor = runtime.shard_executor
-        assert executor._scratch == {}
+        runtime.close()  # a second close after the failure is a no-op
+        assert pool_threads() - before == set()

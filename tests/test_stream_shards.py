@@ -202,20 +202,6 @@ class TestShardedRoundDeterminism:
         assert sorted_pairs(sharded) == sorted_pairs(plain)
         assert round_rows(sharded) == round_rows(plain)
 
-    def test_process_backend(self):
-        base, log = clustered_world(num_workers=50, num_tasks=50)
-        plain = StreamRuntime(
-            NearestNeighborAssigner(), None, TimeWindowTrigger(2.0), base, log,
-        ).run()
-        runtime = StreamRuntime(
-            NearestNeighborAssigner(), None, TimeWindowTrigger(2.0), base, log,
-            shards=4, executor="process",
-        )
-        sharded = runtime.run()
-        runtime.close()
-        assert sorted_pairs(sharded) == sorted_pairs(plain)
-        assert round_rows(sharded) == round_rows(plain)
-
     def test_non_incremental_matches_too(self):
         base, log = clustered_world()
         plain = StreamRuntime(
@@ -364,6 +350,8 @@ class TestShardExecutor:
         layout = ShardLayout.plan(log, 2)
         with pytest.raises(ValueError):
             ShardExecutor(layout, backend="gpu")
+        with pytest.raises(ValueError, match="choose from serial, thread"):
+            ShardExecutor(layout, backend="process")
         with pytest.raises(ValueError):
             ShardExecutor(layout, max_workers=0)
 
@@ -825,62 +813,3 @@ class TestShardedCheckpoint:
                 saved, NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
                 base, log, patience_hours=6.0, shards=4,
             )
-
-
-class TestSharedMemoryBackend:
-    """Scratch-block lifecycle of the shared-memory process executor."""
-
-    def _process_runtime(self, base, log, **kwargs):
-        return StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            patience_hours=6.0, shards=4, executor="process", **kwargs,
-        )
-
-    def test_direct_process_executor_ships_rows_inline(self):
-        """A directly built process executor needs no event log: its rounds
-        go through the scratch blocks and match the serial backend."""
-        from repro.stream import StreamState
-
-        base, log = clustered_world(num_workers=60, num_tasks=60, seed=9)
-        layout = ShardLayout.plan(log, 4)
-        outcomes = {}
-        for backend in ("serial", "process"):
-            state = StreamState(base)
-            state.apply_log_slice(log, 0, len(log) // 2)
-            executor = ShardExecutor(layout, backend=backend)
-            try:
-                execution = executor.run_round(
-                    state, NearestNeighborAssigner(), 6.0
-                )
-                if backend == "process":
-                    assert executor._scratch  # the rows went inline
-            finally:
-                executor.close()
-            outcomes[backend] = (
-                [(p.worker.worker_id, p.task.task_id)
-                 for p in execution.assignment],
-                execution.waits,
-            )
-        assert outcomes["serial"][0]
-        assert outcomes["process"] == outcomes["serial"]
-
-    def test_close_unlinks_slabs_and_scratch(self):
-        from multiprocessing import shared_memory
-
-        base, log = clustered_world(num_workers=60, num_tasks=60, seed=9)
-        runtime = self._process_runtime(base, log)
-        runtime.run()
-        executor = runtime.shard_executor
-        names = [
-            scratch._block.name
-            for scratch in executor._scratch.values()
-            if scratch._block is not None
-        ]
-        assert names
-        runtime.close()
-        assert executor._scratch == {}
-        for name in names:  # the segments are really gone from the OS
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        runtime.close()  # idempotent after release
-

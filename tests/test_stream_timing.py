@@ -4,8 +4,8 @@ The stream runtime measures every phase once, as a monotonic interval, and
 derives the :class:`~repro.stream.metrics.RoundRecord` seconds, the
 ``round.*`` / ``shard.*`` trace spans and the
 ``repro_stream_phase_seconds`` histograms from it.  These tests pin that
-agreement on every executor configuration, and pin that worker-side solve
-intervals land on the parent's timeline.
+agreement on every executor configuration, and pin that solve intervals
+measured on pool threads land inside their round on one timeline.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from repro.stream import StreamRuntime, TimeWindowTrigger, synthetic_stream
 #: (executor, pipeline) pairs: every round path the runtime has.
 CONFIGURATIONS = [
     ("serial", False),
+    ("thread", False),
     ("thread", True),
-    ("process", False),
-    ("process", True),
 ]
 
 #: Record field -> the span(s) it is measured by.
@@ -99,8 +98,8 @@ class TestPhaseAgreement:
 class TestTimeline:
     @pytest.mark.parametrize("pipeline", [False, True])
     def test_worker_solves_lie_inside_their_round(self, world, pipeline):
-        """Forked workers read the parent's clock: no span leaves its round."""
-        _, obs = traced_run(world, "process", pipeline)
+        """Pool threads read the caller's clock: no span leaves its round."""
+        _, obs = traced_run(world, "thread", pipeline)
         payload = obs.tracer.to_payload()
         validate_trace_events(payload)
         events = payload["traceEvents"]
@@ -108,10 +107,10 @@ class TestTimeline:
             event["args"]["round"]: event
             for event in events if event["name"] == "round"
         }
-        parent = payload["traceEvents"][0]["pid"]
         worker_solves = [
             event for event in events
-            if event["name"] == "shard.solve" and event["pid"] != parent
+            if event["name"] == "shard.solve"
+            and event["tid"] != rounds[event["args"]["round"]]["tid"]
         ]
         assert worker_solves
         for event in worker_solves:
@@ -129,7 +128,7 @@ class TestTimeline:
             original(self, name, start_ns, end_ns, **kwargs)
 
         monkeypatch.setattr(Tracer, "complete", spy)
-        _, obs = traced_run(world, "process", True)
+        _, obs = traced_run(world, "thread", True)
         assert emitted
         assert all(end >= start for _, start, end in emitted)
         assert all(
