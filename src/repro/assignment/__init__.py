@@ -22,10 +22,12 @@ algorithms are kept as the references the tests check it against:
 
 from repro.assignment.base import (
     Assigner,
+    EntityColumns,
     FeasiblePairs,
     PreparedInstance,
     RoundState,
     compute_feasible,
+    entity_columns,
 )
 from repro.assignment.candidates import CandidatePair, candidate_pairs
 from repro.assignment.lexico import LexicographicCostAssigner
@@ -43,10 +45,12 @@ from repro.assignment.partitioned import PartitionedAssigner
 
 __all__ = [
     "Assigner",
+    "EntityColumns",
     "FeasiblePairs",
     "PreparedInstance",
     "RoundState",
     "compute_feasible",
+    "entity_columns",
     "CandidatePair",
     "candidate_pairs",
     "LexicographicCostAssigner",

@@ -13,15 +13,16 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.data.instance import SCInstance
 from repro.entities import AssignedPair, Assignment, Task, Worker
 from repro.geo import pairwise_euclidean, pairwise_euclidean_xy
-from repro.influence import InfluenceModel, entropy_of_tasks
+from repro.influence import InfluenceModel, VenueEntropy, entropy_of_tasks
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,14 @@ class FeasiblePairs:
 
     def feasible_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """``(worker_rows, task_columns)`` of all feasible pairs."""
-        return np.nonzero(self.mask)
+        return mask_nonzero(self.mask)
+
+
+def mask_nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a 2-D boolean mask, read flat: one
+    ``flatnonzero`` split into rows and columns by ``divmod``, several
+    times faster than ``np.nonzero``'s 2-D walk and equal to it."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def compute_feasible(
@@ -173,83 +181,113 @@ class PreparedInstance:
         return assignment
 
 
-class _Members(NamedTuple):
-    """One round's workers or tasks in matrix order, their ids, the argsort
-    of the ids, which the next round searches, and each payload's
-    ``id()``, which tells a kept object from an equal copy."""
-
-    entities: tuple
-    ids: np.ndarray
-    order: np.ndarray
-    objects: np.ndarray
-
-
-_NO_MEMBERS = _Members(
-    (),
-    np.zeros(0, dtype=np.int64),
-    np.zeros(0, dtype=np.int64),
-    np.zeros(0, dtype=np.uintp),
-)
+def worker_attributes(
+    worker: Worker, entropy: Callable | None = None
+) -> tuple[float, float, float, float]:
+    """A worker's attribute row: ``(x, y, reachable_km, speed_kmh)``
+    (``entropy`` is unused; both kinds share one signature)."""
+    return (
+        worker.location.x, worker.location.y, worker.reachable_km, worker.speed_kmh
+    )
 
 
-def _match(kind: str, entities: Sequence, previous: _Members) -> tuple[_Members, np.ndarray]:
-    """Match one round's entities against the previous round's.
+def task_attributes(
+    task: Task, entropy: Callable[[Task], float]
+) -> tuple[float, float, float, float]:
+    """A task's attribute row: ``(x, y, expiry_time, entropy(task))``."""
+    return (task.location.x, task.location.y, task.expiry_time, entropy(task))
 
-    Returns this round's members and, per entity, its position in the
-    previous round, or -1 where it is new: first seen, absent last round,
-    or unequal to the cached payload.  The cached payloads are alive, so
-    an equal ``id()`` is the same object; ``==`` runs only where the ids
-    match but the objects differ.
+
+class EntityColumns(NamedTuple):
+    """One round's workers or tasks as arrays, in matrix order.
+
+    ``ids`` holds the entity ids and ``attrs`` one attribute row per
+    entity (:func:`worker_attributes` / :func:`task_attributes`).
+    ``keys`` are int64 identity keys: an entity whose key was in the
+    previous round is the same payload, so its cached influence cells are
+    reused.  The stream passes the log row that set each entity's state;
+    :func:`entity_columns` passes each object's ``id()``.
     """
-    cached, cached_ids, cached_order, cached_objects = previous
+
+    ids: np.ndarray
+    keys: np.ndarray
+    attrs: np.ndarray
+
+
+#: Per entity kind: its id getter, attribute-row function and row width.
+ENTITY_KINDS = {
+    "worker": (attrgetter("worker_id"), worker_attributes, 4),
+    "task": (attrgetter("task_id"), task_attributes, 4),
+}
+
+
+def entity_columns(kind: str, entities: Sequence, venue_visits: Mapping) -> EntityColumns:
+    """The :class:`EntityColumns` of ``"worker"`` or ``"task"`` objects,
+    keyed by ``id()``; task rows read their location entropy from
+    ``venue_visits``.  :class:`RoundState` holds the previous round's
+    objects, so no key it can match belongs to a collected object."""
+    id_of, attributes, width = ENTITY_KINDS[kind]
     count = len(entities)
-    ids = np.fromiter(map(attrgetter(f"{kind}_id"), entities), dtype=np.int64, count=count)
-    objects = np.fromiter(map(id, entities), dtype=np.uintp, count=count)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
+    entropy = VenueEntropy(venue_visits)
+    return EntityColumns(
+        np.fromiter(map(id_of, entities), dtype=np.int64, count=count),
+        np.fromiter(map(id, entities), dtype=np.int64, count=count),
+        np.fromiter(
+            chain.from_iterable(map(attributes, entities, repeat(entropy))),
+            dtype=float, count=count * width,
+        ).reshape(count, width),
+    )
+
+
+def _check_unique(kind: str, ids: np.ndarray) -> None:
+    """Reject a round that lists one id twice, naming it."""
+    sorted_ids = np.sort(ids)
     repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
     if repeated.size:
         raise ValueError(f"{kind} id {int(repeated[0])} appears more than once in one round")
-    source = np.full(count, -1, dtype=np.int64)
-    if cached_ids.size:
-        at = np.searchsorted(cached_ids, ids, sorter=cached_order)
-        at = cached_order[at.clip(max=cached_ids.size - 1)]
-        hit = cached_ids[at] == ids
-        same = hit & (cached_objects[at] == objects)
-        source[same] = at[same]
-        for p in np.flatnonzero(hit & ~same).tolist():
-            if entities[p] == cached[at[p]]:
-                source[p] = at[p]
-    return _Members(tuple(entities), ids, order, objects), source
 
 
-def _carried(previous: np.ndarray, source: np.ndarray, fresh: list) -> np.ndarray:
-    """Per-entity attribute rows: gathered from ``previous`` for kept
-    entities, ``fresh`` (in matrix order) for new ones."""
-    attrs = np.empty((source.size, previous.shape[1]))
-    kept = source >= 0
-    attrs[kept] = previous[source[kept]]
-    attrs[~kept] = np.reshape(fresh, (-1, previous.shape[1]))
-    return attrs
+class _Keys(NamedTuple):
+    """One round's identity keys in matrix order and their argsort, which
+    the next round searches."""
+
+    keys: np.ndarray
+    order: np.ndarray
+
+
+_NO_KEYS = _Keys(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def _match(keys: np.ndarray, previous: _Keys) -> tuple[_Keys, np.ndarray]:
+    """Match one round's identity keys against the previous round's.
+
+    Returns this round's keys and, per entity, its position in the
+    previous round, or -1 where it is new: first seen, absent last round,
+    or under a new key (relocated, re-arrived, republished).
+    """
+    source = np.full(keys.size, -1, dtype=np.int64)
+    cached_keys, cached_order = previous
+    if cached_keys.size:
+        at = np.searchsorted(cached_keys, keys, sorter=cached_order)
+        at = cached_order[at.clip(max=cached_keys.size - 1)]
+        hit = cached_keys[at] == keys
+        source[hit] = at[hit]
+    return _Keys(keys, np.argsort(keys, kind="stable")), source
 
 
 class RoundState:
     """Incremental round preparation for online (batched-arrival) loops.
 
-    ``RoundState`` carries exactly the previous round: its workers and
-    tasks with their ids, each entity's attribute row (location,
-    radius/speed or deadline/entropy) and, when an influence model is
-    set, the influence matrix.  A round's entity is *kept* when its id
-    was in the previous round and its payload is (or equals) the cached
-    object; its attribute row is gathered.  Every other entity is *new* —
-    first seen, absent last round, or relocated or republished under its
-    id — and its row is read off the payload.  Kept x kept influence
-    cells are gathered, and new rows x all columns, then kept rows x new
-    columns, are computed.  Distances and the feasibility mask are
-    recomputed in full each round from the attribute rows: one W x T
-    kernel costs less than gathering and filling the carried matrix.
-    Entities absent from a round are dropped, so the cache is as large as
-    the live pool.
+    Each round arrives as attribute columns (:class:`EntityColumns`).
+    Distances, the feasibility mask and the entropy map are computed from
+    them in full: one W x T kernel costs less than gathering and filling a
+    carried matrix.  With an influence model, ``RoundState`` carries the
+    previous round's identity keys and influence matrix.  A round's entity
+    is *kept* when its key was in the previous round, and *new* otherwise —
+    first seen, absent last round, or relocated or republished under a new
+    key.  Kept x kept influence cells are gathered; new rows x all columns
+    and kept rows x new columns are computed.  Entities absent from a
+    round are dropped, so the cache is as large as the live pool.
 
     Cached values are time-independent and no cell depends on the shape of
     the rectangle it was computed in, so results are bit-identical to a
@@ -260,70 +298,72 @@ class RoundState:
 
     def __init__(self, influence: InfluenceModel | None = None) -> None:
         self.influence = influence
-        self._rows = self._columns = _NO_MEMBERS
+        self._rows = self._columns = _NO_KEYS
         self._influence = np.zeros((0, 0))
-        # Per worker (x, y, radius, speed); per task (x, y, deadline, entropy).
-        self._row_attrs = self._column_attrs = np.zeros((0, 4))
+        # The previous round's payloads, kept alive so that no id() key
+        # from entity_columns is reused while it can still match.
+        self._entities: tuple = ((), ())
 
-    def prepare(self, instance: SCInstance) -> PreparedInstance:
+    def prepare(
+        self,
+        instance: SCInstance,
+        workers: EntityColumns | None = None,
+        tasks: EntityColumns | None = None,
+    ) -> PreparedInstance:
         """A :class:`PreparedInstance` for this round, with the feasibility,
-        influence and entropy caches pre-populated incrementally."""
-        workers, tasks = instance.workers, instance.tasks
-        rows, row_source = _match("worker", workers, self._rows)
-        columns, column_source = _match("task", tasks, self._columns)
-        new_rows = np.flatnonzero(row_source < 0)
-        new_columns = np.flatnonzero(column_source < 0)
-        new_tasks = [tasks[p] for p in new_columns.tolist()]
-        entropy = entropy_of_tasks(new_tasks, instance.venue_visits)
-        row_attrs = _carried(self._row_attrs, row_source, [
-            (w.location.x, w.location.y, w.reachable_km, w.speed_kmh)
-            for w in (workers[p] for p in new_rows.tolist())
-        ])
-        column_attrs = _carried(self._column_attrs, column_source, [
-            (t.location.x, t.location.y, t.expiry_time, entropy[t.task_id])
-            for t in new_tasks
-        ])
+        influence and entropy caches pre-populated.
 
+        ``workers`` / ``tasks`` are the columns of ``instance.workers`` /
+        ``instance.tasks``, in the same order; omitted, they are read off
+        the objects by :func:`entity_columns`.
+        """
+        worker_objects, task_objects = tuple(instance.workers), tuple(instance.tasks)
+        if workers is None:
+            workers = entity_columns("worker", worker_objects, instance.venue_visits)
+        if tasks is None:
+            tasks = entity_columns("task", task_objects, instance.venue_visits)
+        _check_unique("worker", workers.ids)
+        _check_unique("task", tasks.ids)
+
+        row_attrs, column_attrs = workers.attrs, tasks.attrs
         distance = pairwise_euclidean_xy(row_attrs[:, :2], column_attrs[:, :2])
         mask = (distance <= row_attrs[:, 2:3]) & (
             instance.current_time + distance / row_attrs[:, 3:] <= column_attrs[:, 2]
         )
-        shape = distance.shape
         if self.influence is None:
-            influence = np.zeros(shape)
+            influence = np.zeros(distance.shape)
         else:
-            influence = self._fill_influence(
-                workers, tasks, row_source, column_source, new_rows, new_columns
+            influence = self._carry_influence(
+                worker_objects, task_objects, workers.keys, tasks.keys
             )
-            self._influence = influence
         distance.flags.writeable = influence.flags.writeable = False
 
-        self._rows, self._columns = rows, columns
-        self._row_attrs, self._column_attrs = row_attrs, column_attrs
         prepared = PreparedInstance(instance, self.influence)
         prepared.__dict__["feasible"] = FeasiblePairs(
-            rows.entities, columns.entities, distance, mask
+            worker_objects, task_objects, distance, mask
         )
         prepared.__dict__["influence_matrix"] = influence
         prepared.__dict__["entropy_by_task"] = dict(
-            zip(columns.ids.tolist(), column_attrs[:, 3].tolist())
+            zip(tasks.ids.tolist(), column_attrs[:, 3].tolist())
         )
         return prepared
 
-    def _fill_influence(
+    def _carry_influence(
         self,
         workers: Sequence[Worker],
         tasks: Sequence[Task],
-        row_source: np.ndarray,
-        column_source: np.ndarray,
-        new_rows: np.ndarray,
-        new_columns: np.ndarray,
+        worker_keys: np.ndarray,
+        task_keys: np.ndarray,
     ) -> np.ndarray:
         """This round's influence matrix: kept x kept cells gathered from
         the previous round's, new rows x all columns and kept rows x new
         columns computed."""
+        rows, row_source = _match(worker_keys, self._rows)
+        columns, column_source = _match(task_keys, self._columns)
         shape = (len(workers), len(tasks))
         kept_rows = np.flatnonzero(row_source >= 0)
+        new_rows = np.flatnonzero(row_source < 0)
+        new_columns = np.flatnonzero(column_source < 0)
         influence = np.zeros(shape)
         if kept_rows.size and new_columns.size < shape[1]:
             # One gather; the cells of new rows and columns read row or
@@ -335,6 +375,8 @@ class RoundState:
                     [workers[p] for p in fill_rows.tolist()],
                     [tasks[p] for p in fill_columns.tolist()],
                 )
+        self._rows, self._columns, self._influence = rows, columns, influence
+        self._entities = (workers, tasks)
         return influence
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from repro.assignment.base import Assigner, PreparedInstance
+from repro.assignment.base import Assigner, PreparedInstance, mask_nonzero
 from repro.entities import Assignment
 
 
@@ -20,7 +20,7 @@ def feasibility_csr(mask: np.ndarray) -> sparse.csr_matrix:
     ``indices``, with no dense copy and no COO round trip."""
     indptr = np.zeros(mask.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-    indices = np.nonzero(mask)[1]
+    indices = mask_nonzero(mask)[1]
     data = np.ones(indices.size, dtype=np.int8)
     return sparse.csr_matrix((data, indices, indptr), shape=mask.shape)
 

@@ -29,6 +29,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
+from repro.assignment.base import mask_nonzero
 from repro.flow import FlowNetwork, MinCostMaxFlow
 
 
@@ -73,7 +74,7 @@ def solve_lexicographic(
     if not feasible.any():
         return []
     n_workers, n_tasks = feasible.shape
-    rows, columns = np.nonzero(feasible)
+    rows, columns = mask_nonzero(feasible)
     graph = sparse.coo_matrix(
         (np.ones(rows.size, dtype=np.int8), (rows, n_workers + columns)),
         shape=(n_workers + n_tasks,) * 2,
@@ -133,7 +134,7 @@ def build_figure4_network(
         np.full(n_tasks, sink, dtype=np.int64),
         np.ones(n_tasks, dtype=np.int64),
     )
-    rows, columns = np.nonzero(feasible)
+    rows, columns = mask_nonzero(feasible)
     pair_edges = network.add_edges(
         1 + rows,
         1 + n_workers + columns,

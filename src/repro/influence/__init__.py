@@ -9,7 +9,7 @@ factor at a time.  :func:`location_entropy` implements the EIA priority
 signal.
 """
 
-from repro.influence.entropy import location_entropy, entropy_of_tasks
+from repro.influence.entropy import VenueEntropy, entropy_of_tasks, location_entropy
 from repro.influence.model import InfluenceComponents, InfluenceModel
 
 __all__ = [
@@ -17,4 +17,5 @@ __all__ = [
     "InfluenceComponents",
     "location_entropy",
     "entropy_of_tasks",
+    "VenueEntropy",
 ]

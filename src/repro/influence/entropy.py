@@ -35,15 +35,33 @@ def location_entropy(visit_counts: Mapping[int, int]) -> float:
     return entropy
 
 
+class VenueEntropy:
+    """Location entropy of a task, looked up through its venue and computed
+    once per venue.
+
+    A task without a venue or without history gets entropy 0.  The cache
+    holds at most one value per venue of ``venue_visits``, which must not
+    change while the object is in use.
+    """
+
+    def __init__(self, venue_visits: Mapping[int, Mapping[int, int]]) -> None:
+        self.venue_visits = venue_visits
+        self._by_venue: dict[int, float] = {}
+
+    def __call__(self, task: Task) -> float:
+        venue = task.venue_id
+        if venue is None:
+            return 0.0
+        entropy = self._by_venue.get(venue)
+        if entropy is None:
+            visits = self.venue_visits.get(venue)
+            entropy = self._by_venue[venue] = location_entropy(visits) if visits else 0.0
+        return entropy
+
+
 def entropy_of_tasks(
     tasks: Sequence[Task], venue_visits: Mapping[int, Mapping[int, int]]
 ) -> dict[int, float]:
-    """Location entropy per task id, looked up through the task's venue.
-
-    Tasks without a venue or without history get entropy 0.
-    """
-    entropies: dict[int, float] = {}
-    for task in tasks:
-        visits = venue_visits.get(task.venue_id) if task.venue_id is not None else None
-        entropies[task.task_id] = location_entropy(visits) if visits else 0.0
-    return entropies
+    """Location entropy per task id (see :class:`VenueEntropy`)."""
+    entropy = VenueEntropy(venue_visits)
+    return {task.task_id: entropy(task) for task in tasks}

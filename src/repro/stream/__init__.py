@@ -9,8 +9,9 @@ day loop:
   dataset days or synthetic generators);
 * :mod:`repro.stream.scheduler` — pluggable micro-batch triggers (count,
   time window, hybrid, latency-adaptive);
-* :mod:`repro.stream.state` — live worker/task pools with an incrementally
-  maintained spatial index, reusing the PR-1 round caches;
+* :mod:`repro.stream.state` — columnar live worker/task pools
+  (:class:`EntityPool`: slot arrays with a free list) that rounds route,
+  prepare, sweep and retire from;
 * :mod:`repro.stream.metrics` — wait-time/latency percentiles (backed by
   the mergeable, checkpointable :mod:`repro.obs` histograms), throughput,
   expiry/churn rates;
@@ -75,7 +76,7 @@ from repro.stream.scheduler import (
     TimeWindowTrigger,
     Trigger,
 )
-from repro.stream.state import StreamState
+from repro.stream.state import EntityPool, StreamState
 
 __all__ = [
     # events
@@ -101,6 +102,7 @@ __all__ = [
     "HybridTrigger",
     "AdaptiveTrigger",
     # state & metrics
+    "EntityPool",
     "StreamState",
     "RoundRecord",
     "StreamMetrics",

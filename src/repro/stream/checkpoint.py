@@ -198,10 +198,7 @@ def _save_checkpoint(
     runtime: "StreamRuntime", path: Path, chunk_bytes: int
 ) -> dict:
     """Build meta + arrays and publish them; returns the chunk-write stats."""
-    state = runtime.state
     result = runtime.result
-    pool_worker_ids = sorted(state.workers)
-    pool_task_ids = sorted(state.tasks)
     metrics_state = result.metrics.state_dict()
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -252,25 +249,13 @@ def _save_checkpoint(
         },
     }
     arrays = {
-        "pool_worker_events": _int64s(state.worker_events, pool_worker_ids),
-        "pool_worker_arrived_at": np.array(
-            [state.arrived_at[i] for i in pool_worker_ids], dtype=float
-        ),
-        "pool_task_events": _int64s(state.task_events, pool_task_ids),
-        "pool_task_published_at": np.array(
-            [state.published_at[i] for i in pool_task_ids], dtype=float
-        ),
+        **runtime.state.pool_arrays(),
         "assigned_worker_events": np.array(result.worker_events, dtype=np.int64),
         "assigned_task_events": np.array(result.task_events, dtype=np.int64),
         "metrics_rounds": np.asarray(metrics_state["rounds"]),
         "metrics_wall_seconds": np.asarray(metrics_state["wall_seconds"]),
     }
     return _write_manifest(path, meta, arrays, chunk_bytes)
-
-
-def _int64s(values: dict[int, int], keys: list[int]) -> np.ndarray:
-    """``values[key]`` for each key, as an int64 array."""
-    return np.fromiter((values[key] for key in keys), dtype=np.int64, count=len(keys))
 
 
 def _write_manifest(
@@ -654,24 +639,8 @@ def _restore_runtime(runtime: "StreamRuntime", path: str | Path) -> "StreamRunti
     if admission_meta is not None:
         runtime.admission.load_state_dict(admission_meta)
 
-    state = runtime.state
     log = runtime.log
-    for event_index, arrived in zip(
-        payload["pool_worker_events"].tolist(),
-        payload["pool_worker_arrived_at"].tolist(),
-    ):
-        worker = log.worker_at(event_index)
-        state.workers[worker.worker_id] = worker
-        state.arrived_at[worker.worker_id] = arrived
-        state.worker_events[worker.worker_id] = event_index
-    for event_index, published in zip(
-        payload["pool_task_events"].tolist(),
-        payload["pool_task_published_at"].tolist(),
-    ):
-        task = log.task_at(event_index)
-        state.tasks[task.task_id] = task
-        state.published_at[task.task_id] = published
-        state.task_events[task.task_id] = event_index
+    runtime.state.load_pool_arrays(payload, log)
 
     result = runtime.result
     result.assignment.extend(Assignment([

@@ -532,6 +532,9 @@ class EventLog:
         columns["y"] = ys
         columns.setflags(write=False)
         self.columns: np.ndarray = columns
+        # Field views for the per-row payload reads of replay.
+        self._kind_column = columns["kind"]
+        self._payload_column = columns["payload"]
 
         self._worker_attrs = np.array(
             [
@@ -635,9 +638,9 @@ class EventLog:
         For relocation rows this is the synthesized relocated worker — the
         most recent prior arrival's attributes at the row's new location.
         """
-        slot = int(self.columns["payload"][index])
+        slot = int(self._payload_column[index])
         if (
-            int(self.columns["kind"][index]) not in (KIND_ARRIVAL, KIND_RELOCATE)
+            int(self._kind_column[index]) not in (KIND_ARRIVAL, KIND_RELOCATE)
             or slot < 0
         ):
             raise IndexError(f"event {index} is not a worker arrival/relocation")
@@ -645,8 +648,8 @@ class EventLog:
 
     def task_at(self, index: int) -> Task:
         """The task payload of the publish event at ``index``."""
-        slot = int(self.columns["payload"][index])
-        if int(self.columns["kind"][index]) != KIND_PUBLISH or slot < 0:
+        slot = int(self._payload_column[index])
+        if int(self._kind_column[index]) != KIND_PUBLISH or slot < 0:
             raise IndexError(f"event {index} is not a task publish")
         return self._tasks[slot]
 

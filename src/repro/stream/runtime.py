@@ -55,7 +55,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -74,21 +74,12 @@ from repro.stream.shards import DEFAULT_CELL_KM, ShardLayout, ShardRebalancer
 from repro.stream.state import StreamState
 
 
-def _locations(entities: list) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(x, y)`` coordinate arrays of workers' or tasks' locations."""
-    count = len(entities)
-    return (
-        np.fromiter((entity.location.x for entity in entities), np.float64, count),
-        np.fromiter((entity.location.y for entity in entities), np.float64, count),
-    )
-
-
-def _split(entities: list, shards: np.ndarray, num_shards: int) -> list[list]:
-    """``entities`` grouped by shard, one list per shard id, each in input
-    order (one stable argsort)."""
+def _split(slots: np.ndarray, shards: np.ndarray, num_shards: int) -> list[np.ndarray]:
+    """Pool ``slots`` grouped by shard, one array per shard id, each in
+    input order (one stable argsort)."""
     order = np.argsort(shards, kind="stable")
     bounds = np.searchsorted(shards[order], np.arange(num_shards + 1)).tolist()
-    ordered = [entities[position] for position in order.tolist()]
+    ordered = slots[order]
     return [ordered[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
@@ -318,6 +309,15 @@ def _solve_shard(
     return shard, part, Interval.since(start_ns)
 
 
+class _ShardWork(NamedTuple):
+    """One shard's round instance and the pool slots of its workers and
+    tasks, in the instance's order."""
+
+    instance: SCInstance
+    worker_slots: np.ndarray
+    task_slots: np.ndarray
+
+
 @dataclass(frozen=True)
 class RoundExecution:
     """One round's outcome with its measured phase intervals.
@@ -361,12 +361,13 @@ class ShardExecutor:
     """Runs one assignment round as independent per-shard solves.
 
     Each round: route each id-sorted live pool with one
-    :meth:`~repro.stream.shards.ShardLayout.shards_of` call and split it
-    by one stable argsort on shard (so every shard lists its entities by
-    ascending id), prepare every non-empty shard through its own persistent
-    :class:`~repro.assignment.RoundState` (the previous round's matrices,
-    per shard), solve the shards on the configured backend, and merge the
-    per-shard assignments in ascending shard order.  An unsharded
+    :meth:`~repro.stream.shards.ShardLayout.shards_of` call on its x/y
+    columns and split its slot array by one stable argsort on shard (so
+    every shard lists its entities by ascending id), prepare every
+    non-empty shard from its slots' columns through its own persistent
+    :class:`~repro.assignment.RoundState` (the previous round's influence
+    cache, per shard), solve the shards on the configured backend, and
+    merge the per-shard assignments in ascending shard order.  An unsharded
     :class:`StreamRuntime` runs a one-shard serial executor, so this is
     the only round path.
 
@@ -449,14 +450,18 @@ class ShardExecutor:
 
     # ----------------------------------------------------------------- round
     def _prepare_shard(
-        self, shard: int, state: StreamState, sub_instance: SCInstance
+        self, shard: int, state: StreamState, work: _ShardWork
     ) -> PreparedInstance:
         if state.incremental:
             round_state = self.round_states.get(shard)
             if round_state is None:
                 round_state = self.round_states[shard] = RoundState(self.influence)
-            return round_state.prepare(sub_instance)
-        prepared = PreparedInstance(sub_instance, self.influence)
+            return round_state.prepare(
+                work.instance,
+                state.workers.columns(work.worker_slots),
+                state.tasks.columns(work.task_slots),
+            )
+        prepared = PreparedInstance(work.instance, self.influence)
         # Force the lazy caches now, in the calling thread (see class doc).
         prepared.feasible
         prepared.influence_matrix
@@ -472,7 +477,7 @@ class ShardExecutor:
         self,
         shard: int,
         state: StreamState,
-        sub_instance: SCInstance,
+        work: _ShardWork,
         assigner: Assigner,
     ) -> tuple[int, Assignment, Interval, Interval]:
         """One shard's prepare+solve unit (the pipelined thread-pool task).
@@ -481,7 +486,7 @@ class ShardExecutor:
         clock reading taken when the prepare returns.
         """
         start_ns = clock_ns()
-        prepared = self._prepare_shard(shard, state, sub_instance)
+        prepared = self._prepare_shard(shard, state, work)
         prepare = Interval.since(start_ns)
         part = assigner.assign(prepared)
         return shard, part, prepare, Interval.since(prepare.end_ns)
@@ -504,33 +509,41 @@ class ShardExecutor:
 
         Returns a :class:`RoundExecution` carrying the merged assignment and
         each pair's ``(task_wait, worker_wait)`` hours (publication/arrival
-        to ``now``), in pair order.  Each pool is routed in ascending id
-        order with one :meth:`~repro.stream.shards.ShardLayout.shards_of`
-        call and split by one stable argsort on shard, so each shard's
-        instance lists its entities by ascending id and is deterministic.
+        to ``now``), in pair order.  Each pool's live slots are routed in
+        ascending id order with one
+        :meth:`~repro.stream.shards.ShardLayout.shards_of` call on their
+        x/y columns and split by one stable argsort on shard, so each
+        shard's instance lists its entities by ascending id and is
+        deterministic.
         ``pipeline=True`` overlaps the per-shard phases (see the class
         docstring); it is a no-op on the serial backend and for rounds with
         at most one populated shard.
         """
         layout = self.layout
-        pooled_workers = [state.workers[key] for key in sorted(state.workers)]
-        pooled_tasks = [state.tasks[key] for key in sorted(state.tasks)]
-        worker_xy, task_xy = _locations(pooled_workers), _locations(pooled_tasks)
-        shard_workers = _split(
-            pooled_workers, layout.shards_of(*worker_xy), layout.num_shards
+        pools = (state.workers, state.tasks)
+        pool_slots = [pool.slots_by_id() for pool in pools]
+        locations = [
+            (pool.attrs[slots, 0], pool.attrs[slots, 1])
+            for pool, slots in zip(pools, pool_slots)
+        ]
+        shard_workers, shard_tasks = (
+            _split(slots, layout.shards_of(*xy), layout.num_shards)
+            for slots, xy in zip(pool_slots, locations)
         )
-        shard_tasks = _split(pooled_tasks, layout.shards_of(*task_xy), layout.num_shards)
         component_entities = (
-            self._component_entities(worker_xy, task_xy)
+            self._component_entities(*locations)
             if self.rebalancer is not None else {}
         )
-        shard_instances: list[tuple[int, SCInstance]] = []
-        for shard, (workers, tasks) in enumerate(zip(shard_workers, shard_tasks)):
-            if not workers or not tasks:
+        shard_work: list[tuple[int, _ShardWork]] = []
+        workers, tasks = state.workers.payloads, state.tasks.payloads
+        for shard, (worker_slots, task_slots) in enumerate(zip(shard_workers, shard_tasks)):
+            if not worker_slots.size or not task_slots.size:
                 continue
-            sub_instance = state.base_instance.with_workers(workers).with_tasks(tasks)
+            sub_instance = state.base_instance.with_workers(
+                workers[worker_slots].tolist()
+            ).with_tasks(tasks[task_slots].tolist())
             sub_instance.current_time = now
-            shard_instances.append((shard, sub_instance))
+            shard_work.append((shard, _ShardWork(sub_instance, worker_slots, task_slots)))
 
         prepare: dict[int, Interval] = {}
         solve: dict[int, Interval] = {}
@@ -540,7 +553,7 @@ class ShardExecutor:
             parts.append(part)
             solve[shard] = solved
 
-        pooled = self.backend == "thread" and len(shard_instances) > 1
+        pooled = self.backend == "thread" and len(shard_work) > 1
         if pooled and pipeline:
             # Whole prepare+solve units on the pool: shard k+1 prepares
             # while shard k solves, and collection in ascending shard
@@ -548,9 +561,9 @@ class ShardExecutor:
             pool = self._pool_executor()
             futures = [
                 pool.submit(
-                    self._prepare_and_solve, shard, state, sub, assigner
+                    self._prepare_and_solve, shard, state, work, assigner
                 )
-                for shard, sub in shard_instances
+                for shard, work in shard_work
             ]
             for future in futures:
                 shard, part, prepare[shard], solved = future.result()
@@ -558,22 +571,22 @@ class ShardExecutor:
         else:
             # Prepare every shard in the calling thread, then solve them
             # serially or on the pool.
-            work: list[tuple[int, PreparedInstance]] = []
-            for shard, sub_instance in shard_instances:
+            prepared_shards: list[tuple[int, PreparedInstance]] = []
+            for shard, work in shard_work:
                 start_ns = clock_ns()
-                prepared = self._prepare_shard(shard, state, sub_instance)
+                prepared = self._prepare_shard(shard, state, work)
                 prepare[shard] = Interval.since(start_ns)
-                work.append((shard, prepared))
+                prepared_shards.append((shard, prepared))
             if pooled:
                 pool = self._pool_executor()
                 futures = [
                     pool.submit(_solve_shard, assigner, shard, prepared)
-                    for shard, prepared in work
+                    for shard, prepared in prepared_shards
                 ]
                 for future in futures:
                     collect(*future.result())
             else:
-                for shard, prepared in work:
+                for shard, prepared in prepared_shards:
                     collect(*_solve_shard(assigner, shard, prepared))
 
         start_ns = clock_ns()
@@ -918,12 +931,9 @@ class StreamRuntime:
             merge_seconds = execution.merge_seconds
             result = self._result
             result.assignment.extend(assignment)
-            for (task_wait, worker_wait), (worker_event, task_event) in zip(
-                execution.waits, execution.events
-            ):
-                result.worker_events.append(worker_event)
-                result.task_events.append(task_event)
-                result.metrics.on_assigned(task_wait, worker_wait)
+            result.worker_events.extend(execution.events[:, 0].tolist())
+            result.task_events.extend(execution.events[:, 1].tolist())
+            result.metrics.on_assigned(execution.waits[:, 0], execution.waits[:, 1])
             assigned = len(assignment)
         # Latency-driven repacking fires at deterministic round-index
         # boundaries, after this round's EWMA observation and before the

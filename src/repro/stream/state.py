@@ -8,9 +8,15 @@ shards and keeps the incremental :class:`~repro.assignment.RoundState`
 caches per shard; the state layer retires the matched pairs
 (:meth:`retire_pairs`).
 
-Beside each pooled entity the state records the global index of the log
-row that set its current state, which is what checkpoints store (see
-:mod:`repro.stream.checkpoint`).
+Both pools are columnar (:class:`EntityPool`): each live entity owns a
+slot in arrays of ids, attribute rows (location plus radius/speed or
+deadline), arrival/publication times and the global index of the log row
+that set its current state, which is what checkpoints store (see
+:mod:`repro.stream.checkpoint`) and what the round caches use as the
+entity's identity key.  Slots freed by retirement are reused, so the
+arrays are as large as the largest pool seen.  The
+:class:`~repro.entities.Worker` / :class:`~repro.entities.Task` payloads
+stay in a per-slot list for the API edge.
 
 Pool mutation semantics mirror
 :class:`~repro.framework.online.OnlineSimulator` exactly (re-arrival
@@ -20,7 +26,14 @@ which is what makes the runtime's golden cross-check bit-identical.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from operator import attrgetter
+
+import numpy as np
+
+from repro.assignment.base import ENTITY_KINDS, EntityColumns, entity_columns
 from repro.data.instance import SCInstance
+from repro.influence import VenueEntropy
 from repro.entities import Assignment, Task, Worker
 from repro.stream.events import (
     KIND_ARRIVAL,
@@ -31,6 +44,134 @@ from repro.stream.events import (
     KIND_RELOCATE,
     EventLog,
 )
+
+
+class EntityPool(Mapping):
+    """Live workers or tasks in slot arrays with a free list.
+
+    Per slot: ``ids``, ``attrs`` (one row of the kind's attribute
+    function), ``since`` (arrival or publication time), ``events`` (the
+    recorded log index), ``live`` and ``payloads`` (the entity objects,
+    an object array).  Dead slots keep stale values, masked by ``live``;
+    retired slots are reused, so the arrays stay within twice the largest
+    pool.  ``kind`` is ``"worker"`` or ``"task"`` (see
+    :data:`~repro.assignment.base.ENTITY_KINDS`); task rows read their
+    location entropy from ``venue_visits``, once per venue.
+
+    As a :class:`~collections.abc.Mapping` the pool reads ``entity id ->
+    payload`` and iterates in ascending id order.
+    """
+
+    def __init__(self, kind: str, venue_visits: Mapping) -> None:
+        self.kind = kind
+        self._entropy = VenueEntropy(venue_visits)
+        _, self._attributes, width = ENTITY_KINDS[kind]
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.attrs = np.zeros((0, width))
+        self.since = np.zeros(0)
+        self.events = np.zeros(0, dtype=np.int64)
+        self.live = np.zeros(0, dtype=bool)
+        self.payloads = np.empty(0, dtype=object)
+        self._size = 0  # slots ever handed out
+        self._slot_of: dict[int, int] = {}
+        self._free: list[int] = []
+
+    # ------------------------------------------------------------- mapping
+    def __getitem__(self, entity_id: int):
+        return self.payloads[self._slot_of[entity_id]]
+
+    def __contains__(self, entity_id: object) -> bool:
+        return entity_id in self._slot_of
+
+    def __len__(self) -> int:
+        return len(self._slot_of)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids[self.slots_by_id()].tolist())
+
+    def by_id(self, column: str) -> dict:
+        """``{entity id: value}`` of column ``"since"`` or ``"events"``
+        over the live slots, by ascending id."""
+        slots = self.slots_by_id()
+        return dict(zip(self.ids[slots].tolist(), getattr(self, column)[slots].tolist()))
+
+    # ------------------------------------------------------------- columns
+    def slots_by_id(self, where: np.ndarray | None = None) -> np.ndarray:
+        """The live slots (where ``where`` holds, if given), ordered by
+        ascending entity id."""
+        slots = np.flatnonzero(self.live if where is None else self.live & where)
+        return slots[np.argsort(self.ids[slots], kind="stable")]
+
+    def columns(self, slots: np.ndarray) -> EntityColumns:
+        """The round columns of ``slots``, keyed by recorded log row."""
+        return EntityColumns(self.ids[slots], self.events[slots], self.attrs[slots])
+
+    def slots_of(self, entity_ids: Iterable[int]) -> np.ndarray:
+        """The slot of each pooled id, in the order given."""
+        return np.fromiter(map(self._slot_of.__getitem__, entity_ids), dtype=np.int64)
+
+    # ------------------------------------------------------------ mutation
+    def add(self, entity_id: int, payload, since: float | None, event: int) -> None:
+        """Pool ``payload`` under ``entity_id``, replacing a pooled one;
+        ``since=None`` keeps the pooled entity's time."""
+        slot = self._slot_of.get(entity_id)
+        if slot is None:
+            if self._free:
+                slot = self._free.pop()
+            else:
+                slot = self._size
+                self._size += 1
+                if slot == self.payloads.size:
+                    self._grow()
+            self._slot_of[entity_id] = slot
+            self.ids[slot] = entity_id
+            self.live[slot] = True
+        if since is not None:
+            self.since[slot] = since
+        self.attrs[slot] = self._attributes(payload, self._entropy)
+        self.events[slot] = event
+        self.payloads[slot] = payload
+
+    def remove(self, entity_id: int) -> bool:
+        """Retire ``entity_id``; False if it was not pooled."""
+        slot = self._slot_of.pop(entity_id, None)
+        if slot is None:
+            return False
+        self.live[slot] = False
+        self.payloads[slot] = None
+        self._free.append(slot)
+        return True
+
+    def remove_slots(self, slots: np.ndarray) -> None:
+        """Retire the entities in ``slots`` (distinct live slots)."""
+        self.live[slots] = False
+        self.payloads[slots] = None
+        for entity_id in self.ids[slots].tolist():
+            del self._slot_of[entity_id]
+        self._free.extend(slots.tolist())
+
+    def load(self, payloads: Sequence, since: np.ndarray, events: np.ndarray) -> None:
+        """Fill an empty pool from checkpointed columns: ``payloads[i]``
+        (distinct ids) with ``since[i]`` and ``events[i]``, in slot ``i``."""
+        columns = entity_columns(self.kind, payloads, self._entropy.venue_visits)
+        self.ids, self.attrs = columns.ids, columns.attrs
+        self.since = np.array(since, dtype=float)
+        self.events = np.array(events, dtype=np.int64)
+        self._size = len(payloads)
+        self.live = np.ones(self._size, dtype=bool)
+        self.payloads = np.fromiter(payloads, dtype=object, count=self._size)
+        self._slot_of = dict(zip(self.ids.tolist(), range(self._size)))
+        self._free = []
+
+    def _grow(self) -> None:
+        capacity = max(16, 2 * self.payloads.size)
+        for name in ("ids", "attrs", "since", "events", "live", "payloads"):
+            column = getattr(self, name)
+            grown = (np.empty if column.dtype == object else np.zeros)(
+                (capacity,) + column.shape[1:], dtype=column.dtype
+            )
+            grown[: column.shape[0]] = column
+            setattr(self, name, grown)
 
 
 class StreamState:
@@ -46,19 +187,17 @@ class StreamState:
         :class:`~repro.assignment.RoundState` caches; False rebuilds each
         round from scratch (the regression reference, exactly as in the
         online simulator).
+
+    ``workers`` holds ``(x, y, reachable_km, speed_kmh)`` rows and
+    ``since`` = arrival time; ``tasks`` holds ``(x, y, expiry_time,
+    location entropy)`` rows and ``since`` = publication time.
     """
 
     def __init__(self, base_instance: SCInstance, incremental: bool = True) -> None:
         self.base_instance = base_instance
         self.incremental = incremental
-        self.workers: dict[int, Worker] = {}
-        self.tasks: dict[int, Task] = {}
-        self.arrived_at: dict[int, float] = {}
-        self.published_at: dict[int, float] = {}
-        #: id -> global index of the log row that set the pooled entity's
-        #: current state (same keys as :attr:`workers` / :attr:`tasks`).
-        self.worker_events: dict[int, int] = {}
-        self.task_events: dict[int, int] = {}
+        self.workers = EntityPool("worker", base_instance.venue_visits)
+        self.tasks = EntityPool("task", base_instance.venue_visits)
 
     # -------------------------------------------------------------- pools
     @property
@@ -90,32 +229,19 @@ class StreamState:
         single dispatch that produced them.
         """
         if kind == KIND_ARRIVAL:
-            self.workers[entity_id] = worker
-            self.arrived_at[entity_id] = time
-            self.worker_events[entity_id] = event
+            self.workers.add(entity_id, worker, time, event)
         elif kind == KIND_PUBLISH:
-            self.tasks[entity_id] = task
-            self.published_at[entity_id] = time
-            self.task_events[entity_id] = event
+            self.tasks.add(entity_id, task, time, event)
         elif kind == KIND_CANCEL or kind == KIND_EXPIRY:
-            pooled = self.tasks.pop(entity_id, None)
-            if pooled is not None:
-                del self.published_at[entity_id]
-                del self.task_events[entity_id]
-                return True, False
+            return self.tasks.remove(entity_id), False
         elif kind == KIND_CHURN:
-            if self.workers.pop(entity_id, None) is not None:
-                del self.arrived_at[entity_id]
-                del self.worker_events[entity_id]
-                return False, True
+            return False, self.workers.remove(entity_id)
         elif kind == KIND_RELOCATE:
             # A live worker's location update: the pooled worker object is
             # replaced (arrival time unchanged — the wait keeps accruing).
-            # RoundState recomputes the worker's row because the same id
-            # now carries a payload unequal to its cached Worker.
+            # The new event index makes RoundState recompute its row.
             if entity_id in self.workers:
-                self.workers[entity_id] = worker
-                self.worker_events[entity_id] = event
+                self.workers.add(entity_id, worker, None, event)
         else:  # pragma: no cover - new event kinds must be wired explicitly
             raise TypeError(f"unsupported stream event kind {kind!r}")
         return False, False
@@ -144,20 +270,20 @@ class StreamState:
         carry global cursor positions so deferred re-admission and
         checkpoints stay exact across segment seams.
         """
-        kinds = log.kinds
-        times = log.times
-        entities = log.entity_ids
         expired = churned = cancelled = relocated = 0
-        for position in range(start, stop):
-            kind = int(kinds[position])
-            entity_id = int(entities[position])
+        for position, kind, entity_id, time in zip(
+            range(start, stop),
+            log.kinds[start:stop].tolist(),
+            log.entity_ids[start:stop].tolist(),
+            log.times[start:stop].tolist(),
+        ):
             worker = task = None
             if kind == KIND_ARRIVAL or kind == KIND_RELOCATE:
                 worker = log.worker_at(position)
             elif kind == KIND_PUBLISH:
                 task = log.task_at(position)
                 if admission is not None and not admission.offer(
-                    offset + position, task, float(times[position])
+                    offset + position, task, time
                 ):
                     continue
             elif admission is not None and kind in (KIND_EXPIRY, KIND_CANCEL):
@@ -171,7 +297,7 @@ class StreamState:
                 relocated += 1
             removed_task, removed_worker = self.apply_kind(
                 kind,
-                float(times[position]),
+                time,
                 entity_id,
                 offset + position,
                 worker=worker,
@@ -188,59 +314,84 @@ class StreamState:
 
     # -------------------------------------------------------------- sweeps
     def expire_tasks(self, now: float) -> list[Task]:
-        """Remove and return open tasks whose deadline strictly passed.
+        """Remove and return open tasks whose deadline strictly passed,
+        in ascending id order.
 
         The safety net behind explicit :class:`TaskExpiryEvent`\\ s: logs
         built by :func:`~repro.stream.events.log_from_arrivals` carry one
         expiry event per task (making this sweep find nothing), but
         hand-built logs without them still expire correctly.
         """
-        expired = [task for task in self.tasks.values() if task.expiry_time < now]
-        for task in expired:
-            del self.tasks[task.task_id]
-            del self.published_at[task.task_id]
-            del self.task_events[task.task_id]
+        pool = self.tasks
+        slots = pool.slots_by_id(pool.attrs[:, 2] < now)
+        expired = pool.payloads[slots].tolist()
+        pool.remove_slots(slots)
         return expired
 
     def churn_workers(self, now: float, patience_hours: float | None) -> list[int]:
-        """Remove and return workers whose patience strictly ran out."""
+        """Remove and return the ids of workers whose patience strictly ran
+        out, ascending."""
         if patience_hours is None:
             return []
-        churned = [
-            worker_id
-            for worker_id, since in self.arrived_at.items()
-            if worker_id in self.workers and now - since > patience_hours
-        ]
-        for worker_id in churned:
-            del self.workers[worker_id]
-            del self.arrived_at[worker_id]
-            del self.worker_events[worker_id]
+        pool = self.workers
+        slots = pool.slots_by_id(now - pool.since > patience_hours)
+        churned = pool.ids[slots].tolist()
+        pool.remove_slots(slots)
         return churned
+
+    # --------------------------------------------------------- checkpoints
+    def pool_arrays(self) -> dict[str, np.ndarray]:
+        """The pools as checkpoints store them: each pooled entity's
+        recorded event index and arrival/publication time, by ascending
+        id."""
+        workers, tasks = self.workers, self.tasks
+        worker_slots, task_slots = workers.slots_by_id(), tasks.slots_by_id()
+        return {
+            "pool_worker_events": workers.events[worker_slots],
+            "pool_worker_arrived_at": workers.since[worker_slots],
+            "pool_task_events": tasks.events[task_slots],
+            "pool_task_published_at": tasks.since[task_slots],
+        }
+
+    def load_pool_arrays(self, arrays, log: EventLog) -> None:
+        """Refill empty pools from :meth:`pool_arrays` output, rebuilding
+        each payload from its recorded row of ``log``."""
+        worker_events = np.asarray(arrays["pool_worker_events"])
+        self.workers.load(
+            [log.worker_at(event) for event in worker_events.tolist()],
+            arrays["pool_worker_arrived_at"], worker_events,
+        )
+        task_events = np.asarray(arrays["pool_task_events"])
+        self.tasks.load(
+            [log.task_at(event) for event in task_events.tolist()],
+            arrays["pool_task_published_at"], task_events,
+        )
 
     # -------------------------------------------------------------- rounds
     def retire_pairs(
         self, assignment: Assignment, now: float
-    ) -> tuple[list[tuple[float, float]], list[tuple[int, int]]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Retire matched pairs from the pools; returns ``(waits, events)``.
 
-        ``waits`` holds each pair's ``(task_wait, worker_wait)`` hours
-        (publication/arrival to ``now``) and ``events`` each pair's
-        recorded ``(worker_event, task_event)`` log indices, both in pair
-        order.  Every retirement path (assign, expire, cancel, churn)
-        clears the pools, the timestamp maps and the
-        event-index maps in this layer, so they stay consistent.
+        ``waits`` is a ``(pairs, 2)`` float array of each pair's
+        ``(task_wait, worker_wait)`` hours (publication/arrival to ``now``)
+        and ``events`` a ``(pairs, 2)`` int64 array of each pair's recorded
+        ``(worker_event, task_event)`` log indices, both in pair order,
+        read off the pool columns in bulk.
         """
-        waits: list[tuple[float, float]] = []
-        events: list[tuple[int, int]] = []
-        for pair in assignment:
-            worker_id, task_id = pair.worker.worker_id, pair.task.task_id
-            del self.workers[worker_id]
-            del self.tasks[task_id]
-            waits.append(
-                (
-                    now - self.published_at.pop(task_id),
-                    now - self.arrived_at.pop(worker_id),
-                )
-            )
-            events.append((self.worker_events.pop(worker_id), self.task_events.pop(task_id)))
+        pairs = assignment.pairs
+        worker_slots = self.workers.slots_of(map(_WORKER_ID, pairs))
+        task_slots = self.tasks.slots_of(map(_TASK_ID, pairs))
+        waits = np.column_stack((
+            now - self.tasks.since[task_slots], now - self.workers.since[worker_slots]
+        ))
+        events = np.column_stack((
+            self.workers.events[worker_slots], self.tasks.events[task_slots]
+        ))
+        self.workers.remove_slots(worker_slots)
+        self.tasks.remove_slots(task_slots)
         return waits, events
+
+
+_WORKER_ID = attrgetter("worker.worker_id")
+_TASK_ID = attrgetter("task.task_id")

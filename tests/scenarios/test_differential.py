@@ -859,14 +859,16 @@ def assert_recorded_indices_rebuild(runtime) -> int:
     recorded row and from the scan's row; returns how many recorded rows
     differ from the scan's (equal payloads re-arriving later)."""
     log, state, result = runtime.log, runtime.state, runtime.result
-    assert state.worker_events.keys() == state.workers.keys()
-    assert state.task_events.keys() == state.tasks.keys()
+    worker_events = state.workers.by_id("events")
+    task_events = state.tasks.by_id("events")
+    assert worker_events.keys() == state.workers.keys()
+    assert task_events.keys() == state.tasks.keys()
     assert len(result.worker_events) == len(result.assignment)
     assert len(result.task_events) == len(result.assignment)
     scanned_workers, scanned_tasks = scanned_event_indices(log, runtime.cursor)
-    workers = [(state.worker_events[i], w) for i, w in state.workers.items()]
+    workers = [(worker_events[i], w) for i, w in state.workers.items()]
     workers += zip(result.worker_events, (p.worker for p in result.assignment))
-    tasks = [(state.task_events[i], t) for i, t in state.tasks.items()]
+    tasks = [(task_events[i], t) for i, t in state.tasks.items()]
     tasks += zip(result.task_events, (p.task for p in result.assignment))
     moved = 0
     for recorded, worker in workers:

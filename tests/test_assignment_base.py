@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.assignment import compute_feasible, PreparedInstance
+from repro.assignment.base import mask_nonzero
 from repro.entities import Task, Worker
 from repro.geo import Point
 
@@ -133,3 +137,34 @@ class TestBuildAssignmentUniqueness:
     def test_disjoint_pairs_accepted(self, wide_prepared):
         assignment = wide_prepared.build_assignment([(0, 0), (1, 1)])
         assert len(assignment) == 2
+
+
+class TestMaskNonzero:
+    """The flat read equals ``np.nonzero`` on every 2-D mask shape."""
+
+    @staticmethod
+    def assert_equal_to_nonzero(mask):
+        rows, columns = mask_nonzero(mask)
+        expected_rows, expected_columns = np.nonzero(mask)
+        np.testing.assert_array_equal(rows, expected_rows, strict=True)
+        np.testing.assert_array_equal(columns, expected_columns, strict=True)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (4, 0), (0, 5), (1, 1), (3, 7)])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_degenerate_and_uniform_shapes(self, shape, fill):
+        self.assert_equal_to_nonzero(np.full(shape, fill, dtype=bool))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            bool,
+            st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        )
+    )
+    def test_random_masks(self, mask):
+        self.assert_equal_to_nonzero(mask)
+
+    def test_non_contiguous_view(self):
+        mask = np.random.default_rng(3).random((9, 14)) < 0.3
+        self.assert_equal_to_nonzero(mask[::2, 1::3])
+        self.assert_equal_to_nonzero(mask.T)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.entities import Task
 from repro.geo import Point
-from repro.influence import entropy_of_tasks, location_entropy
+from repro.influence import VenueEntropy, entropy_of_tasks, location_entropy
 
 
 class TestLocationEntropy:
@@ -56,3 +56,19 @@ class TestEntropyOfTasks:
     def test_task_without_venue(self):
         task = Task(task_id=0, location=Point(0, 0), publication_time=0.0, valid_hours=1.0)
         assert entropy_of_tasks([task], {})[0] == 0.0
+
+    def test_shared_venues_read_each_venue_once(self):
+        """Tasks at one venue share its entropy; the cached value is the
+        venue's own, whichever task asked first."""
+        visits = {100: {1: 5, 2: 5}, 200: {1: 9, 2: 1}, 300: {}}
+        tasks = [
+            self.make_task(task_id, venue)
+            for task_id, venue in enumerate([200, 100, 200, 300, 100, None, 400])
+        ]
+        entropy = VenueEntropy(visits)
+        expected = [
+            location_entropy(visits.get(task.venue_id) or {}) for task in tasks
+        ]
+        assert [entropy(task) for task in tasks] == expected
+        assert [entropy(task) for task in reversed(tasks)] == expected[::-1]
+        assert list(entropy_of_tasks(tasks, visits).values()) == expected

@@ -6,9 +6,12 @@ percentile is within ``relative_error`` of numpy's nearest-rank
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DataError
 from repro.obs.histo import (
@@ -75,13 +78,72 @@ class TestRecording:
         assert one.count == many.count
         assert one.min_seen == many.min_seen
         assert one.max_seen == many.max_seen
-        # total may differ in the last ulp (pairwise vs sequential sum).
-        assert one.total == pytest.approx(many.total, rel=1e-12)
+        assert one.total == many.total
 
     def test_record_many_empty_is_noop(self):
         histogram = make()
         histogram.record_many([])
         assert histogram.empty
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def assert_bit_identical(one: LogHistogram, many: LogHistogram) -> None:
+    assert np.array_equal(one.counts, many.counts)
+    assert one.count == many.count
+    for name in ("total", "min_seen", "max_seen"):
+        assert bits(getattr(one, name)) == bits(getattr(many, name)), name
+
+
+#: Samples across every bucket path: NaN, signed zeros, negatives, values
+#: at and beyond both bounds, infinities and ordinary in-range values.
+SAMPLES = st.one_of(
+    st.sampled_from([
+        float("nan"), 0.0, -0.0, -1.0, 1e-6, 1e4, 1e6, float("inf"), float("-inf"),
+    ]),
+    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+    st.floats(min_value=1e-7, max_value=2e4),
+)
+
+
+class TestRecordManyIsSequential:
+    """``record_many`` leaves a histogram bit-identical to a ``record``
+    loop over the same samples, from any running state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.lists(SAMPLES, max_size=5),
+        # Short inputs take the record loop, long ones the vectorized pass.
+        values=st.one_of(
+            st.lists(SAMPLES, max_size=15), st.lists(SAMPLES, min_size=16, max_size=60)
+        ),
+    )
+    @example(prefix=[], values=[0.0, -0.0, 3.0, -0.0] * 5)
+    @example(prefix=[0.1], values=[float("nan"), 1e30, -5.0, 0.1 + 1e-17] * 5)
+    @example(prefix=[-0.0], values=[0.0] * 20)
+    @example(prefix=[1e16], values=[1.0] * 20)
+    def test_bit_identical_to_a_record_loop(self, prefix, values):
+        one, many = make(), make()
+        for histogram in (one, many):
+            for value in prefix:
+                histogram.record(value)
+        for value in values:
+            one.record(value)
+        many.record_many(np.array(values, dtype=float))
+        assert_bit_identical(one, many)
+
+    def test_sum_associates_left_to_right(self):
+        """numpy's pairwise ``sum`` of these samples differs from the
+        sequential one; ``record_many`` must give the sequential bits."""
+        values = np.array([1e16] + [1.0] * 15)
+        assert float(np.sum(values)) != 1e16
+        one, many = make(), make()
+        for value in values:
+            one.record(value)
+        many.record_many(values)
+        assert bits(one.total) == bits(many.total) == bits(1e16)
 
 
 class TestPercentileOracle:

@@ -787,18 +787,23 @@ class TestSaveReadsRecordedIndices:
         )
         state, result = runtime.state, runtime.result
         peak = 0
+
+        def recorded():
+            worker_events = state.workers.by_id("events")
+            task_events = state.tasks.by_id("events")
+            assert worker_events.keys() == state.workers.keys()
+            assert task_events.keys() == state.tasks.keys()
+            return len(worker_events) + len(task_events)
+
         while not runtime.done:
             runtime.run(max_rounds=1)
-            assert state.worker_events.keys() == state.workers.keys()
-            assert state.task_events.keys() == state.tasks.keys()
-            peak = max(peak, len(state.worker_events) + len(state.task_events))
+            peak = max(peak, recorded())
         assert peak > 0
-        assert state.worker_events.keys() == state.workers.keys()
-        assert state.task_events.keys() == state.tasks.keys()
+        recorded()
         assert len(result.worker_events) == len(result.assignment) > 0
         assert len(result.task_events) == len(result.assignment)
-        # Far fewer live entries than the rows the horizon applied.
-        assert len(state.worker_events) + len(state.task_events) < len(log) // 4
+        # Far fewer pool slots than the rows the horizon applied.
+        assert state.workers.events.size + state.tasks.events.size < len(log) // 4
 
     def test_assigned_chunks_are_reused_but_the_tail(self, tmp_path):
         from repro.stream.checkpoint import save_checkpoint
@@ -848,7 +853,10 @@ class TestSaveReadsRecordedIndices:
             saved, NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
             base, log,
         )
-        assert resumed.state.worker_events == interrupted.state.worker_events
-        assert resumed.state.task_events == interrupted.state.task_events
+        for pool in ("workers", "tasks"):
+            for column in ("events", "since"):
+                assert getattr(resumed.state, pool).by_id(column) == getattr(
+                    interrupted.state, pool
+                ).by_id(column)
         assert resumed.result.worker_events == interrupted.result.worker_events
         assert resumed.result.task_events == interrupted.result.task_events
