@@ -1,17 +1,17 @@
-"""Substrate bench: feasible-pair enumeration — dense scan vs grid index.
+"""Substrate bench: feasible-pair enumeration — dense kernel vs grid graph.
 
-Design-choice ablation: the dense ``|W| x |S|`` feasibility product is the
-right layout for the flow solvers at paper scale, but the grid candidate
-generator is output-sensitive and wins once instances grow or the
-reachable radius shrinks.  Both produce the identical pair set (asserted
-here and property-tested in the unit suite).
+Design-choice ablation: the dense ``|W| x |S|`` feasibility kernel
+(:func:`~repro.assignment.compute_feasible`) is the batch path and the
+reference, and :func:`~repro.assignment.pair_graph`, which tests only the
+tasks in each worker's 3 x 3 grid neighbourhood, is what stream rounds
+run.  Both produce the identical pair graph (asserted here and
+property-tested in the unit suite).
 """
 
 import numpy as np
 import pytest
 
-from repro.assignment import candidate_pairs
-from repro.assignment.candidates import _dense_pairs
+from repro.assignment import compute_feasible, pair_graph
 from repro.entities import Task, Worker
 from repro.geo import Point
 
@@ -35,24 +35,36 @@ def make_world(num_workers: int, num_tasks: int, radius: float, seed: int = 0):
     return workers, tasks
 
 
+def dense_graph(workers, tasks, now):
+    return compute_feasible(workers, tasks, now).graph
+
+
+def grid_graph(workers, tasks, now):
+    worker_attrs = np.array(
+        [(w.location.x, w.location.y, w.reachable_km, w.speed_kmh) for w in workers]
+    )
+    task_attrs = np.array([(t.location.x, t.location.y, t.expiry_time) for t in tasks])
+    return pair_graph(worker_attrs, task_attrs, now)
+
+
 SIZES = [(400, 500), (1200, 1500)]
-ENUMERATORS = {"dense": _dense_pairs, "grid": candidate_pairs}
+ENUMERATORS = {"dense": dense_graph, "grid": grid_graph}
 
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("kind", sorted(ENUMERATORS))
 def test_candidate_enumeration(benchmark, size, kind):
     workers, tasks = make_world(*size, radius=10.0)
-    pairs = benchmark.pedantic(
+    graph = benchmark.pedantic(
         lambda: ENUMERATORS[kind](workers, tasks, 0.0),
         rounds=1, iterations=1,
     )
-    assert pairs
+    assert graph.num_pairs
 
 
 @pytest.mark.parametrize("radius", [5.0, 25.0])
 def test_index_agreement(benchmark, radius):
-    """Both enumeration paths agree pair-for-pair."""
+    """Both enumeration paths agree pair for pair, distances included."""
     workers, tasks = make_world(300, 375, radius=radius, seed=3)
 
     def run_all():
@@ -62,6 +74,6 @@ def test_index_agreement(benchmark, radius):
         }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    key = lambda pairs: [(p.worker_index, p.task_index) for p in pairs]
-    assert key(results["grid"]) == key(results["dense"])
-    print(f"\nradius={radius} km -> {len(results['dense'])} feasible pairs")
+    for got, want in zip(results["grid"], results["dense"]):
+        np.testing.assert_array_equal(got, want)
+    print(f"\nradius={radius} km -> {results['dense'].num_pairs} feasible pairs")

@@ -29,7 +29,7 @@ from repro.assignment.base import (
     compute_feasible,
     entity_columns,
 )
-from repro.assignment.candidates import CandidatePair, candidate_pairs
+from repro.assignment.candidates import PairGraph, pair_graph
 from repro.assignment.lexico import LexicographicCostAssigner
 from repro.assignment.solvers import (
     solve_lexicographic,
@@ -51,8 +51,8 @@ __all__ = [
     "RoundState",
     "compute_feasible",
     "entity_columns",
-    "CandidatePair",
-    "candidate_pairs",
+    "PairGraph",
+    "pair_graph",
     "LexicographicCostAssigner",
     "solve_lexicographic",
     "solve_lexicographic_mcmf",

@@ -11,7 +11,6 @@ Feasibility of a worker-task pair (paper Section IV-A):
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
@@ -19,39 +18,93 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.assignment.candidates import PairGraph, pair_graph
 from repro.data.instance import SCInstance
 from repro.entities import AssignedPair, Assignment, Task, Worker
 from repro.geo import pairwise_euclidean, pairwise_euclidean_xy
 from repro.influence import InfluenceModel, VenueEntropy, entropy_of_tasks
 
 
-@dataclass(frozen=True)
 class FeasiblePairs:
-    """The feasibility structure of one instance.
+    """The feasibility structure of one instance: its feasible-pair graph.
 
     Attributes
     ----------
     workers / tasks:
         The candidate workers and open tasks, in matrix order.
-    distance_km:
-        Dense ``C x T`` worker-task distances.
-    mask:
-        Dense ``C x T`` boolean feasibility matrix.
+    graph:
+        The feasible pairs as a :class:`~repro.assignment.candidates.PairGraph`
+        CSR: per worker row, its feasible task columns (ascending) and their
+        distances.
+
+    The dense ``C x T`` :attr:`distance_km` and :attr:`mask` that the dense
+    solvers read are computed on first read, from the graph and the
+    ``coordinates``: the workers' and tasks' ``(C, 2)`` and ``(T, 2)`` x/y
+    arrays.
     """
 
-    workers: tuple[Worker, ...]
-    tasks: tuple[Task, ...]
-    distance_km: np.ndarray
-    mask: np.ndarray
+    def __init__(
+        self,
+        workers: tuple[Worker, ...],
+        tasks: tuple[Task, ...],
+        graph: PairGraph,
+        coordinates: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        self.workers = workers
+        self.tasks = tasks
+        self.graph = graph
+        self._coordinates = coordinates
+
+    @classmethod
+    def from_dense(
+        cls,
+        workers: Sequence[Worker],
+        tasks: Sequence[Task],
+        distance_km: np.ndarray,
+        mask: np.ndarray,
+    ) -> "FeasiblePairs":
+        """The pairs of a dense ``mask``, keeping it and ``distance_km``."""
+        feasible = cls(tuple(workers), tuple(tasks), PairGraph.from_mask(mask, distance_km))
+        feasible.__dict__.update(distance_km=distance_km, mask=mask)
+        return feasible
 
     @property
     def num_feasible(self) -> int:
         """``m`` — the number of available assignments over all workers."""
-        return int(self.mask.sum())
+        return self.graph.num_pairs
 
     def feasible_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(worker_rows, task_columns)`` of all feasible pairs."""
-        return mask_nonzero(self.mask)
+        """``(worker_rows, task_columns)`` of all feasible pairs, row-major."""
+        return self.graph.rows(), self.graph.columns
+
+    @cached_property
+    def distance_km(self) -> np.ndarray:
+        """Dense read-only ``C x T`` worker-task distances."""
+        distance = pairwise_euclidean_xy(*self._coordinates)
+        distance.flags.writeable = False
+        return distance
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Dense ``C x T`` boolean feasibility matrix."""
+        mask = np.zeros((len(self.workers), len(self.tasks)), dtype=bool)
+        mask[self.feasible_indices()] = True
+        return mask
+
+    def contains(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Whether each ``(rows[i], columns[i])`` is a feasible pair: one
+        ``searchsorted`` of the pairs' row-major keys, which the graph
+        lists in ascending order.  A key ``row * T + column`` with the
+        column in range names one cell, and no pair's key lies outside
+        ``[0, C * T)``, so only columns need a range check."""
+        graph, width = self.graph, len(self.tasks)
+        keys = np.repeat(np.arange(0, graph.num_rows * width, width), np.diff(graph.indptr))
+        keys += graph.columns
+        if not keys.size:
+            return np.zeros(rows.shape, dtype=bool)
+        wanted = rows * width + columns
+        found = keys[np.searchsorted(keys, wanted).clip(max=keys.size - 1)] == wanted
+        return found & (columns >= 0) & (columns < width)
 
 
 def mask_nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,14 +117,12 @@ def mask_nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def compute_feasible(
     workers: list[Worker], tasks: list[Task], current_time: float
 ) -> FeasiblePairs:
-    """Evaluate both feasibility conditions for every worker-task pair."""
-    if not workers or not tasks:
-        return FeasiblePairs(
-            workers=tuple(workers),
-            tasks=tuple(tasks),
-            distance_km=np.zeros((len(workers), len(tasks))),
-            mask=np.zeros((len(workers), len(tasks)), dtype=bool),
-        )
+    """Evaluate both feasibility conditions for every worker-task pair.
+
+    The dense reference of :func:`~repro.assignment.candidates.pair_graph`:
+    the full distance kernel and mask, with the pair graph read off the
+    mask.
+    """
     distance = pairwise_euclidean(
         [w.location for w in workers], [t.location for t in tasks]
     )
@@ -80,12 +131,7 @@ def compute_feasible(
     deadline = np.array([t.expiry_time for t in tasks])[None, :]
     reachable = distance <= radius
     in_time = current_time + distance / speed <= deadline
-    return FeasiblePairs(
-        workers=tuple(workers),
-        tasks=tuple(tasks),
-        distance_km=distance,
-        mask=reachable & in_time,
-    )
+    return FeasiblePairs.from_dense(workers, tasks, distance, reachable & in_time)
 
 
 class PreparedInstance:
@@ -99,6 +145,9 @@ class PreparedInstance:
     def __init__(self, instance: SCInstance, influence: InfluenceModel | None = None) -> None:
         self.instance = instance
         self.influence = influence
+        # Location entropies aligned with instance.tasks, when the caller
+        # has them as a column (RoundState); read by the entropy caches.
+        self._task_entropy: np.ndarray | None = None
 
     @cached_property
     def feasible(self) -> FeasiblePairs:
@@ -117,10 +166,16 @@ class PreparedInstance:
     @cached_property
     def entropy_by_task(self) -> dict[int, float]:
         """Location entropy per task id (for EIA)."""
+        if self._task_entropy is not None:
+            return dict(zip(
+                (t.task_id for t in self.instance.tasks), self._task_entropy.tolist()
+            ))
         return entropy_of_tasks(self.instance.tasks, self.instance.venue_visits)
 
     def entropy_vector(self) -> np.ndarray:
         """Location entropies aligned with the task axis of the matrices."""
+        if self._task_entropy is not None:
+            return np.array(self._task_entropy)
         return np.array(
             [self.entropy_by_task[t.task_id] for t in self.instance.tasks]
         )
@@ -133,8 +188,9 @@ class PreparedInstance:
         index pairs, validating feasibility and one-to-one matching.
 
         Accepts a list of index tuples or a ``(rows, cols)`` pair of index
-        arrays — the array form validates vectorized and only falls back to
-        the scalar walk to reproduce its precise error messages.
+        arrays.  Both are validated vectorized, feasibility against the
+        pair graph (:meth:`FeasiblePairs.contains`); a pair walk runs only
+        to name the first offending pair.
         """
         if (
             isinstance(pairs, tuple)
@@ -143,42 +199,46 @@ class PreparedInstance:
         ):
             rows = np.asarray(pairs[0], dtype=np.int64)
             columns = np.asarray(pairs[1], dtype=np.int64)
-            valid = (
-                np.unique(rows).size == rows.size
-                and np.unique(columns).size == columns.size
-                and (rows.size == 0 or bool(self.feasible.mask[rows, columns].all()))
-            )
-            if valid:
-                workers, tasks = self.instance.workers, self.instance.tasks
-                return Assignment([
-                    AssignedPair(task=tasks[column], worker=workers[row])
-                    for row, column in zip(rows.tolist(), columns.tolist())
-                ])
-            pairs = list(zip(rows.tolist(), columns.tolist()))
-        assignment = Assignment()
+        else:
+            rows, columns = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        feasible = self.feasible.contains(rows, columns)
+        workers, tasks = self.instance.workers, self.instance.tasks
+        row_list, column_list = rows.tolist(), columns.tolist()
+        if not (
+            len(set(row_list)) == len(row_list)
+            and len(set(column_list)) == len(column_list)
+            and bool(feasible.all())
+        ):
+            self._raise_first_violation(row_list, column_list, feasible.tolist())
+        return Assignment([
+            AssignedPair(task=tasks[column], worker=workers[row])
+            for row, column in zip(row_list, column_list)
+        ])
+
+    def _raise_first_violation(
+        self, rows: list[int], columns: list[int], feasible: list[bool]
+    ) -> None:
+        """Walk the pairs in order and raise for the first one that repeats
+        a row or a column or is infeasible."""
         used_rows: set[int] = set()
         used_columns: set[int] = set()
-        for row, column in pairs:
+        for row, column, ok in zip(rows, columns, feasible):
             if row in used_rows:
-                worker = self.instance.workers[row]
                 raise ValueError(
                     f"solver assigned worker row {row} "
-                    f"(worker id {worker.worker_id}) to more than one task"
+                    f"(worker id {self.instance.workers[row].worker_id}) to more than one task"
                 )
             if column in used_columns:
-                task = self.instance.tasks[column]
                 raise ValueError(
                     f"solver assigned task column {column} "
-                    f"(task id {task.task_id}) to more than one worker"
+                    f"(task id {self.instance.tasks[column].task_id}) to more than one worker"
                 )
-            if not self.feasible.mask[row, column]:
+            if not ok:
                 raise ValueError(
                     f"solver produced infeasible pair (worker row {row}, task column {column})"
                 )
             used_rows.add(row)
             used_columns.add(column)
-            assignment.add(self.instance.tasks[column], self.instance.workers[row])
-        return assignment
 
 
 def worker_attributes(
@@ -278,16 +338,19 @@ def _match(keys: np.ndarray, previous: _Keys) -> tuple[_Keys, np.ndarray]:
 class RoundState:
     """Incremental round preparation for online (batched-arrival) loops.
 
-    Each round arrives as attribute columns (:class:`EntityColumns`).
-    Distances, the feasibility mask and the entropy map are computed from
-    them in full: one W x T kernel costs less than gathering and filling a
-    carried matrix.  With an influence model, ``RoundState`` carries the
-    previous round's identity keys and influence matrix.  A round's entity
-    is *kept* when its key was in the previous round, and *new* otherwise —
-    first seen, absent last round, or relocated or republished under a new
-    key.  Kept x kept influence cells are gathered; new rows x all columns
-    and kept rows x new columns are computed.  Entities absent from a
-    round are dropped, so the cache is as large as the live pool.
+    Each round arrives as attribute columns (:class:`EntityColumns`) and,
+    optionally, its feasible-pair graph
+    (:class:`~repro.assignment.candidates.PairGraph`); without one, the
+    graph is enumerated from the columns by
+    :func:`~repro.assignment.candidates.pair_graph`.  The dense distance
+    and mask are left to the solvers that read them.  With an influence
+    model, ``RoundState`` carries the previous round's identity keys and
+    influence matrix.  A round's entity is *kept* when its key was in the
+    previous round, and *new* otherwise — first seen, absent last round,
+    or relocated or republished under a new key.  Kept x kept influence
+    cells are gathered; new rows x all columns and kept rows x new columns
+    are computed.  Entities absent from a round are dropped, so the cache
+    is as large as the live pool.
 
     Cached values are time-independent and no cell depends on the shape of
     the rectangle it was computed in, so results are bit-identical to a
@@ -309,13 +372,16 @@ class RoundState:
         instance: SCInstance,
         workers: EntityColumns | None = None,
         tasks: EntityColumns | None = None,
+        pairs: PairGraph | None = None,
     ) -> PreparedInstance:
-        """A :class:`PreparedInstance` for this round, with the feasibility,
-        influence and entropy caches pre-populated.
+        """A :class:`PreparedInstance` for this round, with the feasibility
+        and (with a model) influence caches pre-populated and the task
+        entropies taken from the task columns.
 
         ``workers`` / ``tasks`` are the columns of ``instance.workers`` /
         ``instance.tasks``, in the same order; omitted, they are read off
-        the objects by :func:`entity_columns`.
+        the objects by :func:`entity_columns`.  ``pairs`` is the round's
+        pair graph over those rows and columns; omitted, it is enumerated.
         """
         worker_objects, task_objects = tuple(instance.workers), tuple(instance.tasks)
         if workers is None:
@@ -326,26 +392,19 @@ class RoundState:
         _check_unique("task", tasks.ids)
 
         row_attrs, column_attrs = workers.attrs, tasks.attrs
-        distance = pairwise_euclidean_xy(row_attrs[:, :2], column_attrs[:, :2])
-        mask = (distance <= row_attrs[:, 2:3]) & (
-            instance.current_time + distance / row_attrs[:, 3:] <= column_attrs[:, 2]
+        if pairs is None:
+            pairs = pair_graph(row_attrs, column_attrs, instance.current_time)
+        prepared = PreparedInstance(instance, self.influence)
+        prepared.__dict__["feasible"] = FeasiblePairs(
+            worker_objects, task_objects, pairs, (row_attrs[:, :2], column_attrs[:, :2])
         )
-        if self.influence is None:
-            influence = np.zeros(distance.shape)
-        else:
+        if self.influence is not None:
             influence = self._carry_influence(
                 worker_objects, task_objects, workers.keys, tasks.keys
             )
-        distance.flags.writeable = influence.flags.writeable = False
-
-        prepared = PreparedInstance(instance, self.influence)
-        prepared.__dict__["feasible"] = FeasiblePairs(
-            worker_objects, task_objects, distance, mask
-        )
-        prepared.__dict__["influence_matrix"] = influence
-        prepared.__dict__["entropy_by_task"] = dict(
-            zip(tasks.ids.tolist(), column_attrs[:, 3].tolist())
-        )
+            influence.flags.writeable = False
+            prepared.__dict__["influence_matrix"] = influence
+        prepared._task_entropy = column_attrs[:, 3]
         return prepared
 
     def _carry_influence(

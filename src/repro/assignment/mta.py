@@ -10,27 +10,33 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from repro.assignment.base import Assigner, PreparedInstance, mask_nonzero
+from repro.assignment.base import Assigner, PreparedInstance
 from repro.entities import Assignment
 
 
-def feasibility_csr(mask: np.ndarray) -> sparse.csr_matrix:
-    """The boolean ``mask`` as a CSR matrix of ones, read straight off it:
-    row counts give ``indptr`` and the row-major nonzero columns give
-    ``indices``, with no dense copy and no COO round trip."""
-    indptr = np.zeros(mask.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-    indices = mask_nonzero(mask)[1]
-    data = np.ones(indices.size, dtype=np.int8)
-    return sparse.csr_matrix((data, indices, indptr), shape=mask.shape)
+def pair_matrix(
+    indptr: np.ndarray, columns: np.ndarray, shape: tuple[int, int]
+) -> sparse.csr_matrix:
+    """A CSR matrix of ones over the given rows' columns, with the int32
+    index arrays Hopcroft-Karp reads, so that scipy neither downcasts nor
+    re-checks their dtype."""
+    return sparse.csr_matrix(
+        (
+            np.ones(columns.size, dtype=np.int8),
+            columns.astype(np.int32, copy=False),
+            indptr.astype(np.int32, copy=False),
+        ),
+        shape=shape,
+    )
 
 
 class MTAAssigner(Assigner):
     """Max-cardinality assignment, ignoring influence.
 
-    Solves with scipy's Hopcroft-Karp matching on the feasibility mask.
-    The paper's formulation — max flow on the Figure-4 network — is kept
-    as the reference: :class:`~repro.flow.Dinic` on
+    Solves with scipy's Hopcroft-Karp matching on the instance's
+    feasible-pair graph, handed over as it is.  The paper's formulation —
+    max flow on the Figure-4 network — is kept as the reference:
+    :class:`~repro.flow.Dinic` on
     :func:`~repro.assignment.solvers.build_figure4_network` reaches the
     same cardinality, which the test suite checks.
     """
@@ -38,9 +44,13 @@ class MTAAssigner(Assigner):
     name = "MTA"
 
     def assign(self, prepared: PreparedInstance) -> Assignment:
-        graph = feasibility_csr(prepared.feasible.mask)
-        if graph.indptr[-1] == 0:
+        feasible = prepared.feasible
+        if feasible.num_feasible == 0:
             return Assignment()
+        graph = pair_matrix(
+            feasible.graph.indptr, feasible.graph.columns,
+            (len(feasible.workers), len(feasible.tasks)),
+        )
         match = maximum_bipartite_matching(graph, perm_type="column")
         rows = np.flatnonzero(match >= 0)
         return prepared.build_assignment((rows, match[rows].astype(np.int64)))

@@ -296,7 +296,7 @@ def _validate_stream_flags(args: argparse.Namespace, trigger) -> str | None:
     if args.executor != "serial" and args.shards is None:
         return "--executor requires --shards (the unsharded runtime has no backend)"
     if args.pipeline and args.shards is None:
-        return "--pipeline requires --shards (there is nothing to overlap)"
+        return "--pipeline requires --shards"
     if args.rebalance and args.shards is None:
         return "--rebalance requires --shards (there is no layout to repack)"
     if args.rebalance_interval < 1:
@@ -681,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="serial",
                         help="shard backend (requires --shards)")
     stream.add_argument("--pipeline", action="store_true",
-                        help="overlap per-shard prepare/solve on the "
-                             "executor pool (requires --shards; "
-                             "bit-identical results, lower round latency)")
+                        help="accepted for compatibility (requires "
+                             "--shards): rounds always prepare in the "
+                             "calling thread and solve on the executor")
     stream.add_argument("--rebalance", action="store_true",
                         help="repack shard components from an EWMA of "
                              "observed solve latency at deterministic "

@@ -21,7 +21,6 @@ Ablations (Section V-B1) drop one factor:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,9 +106,6 @@ class InfluenceModel:
         self._wil_columns: dict[Point, tuple[np.ndarray, float]] = {}
         self._rows_in_graph: np.ndarray | None = None
         self._propagation_version = propagation.version
-        # The caches above are filled and evicted on lookup, so concurrent
-        # shard prepares under the pipelined runtime serialize through this.
-        self._lock = threading.RLock()
 
     #: Soft cap on cached location columns; beyond it the oldest entries are
     #: evicted (insertion order).  Bounds memory on long multi-day runs where
@@ -173,19 +169,15 @@ class InfluenceModel:
     # ------------------------------------------------------------------- API
     def sigma(self, worker_id: int) -> float:
         """Informed range of ``worker_id`` (the AP metric's per-worker term)."""
-        with self._lock:
-            return float(self._sigma_all()[self.graph.index_of(worker_id)])
+        return float(self._sigma_all()[self.graph.index_of(worker_id)])
 
     def propagation_to_others(self, worker_id: int) -> float:
         """``sum_{w_j != w} P_pro(w, w_j)`` — Equation 7's per-pair term.
 
         Equals the informed range minus the self term ``P_pro(w, w)``.
         """
-        with self._lock:
-            index = self.graph.index_of(worker_id)
-            value = float(
-                self._sigma_all()[index] - self._self_propagation()[index]
-            )
+        index = self.graph.index_of(worker_id)
+        value = float(self._sigma_all()[index] - self._self_propagation()[index])
         return max(value, 0.0)
 
     def influence_matrix(
@@ -194,12 +186,6 @@ class InfluenceModel:
         """``if(w, s)`` for every candidate worker x task: shape ``(C, T)``."""
         if not workers or not tasks:
             return np.zeros((len(workers), len(tasks)))
-        with self._lock:
-            return self._influence_matrix_locked(workers, tasks)
-
-    def _influence_matrix_locked(
-        self, workers: Sequence[Worker], tasks: Sequence[Task]
-    ) -> np.ndarray:
         self._check_propagation_freshness()
         candidate_idx = self.graph.indices_of([w.worker_id for w in workers])
         use = self.components

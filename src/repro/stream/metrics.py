@@ -58,11 +58,11 @@ class RoundRecord:
       drain and the bookkeeping).
 
     A pool submit belongs to no phase.  Prepare and solve are
-    *cumulative across shards* — under a pipelined executor the shards'
-    intervals overlap, so the phase sums can exceed ``round_seconds``
-    (that gap is exactly the pipelining win).  ``repacks`` counts
-    shard-layout repacks applied at this round's boundary (0 or 1 without
-    custom rebalancers).
+    *cumulative across shards* — on the thread backend the shards' solve
+    intervals overlap each other and later prepares, so the phase sums can
+    exceed ``round_seconds``.  The first shard's prepare also covers the
+    round's pair enumeration.  ``repacks`` counts shard-layout repacks
+    applied at this round's boundary (0 or 1 without custom rebalancers).
     """
 
     index: int
@@ -203,7 +203,7 @@ class StreamMetrics:
     def phase_totals(self) -> dict[str, float]:
         """Cumulative per-phase seconds across all recorded rounds.
 
-        Sums can exceed ``wall_seconds`` under a pipelined executor — the
+        Sums can exceed ``wall_seconds`` on the thread backend — the
         phases are measured as per-shard spans, which overlap in time.
         """
         return {

@@ -18,21 +18,20 @@ batched :class:`~repro.framework.online.OnlineSimulator`:
 
 Every round runs through :class:`ShardExecutor`: it splits the round's
 pools along a :class:`~repro.stream.shards.ShardLayout` (planned once per
-run, radius-aware, so no feasible pair is ever split), runs candidate
-generation + assignment per shard — serially or on a thread pool —
-and merges per-shard assignments in deterministic sorted-shard order
-through the same :func:`~repro.assignment.partitioned.merge_assignments`
-core the offline :class:`~repro.assignment.PartitionedAssigner` uses.
-Because no feasible pair crosses shards, the sharded round solves the same
-problem as the unsharded one, split into independent sub-problems.  An
-unsharded runtime is simply the one-shard case: a fixed single-bin layout
-on the serial backend, so there is one round path.
+run, radius-aware, so no feasible pair is ever split), enumerates the
+round's feasible-pair graph once
+(:func:`~repro.assignment.candidates.pair_graph`, in the calling thread)
+and slices it per shard, solves the shards — serially or on a thread
+pool — and merges per-shard assignments in deterministic sorted-shard
+order through the same
+:func:`~repro.assignment.partitioned.merge_assignments` core the offline
+:class:`~repro.assignment.PartitionedAssigner` uses.  Because no feasible
+pair crosses shards, the sharded round solves the same problem as the
+unsharded one, split into independent sub-problems.  An unsharded runtime
+is simply the one-shard case: a fixed single-bin layout on the serial
+backend, so there is one round path.
 
-Two optional layers sit on top of sharding.  **Pipelining**
-(``StreamRuntime(pipeline=True)``) overlaps the per-shard phases on the
-executor's pool instead of running prepare-all-then-solve-all; results are
-collected and merged in ascending shard order, so the rounds stay
-bit-identical to the serial schedule.  **Latency-driven rebalancing**
+**Latency-driven rebalancing**
 (``StreamRuntime(rebalance=ShardRebalancer(...))``) replaces the planner's
 count-based component→shard packing with an EWMA of observed per-component
 solve latency, repacked at deterministic round-index boundaries — whole
@@ -59,7 +58,8 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.assignment.base import Assigner, PreparedInstance, RoundState
+from repro.assignment.base import Assigner, EntityColumns, PreparedInstance, RoundState
+from repro.assignment.candidates import PairGraph, pair_graph
 from repro.assignment.partitioned import merge_assignments
 from repro.data.instance import SCInstance
 from repro.entities import Assignment
@@ -296,6 +296,11 @@ class AdmissionController:
         self._round_shed = 0
 
 
+def _entity_rows(columns: EntityColumns, start: int, stop: int) -> EntityColumns:
+    """Rows ``[start, stop)`` of round columns, as views."""
+    return EntityColumns(*(array[start:stop] for array in columns))
+
+
 def _solve_shard(
     assigner: Assigner, shard: int, prepared: PreparedInstance
 ) -> tuple[int, Assignment, Interval]:
@@ -325,11 +330,11 @@ class RoundExecution:
     ``prepare`` and ``solve`` map each solved shard to its interval, and
     ``merge`` is the merge interval; the runtime derives the round
     record's seconds and the trace spans from these same intervals.  The
-    phase seconds are *cumulative across shards*: under the pipelined
-    executor the per-shard prepare/solve intervals overlap in time, so
-    their sum can exceed the round's wall clock — that gap is the overlap
-    win.  ``events`` holds each pair's recorded ``(worker_event,
-    task_event)`` log indices, in pair order.
+    phase seconds are *cumulative across shards*: on the thread backend
+    the solve intervals overlap each other and the later shards' prepares,
+    so their sum can exceed the round's wall clock.  ``events`` holds each
+    pair's recorded ``(worker_event, task_event)`` log indices, in pair
+    order.
     """
 
     assignment: Assignment
@@ -363,37 +368,31 @@ class ShardExecutor:
     Each round: route each id-sorted live pool with one
     :meth:`~repro.stream.shards.ShardLayout.shards_of` call on its x/y
     columns and split its slot array by one stable argsort on shard (so
-    every shard lists its entities by ascending id), prepare every
-    non-empty shard from its slots' columns through its own persistent
-    :class:`~repro.assignment.RoundState` (the previous round's influence
-    cache, per shard), solve the shards on the configured backend, and
-    merge the per-shard assignments in ascending shard order.  An unsharded
-    :class:`StreamRuntime` runs a one-shard serial executor, so this is
-    the only round path.
+    every shard lists its entities by ascending id), enumerate the round's
+    feasible-pair graph once over all populated shards' rows and columns
+    in shard-major order (:func:`~repro.assignment.candidates.pair_graph`)
+    and give each shard its slice, prepare each shard through its own
+    persistent :class:`~repro.assignment.RoundState` (the previous round's
+    influence cache, per shard, with a model), solve the shards on the
+    configured backend, and merge the per-shard assignments in ascending
+    shard order.  An unsharded :class:`StreamRuntime` runs a one-shard
+    serial executor, so this is the only round path.
 
-    In the default (non-pipelined) mode every shard is prepared in the
-    calling thread — prepared instances are fully materialized
-    (feasibility, influence, entropy) before dispatch, so pool threads only
-    run the solver.  In **pipelined** mode (``run_round(..., pipeline=True)``
-    on the thread backend) each shard's prepare+solve runs as one unit on
-    the pool, so shard k+1 prepares while shard k solves (per-shard
-    ``RoundState`` objects are disjoint and the influence model's column
-    caches are lock-protected, so concurrent prepares are safe).  Results
-    are always collected in ascending shard order and every prepared
-    instance is deterministic regardless of which thread built it, so
-    pipelined rounds are bit-identical to serial ones.
+    Every prepare — the enumeration, the slicing and any influence fill —
+    runs in the calling thread; pool threads only run solves, each
+    submitted as soon as its shard is prepared, so the influence model is
+    only ever used from one thread.  Results are collected in ascending
+    shard order and every prepared instance is deterministic, so rounds
+    are bit-identical whichever backend solved them.
 
     Backends
     --------
     ``serial``
-        Solve shards one after another in the calling thread.  Already
-        faster than unsharded on decomposable worlds: k shards of n/k
-        entities beat one solve of n for any super-linear solver.
+        Solve shards one after another in the calling thread.
     ``thread``
-        A :class:`~concurrent.futures.ThreadPoolExecutor`; effective for
-        numpy-heavy solvers that release the GIL.  An exception raised by
-        a shard's prepare or solve on a pool thread propagates unchanged
-        out of :meth:`run_round`.
+        A :class:`~concurrent.futures.ThreadPoolExecutor` for the solves.
+        An exception raised by a shard's solve on a pool thread propagates
+        unchanged out of :meth:`run_round`.
 
     A per-shard :class:`numpy.random.Generator` stream is maintained (and
     checkpointed for sharded runs): :meth:`rng_for` is the seed source for
@@ -450,17 +449,17 @@ class ShardExecutor:
 
     # ----------------------------------------------------------------- round
     def _prepare_shard(
-        self, shard: int, state: StreamState, work: _ShardWork
+        self,
+        shard: int,
+        work: _ShardWork,
+        columns: tuple[EntityColumns, EntityColumns] | None,
+        pairs: PairGraph | None,
     ) -> PreparedInstance:
-        if state.incremental:
+        if columns is not None:
             round_state = self.round_states.get(shard)
             if round_state is None:
                 round_state = self.round_states[shard] = RoundState(self.influence)
-            return round_state.prepare(
-                work.instance,
-                state.workers.columns(work.worker_slots),
-                state.tasks.columns(work.task_slots),
-            )
+            return round_state.prepare(work.instance, *columns, pairs=pairs)
         prepared = PreparedInstance(work.instance, self.influence)
         # Force the lazy caches now, in the calling thread (see class doc).
         prepared.feasible
@@ -473,24 +472,6 @@ class ShardExecutor:
             self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
-    def _prepare_and_solve(
-        self,
-        shard: int,
-        state: StreamState,
-        work: _ShardWork,
-        assigner: Assigner,
-    ) -> tuple[int, Assignment, Interval, Interval]:
-        """One shard's prepare+solve unit (the pipelined thread-pool task).
-
-        Returns the prepare and solve intervals, which meet at the one
-        clock reading taken when the prepare returns.
-        """
-        start_ns = clock_ns()
-        prepared = self._prepare_shard(shard, state, work)
-        prepare = Interval.since(start_ns)
-        part = assigner.assign(prepared)
-        return shard, part, prepare, Interval.since(prepare.end_ns)
-
     def _component_entities(self, *locations: tuple[np.ndarray, np.ndarray]) -> dict[int, int]:
         """Pooled entities per layout component (rebalancer attribution),
         from the pools' ``(x, y)`` coordinate arrays."""
@@ -498,12 +479,56 @@ class ShardExecutor:
         values, counts = np.unique(components[components >= 0], return_counts=True)
         return dict(zip(values.tolist(), counts.tolist()))
 
+    @staticmethod
+    def _shard_inputs(
+        state: StreamState, shard_work: list[tuple[int, _ShardWork]], now: float
+    ) -> list[tuple[tuple[EntityColumns, EntityColumns], PairGraph]]:
+        """Each shard's worker and task columns and pair graph, sliced from
+        one enumeration over the round's rows and columns in shard-major
+        order.
+
+        The layout never splits a feasible pair between planned cells, so
+        every pair lies within its shard's block.  Pairs that the
+        hash-routed fallback for unplanned cells would split are dropped,
+        as per-shard enumeration would never see them.
+        """
+        if not shard_work:
+            return []
+        worker_counts = [work.worker_slots.size for _, work in shard_work]
+        task_counts = [work.task_slots.size for _, work in shard_work]
+        workers = state.workers.columns(
+            np.concatenate([work.worker_slots for _, work in shard_work])
+        )
+        tasks = state.tasks.columns(
+            np.concatenate([work.task_slots for _, work in shard_work])
+        )
+        graph = pair_graph(workers.attrs, tasks.attrs, now)
+        if len(shard_work) > 1:
+            block = np.arange(len(shard_work))
+            split = (
+                np.repeat(block, worker_counts)[graph.rows()]
+                != np.repeat(block, task_counts)[graph.columns]
+            )
+            if split.any():
+                graph = graph.subset(~split)
+        row_bounds = np.cumsum([0] + worker_counts).tolist()
+        column_bounds = np.cumsum([0] + task_counts).tolist()
+        return [
+            (
+                (_entity_rows(workers, row_start, row_stop),
+                 _entity_rows(tasks, column_start, column_stop)),
+                graph.block(row_start, row_stop, column_start),
+            )
+            for row_start, row_stop, column_start, column_stop in zip(
+                row_bounds, row_bounds[1:], column_bounds, column_bounds[1:]
+            )
+        ]
+
     def run_round(
         self,
         state: StreamState,
         assigner: Assigner,
         now: float,
-        pipeline: bool = False,
     ) -> RoundExecution:
         """Solve one round shard-by-shard and retire the matched pairs.
 
@@ -515,9 +540,6 @@ class ShardExecutor:
         x/y columns and split by one stable argsort on shard, so each
         shard's instance lists its entities by ascending id and is
         deterministic.
-        ``pipeline=True`` overlaps the per-shard phases (see the class
-        docstring); it is a no-op on the serial backend and for rounds with
-        at most one populated shard.
         """
         layout = self.layout
         pools = (state.workers, state.tasks)
@@ -548,46 +570,33 @@ class ShardExecutor:
         prepare: dict[int, Interval] = {}
         solve: dict[int, Interval] = {}
         parts: list[Assignment] = []
-
-        def collect(shard: int, part: Assignment, solved: Interval) -> None:
+        pool = (
+            self._pool_executor()
+            if self.backend == "thread" and len(shard_work) > 1 else None
+        )
+        outcomes = []
+        # Every prepare runs here, in the calling thread; only solves go to
+        # the pool, each submitted as soon as its shard is prepared.  The
+        # first shard's prepare interval also covers the round's pair
+        # enumeration, so the prepare intervals tile all preparation.
+        start_ns = clock_ns()
+        inputs = (
+            self._shard_inputs(state, shard_work, now) if state.incremental
+            else [(None, None)] * len(shard_work)
+        )
+        for (shard, work), (columns, pairs) in zip(shard_work, inputs):
+            prepared = self._prepare_shard(shard, work, columns, pairs)
+            prepare[shard] = Interval.since(start_ns)
+            if pool is None:
+                outcomes.append(_solve_shard(assigner, shard, prepared))
+            else:
+                outcomes.append(pool.submit(_solve_shard, assigner, shard, prepared))
+            start_ns = clock_ns()
+        # Collected in ascending shard order, whichever thread solved.
+        for outcome in outcomes:
+            shard, part, solved = outcome if pool is None else outcome.result()
             parts.append(part)
             solve[shard] = solved
-
-        pooled = self.backend == "thread" and len(shard_work) > 1
-        if pooled and pipeline:
-            # Whole prepare+solve units on the pool: shard k+1 prepares
-            # while shard k solves, and collection in ascending shard
-            # order merges finished shards while later ones still run.
-            pool = self._pool_executor()
-            futures = [
-                pool.submit(
-                    self._prepare_and_solve, shard, state, work, assigner
-                )
-                for shard, work in shard_work
-            ]
-            for future in futures:
-                shard, part, prepare[shard], solved = future.result()
-                collect(shard, part, solved)
-        else:
-            # Prepare every shard in the calling thread, then solve them
-            # serially or on the pool.
-            prepared_shards: list[tuple[int, PreparedInstance]] = []
-            for shard, work in shard_work:
-                start_ns = clock_ns()
-                prepared = self._prepare_shard(shard, state, work)
-                prepare[shard] = Interval.since(start_ns)
-                prepared_shards.append((shard, prepared))
-            if pooled:
-                pool = self._pool_executor()
-                futures = [
-                    pool.submit(_solve_shard, assigner, shard, prepared)
-                    for shard, prepared in prepared_shards
-                ]
-                for future in futures:
-                    collect(*future.result())
-            else:
-                for shard, prepared in prepared_shards:
-                    collect(*_solve_shard(assigner, shard, prepared))
 
         start_ns = clock_ns()
         merged = merge_assignments(parts)
@@ -702,9 +711,11 @@ class StreamRuntime:
         Planning cell size for the shard layout (default: the log's
         largest worker radius).
     pipeline:
-        Overlap the per-shard round phases on the executor's worker pool
-        (see :class:`ShardExecutor`): bit-identical results, lower round
-        wall clock.  Requires ``shards``; a no-op on the serial backend.
+        Accepted for compatibility with runs and checkpoints that set it,
+        and still requires ``shards``.  Rounds run the same way either way:
+        every shard is prepared in the calling thread and, on the thread
+        backend, each shard's solve goes to the pool as soon as the shard
+        is prepared (see :class:`ShardExecutor`).
     rebalance:
         Optional :class:`~repro.stream.shards.ShardRebalancer` repacking
         the component→shard layout from an EWMA of observed per-component
@@ -922,7 +933,7 @@ class StreamRuntime:
         prepare_seconds = solve_seconds = merge_seconds = 0.0
         if pool_workers and pool_tasks:
             execution = self.shard_executor.run_round(
-                state, self.assigner, fire_time, pipeline=self.pipeline,
+                state, self.assigner, fire_time
             )
             elapsed = Interval.since(drain.end_ns).seconds
             assignment = execution.assignment

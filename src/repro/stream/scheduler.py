@@ -58,7 +58,7 @@ class Trigger(abc.ABC):
         (``drain_seconds``/``prepare_seconds``/``solve_seconds``/
         ``merge_seconds``) alongside ``round_seconds``; note the phase
         spans are cumulative across shards and can exceed the wall clock
-        under the pipelined executor, so latency-budget policies (like
+        on the thread executor, so latency-budget policies (like
         :class:`AdaptiveTrigger`'s default ``cost_of``) should keep keying
         off ``round_seconds``, the true per-round wall time.
         """

@@ -17,7 +17,8 @@ from repro.assignment import (
     PreparedInstance,
     solve_lexicographic_mcmf,
 )
-from repro.assignment.mta import feasibility_csr
+from repro.assignment.candidates import PairGraph
+from repro.assignment.mta import pair_matrix
 from repro.assignment.solvers import build_figure4_network
 from repro.flow import Dinic
 from repro.framework.metrics import evaluate_assignment
@@ -164,6 +165,12 @@ class TestEngineConsistency:
         assert cost_dense == pytest.approx(cost_mcmf, abs=1e-6)
 
 
+def feasibility_csr(mask):
+    """MTA's matrix of the pair graph that compute_feasible reads off a mask."""
+    graph = PairGraph.from_mask(mask, np.zeros(mask.shape))
+    return pair_matrix(graph.indptr, graph.columns, mask.shape)
+
+
 class TestFeasibilityCSR:
     """MTA's graph, read straight off the mask, is scipy's CSR of it."""
 
@@ -199,7 +206,7 @@ class TestFeasibilityCSR:
     def test_all_false_mask_assigns_nothing(self, prepared):
         blocked = PreparedInstance(prepared.instance, prepared.influence)
         feasible = prepared.feasible
-        blocked.__dict__["feasible"] = type(feasible)(
+        blocked.__dict__["feasible"] = type(feasible).from_dense(
             feasible.workers, feasible.tasks, feasible.distance_km,
             np.zeros_like(feasible.mask),
         )
@@ -254,3 +261,53 @@ class TestNearestNeighbor:
         assert by_task[0] == 0
         # Task 1 at (9,1): nearest is worker 1 at (10,0).
         assert by_task[1] == 1
+
+    @staticmethod
+    def dense_nearest_neighbor(feasible):
+        """The dense-matrix greedy: per task in publication order, the
+        first free worker of least distance down its mask column."""
+        order = np.argsort([t.publication_time for t in feasible.tasks], kind="stable")
+        used, pairs = set(), []
+        for column in order.tolist():
+            candidates = [
+                int(c) for c in np.nonzero(feasible.mask[:, column])[0] if int(c) not in used
+            ]
+            if candidates:
+                best = candidates[int(np.argmin(feasible.distance_km[candidates, column]))]
+                used.add(best)
+                pairs.append((best, column))
+        return pairs
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        worker_points=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=25),
+        task_points=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3)), min_size=1, max_size=25
+        ),
+    )
+    def test_pair_graph_greedy_matches_dense_greedy(self, worker_points, task_points):
+        """On integer grids, with repeated locations, equal distances and
+        equal publication times: the same pairs as the dense greedy."""
+        from repro.assignment import RoundState, compute_feasible
+        from repro.data.instance import SCInstance
+        from repro.entities import Task, Worker
+        from repro.geo import Point
+
+        workers = [
+            Worker(worker_id=i, location=Point(x, y), reachable_km=3.0)
+            for i, (x, y) in enumerate(worker_points)
+        ]
+        tasks = [
+            Task(task_id=j, location=Point(x, y), publication_time=float(p), valid_hours=9.0)
+            for j, (x, y, p) in enumerate(task_points)
+        ]
+        instance = SCInstance(
+            name="nn", current_time=3.0, tasks=tasks, workers=workers, histories={},
+            social_edges=[], all_worker_ids=tuple(range(len(workers))),
+        )
+        prepared = RoundState().prepare(instance)
+        got = [
+            (w.worker_id, t.task_id)
+            for t, w in ((p.task, p.worker) for p in NearestNeighborAssigner().assign(prepared))
+        ]
+        assert got == self.dense_nearest_neighbor(compute_feasible(workers, tasks, 3.0))

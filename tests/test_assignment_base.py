@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.assignment import compute_feasible, PreparedInstance
+from repro.assignment import compute_feasible, PreparedInstance, RoundState
 from repro.assignment.base import mask_nonzero
 from repro.entities import Task, Worker
 from repro.geo import Point
@@ -133,6 +133,17 @@ class TestBuildAssignmentUniqueness:
     def test_duplicate_task_rejected(self, wide_prepared):
         with pytest.raises(ValueError, match="task column 1 .* more than one worker"):
             wide_prepared.build_assignment([(0, 1), (1, 1)])
+
+    def test_infeasible_pairs_rejected_off_the_pair_graph(self, wide_prepared):
+        """Feasibility is read off the pair graph, without building the
+        dense mask; an out-of-range column is rejected, not read as the
+        next row's pair (key ``0 * 2 + 2`` is row 1, column 0)."""
+        prepared = RoundState().prepare(wide_prepared.instance)
+        for column in (2, -1):
+            with pytest.raises(ValueError, match="infeasible pair"):
+                prepared.build_assignment((np.array([0]), np.array([column])))
+        assert len(prepared.build_assignment((np.array([0, 1]), np.array([1, 0])))) == 2
+        assert "mask" not in vars(prepared.feasible)
 
     def test_disjoint_pairs_accepted(self, wide_prepared):
         assignment = wide_prepared.build_assignment([(0, 0), (1, 1)])

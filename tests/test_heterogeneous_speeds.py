@@ -12,10 +12,10 @@ import pytest
 from repro.assignment import (
     MTAAssigner,
     PreparedInstance,
-    candidate_pairs,
     compute_feasible,
+    entity_columns,
+    pair_graph,
 )
-from repro.assignment.candidates import _dense_pairs
 from repro.data.instance import SCInstance
 from repro.entities import Task, Worker
 from repro.framework import OnlineSimulator, WorkerArrival
@@ -61,9 +61,13 @@ class TestFeasibilityWithSpeeds:
     def test_candidates_respect_speed(self):
         workers = [worker(0, 0, 0, speed=5.0), worker(1, 0, 0, speed=25.0)]
         tasks = [task(0, 20.0, 0.0, phi=2.0)]
-        for enumerate_pairs in (candidate_pairs, _dense_pairs):
-            pairs = enumerate_pairs(workers, tasks, 0.0)
-            assert [(p.worker_index, p.task_index) for p in pairs] == [(1, 0)]
+        graph = pair_graph(
+            entity_columns("worker", workers, {}).attrs,
+            entity_columns("task", tasks, {}).attrs,
+            0.0,
+        )
+        assert list(zip(graph.rows().tolist(), graph.columns.tolist())) == [(1, 0)]
+        assert graph.indptr.tolist() == compute_feasible(workers, tasks, 0.0).graph.indptr.tolist()
 
     def test_speed_validation(self):
         with pytest.raises(ValueError):

@@ -239,22 +239,22 @@ class TestCarriedRoundCache:
     def test_only_new_rows_and_columns_are_computed(self, monkeypatch, fitted_models):
         """Kept entities are found in unsorted rounds and reused: a round
         computes influence for new rows x all columns and kept rows x new
-        columns only, and distances once, at the round's full shape."""
+        columns only, and the pair graph once, at the round's full shape."""
         model = fitted_models.influence_model()
         influence_shapes, distance_shapes = [], []
         influence_matrix = model.influence_matrix
-        pairwise = assignment_base.pairwise_euclidean_xy
+        enumerate_pairs = assignment_base.pair_graph
 
         def influence_spy(workers, tasks):
             influence_shapes.append((len(workers), len(tasks)))
             return influence_matrix(workers, tasks)
 
-        def distance_spy(xy_a, xy_b):
-            distance_shapes.append((len(xy_a), len(xy_b)))
-            return pairwise(xy_a, xy_b)
+        def distance_spy(worker_attrs, task_attrs, now):
+            distance_shapes.append((len(worker_attrs), len(task_attrs)))
+            return enumerate_pairs(worker_attrs, task_attrs, now)
 
         monkeypatch.setattr(model, "influence_matrix", influence_spy)
-        monkeypatch.setattr(assignment_base, "pairwise_euclidean_xy", distance_spy)
+        monkeypatch.setattr(assignment_base, "pair_graph", distance_spy)
         state = RoundState(model)
         tasks = [make_task(i, float(i), 0.0, phi=50.0) for i in (7, 2, 9, 4)]
         workers = [make_worker(i, 0.3 * i, 0.5) for i in (5, 1, 8)]

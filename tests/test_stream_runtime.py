@@ -513,6 +513,38 @@ class TestPipelinedRuntime:
         assert pairs(pipelined) == pairs(serial)
         assert round_rows(pipelined) == round_rows(serial)
 
+    def test_influence_is_computed_in_the_calling_thread(
+        self, tiny_dataset, fast_config, monkeypatch
+    ):
+        """Pool threads only solve: every influence fill, and so every use
+        of the model's unlocked caches, runs in the thread that runs the
+        rounds, while IA solves run on the pool."""
+        base, log = multi_day_stream(tiny_dataset, [6, 7], reachable_km=3.0)
+        model = DITAPipeline(fast_config).fit(base).influence_model()
+        fill_threads, solve_threads = [], []
+        influence_matrix = model.influence_matrix
+        solve = IAAssigner.assign
+
+        def fill_spy(workers, tasks):
+            fill_threads.append(threading.current_thread())
+            return influence_matrix(workers, tasks)
+
+        def solve_spy(assigner, prepared):
+            solve_threads.append(threading.current_thread())
+            return solve(assigner, prepared)
+
+        monkeypatch.setattr(model, "influence_matrix", fill_spy)
+        monkeypatch.setattr(IAAssigner, "assign", solve_spy)
+        with StreamRuntime(
+            IAAssigner(), model, TimeWindowTrigger(1.0), base, log,
+            shards=4, executor="thread", pipeline=True,
+        ) as runtime:
+            assert runtime.shard_executor.layout.num_shards > 1
+            result = runtime.run()
+        assert result.total_assigned > 0
+        assert fill_threads and set(fill_threads) == {threading.current_thread()}
+        assert set(solve_threads) - {threading.current_thread()}, "no solve ran on the pool"
+
     def test_phase_timings_recorded(self):
         base, log = clustered()
         with StreamRuntime(

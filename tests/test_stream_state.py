@@ -204,6 +204,24 @@ class TestQueriesAndRounds:
         churn(state, 7.0, 2)
         assert state.workers.by_id("since") == {}
 
+    def test_pairs_a_layout_splits_are_not_solved(self, state):
+        """A feasible pair that a hand-made layout splits between shards is
+        dropped from the round's one enumeration, as a per-shard prepare
+        would never have seen it; each shard still solves its own pair."""
+        layout = ShardLayout(
+            cell_km=1.0, num_shards=2, max_radius_km=1.0,
+            cells={(0, 0): 0, (0, -1): 0, (1, 0): 1, (1, -1): 1},
+        )
+        executor = ShardExecutor(layout)
+        arrive(state, 0.0, make_worker(1, x=0.9, y=0.5))
+        arrive(state, 0.0, make_worker(2, x=1.1, y=-0.5))
+        publish(state, 0.0, make_task(3, x=1.1, y=0.5))
+        publish(state, 0.0, make_task(4, x=0.9, y=-0.5))
+        assignment, _ = run_round(executor, state, NearestNeighborAssigner(), 1.0)
+        assert sorted((p.worker.worker_id, p.task.task_id) for p in assignment) == [
+            (1, 4), (2, 3)
+        ]
+
     def test_non_incremental_preparation(self, executor):
         state = StreamState(make_instance(), incremental=False)
         arrive(state, 0.0, make_worker(1))
