@@ -10,10 +10,9 @@ at bench scale.
 Further column groups cover a clustered 8-shard world: **pipelined vs
 serial** (the overlapped per-shard prepare+solve path on the thread
 backend must beat the serial sharded path by >= 1.3x round p50 at the
-100x rate), **rebalance on vs off** (the EWMA repacker must not regress
-round latency while producing identical output), the **lexicographic
-round solve** (round-solve p50/p99 of the production solver) and
-**observability on vs off** (identical output, bounded overhead).
+100x rate), the **lexicographic round solve** (round-solve p50/p99 of
+the production solver) and **observability on vs off** (identical output,
+bounded overhead).
 
 ``REPRO_BENCH_SCALE`` scales the stream volumes like the other benches
 (default 0.15; CI smoke runs 0.05; 1.0 is the full 10-100x grid).
@@ -33,7 +32,6 @@ from repro.stream import (
     AdaptiveTrigger,
     CountTrigger,
     HybridTrigger,
-    ShardRebalancer,
     StreamRuntime,
     TimeWindowTrigger,
     log_from_arrivals,
@@ -123,7 +121,7 @@ def test_stream_flow_assigner(benchmark, rate_factor):
     assert summary.assigned > 0
 
 
-#: Separated city clusters for the pipelined/rebalance columns (mirrors
+#: Separated city clusters for the pipelined columns (mirrors
 #: ``bench_stream_shards``: the world shape whose rounds decompose).
 CLUSTERS = 8
 
@@ -153,11 +151,11 @@ PIPELINE_BATCH = 4096
 
 
 def run_sharded(base, log, *, trigger, executor="serial", pipeline=False,
-                rebalance=None, obs=None):
+                obs=None):
     with StreamRuntime(
         NearestNeighborAssigner(), None, trigger, base, log,
         patience_hours=6.0, shards=CLUSTERS, executor=executor,
-        pipeline=pipeline, rebalance=rebalance, obs=obs,
+        pipeline=pipeline, obs=obs,
     ) as runtime:
         return runtime.run()
 
@@ -229,29 +227,6 @@ def test_pipelined_vs_serial_rounds(benchmark, rate_factor):
         assert speedup >= 1.3, (
             f"pipelined round latency regressed: {speedup:.2f}x < 1.3x"
         )
-
-
-@pytest.mark.parametrize("rate_factor", [10, 100])
-def test_rebalance_on_vs_off(benchmark, rate_factor):
-    """The EWMA repacker: identical output, no round-latency regression."""
-    base, log = make_clustered_stream(rate_factor)
-    off = run_sharded(base, log, trigger=TimeWindowTrigger(2.0))
-    on = benchmark.pedantic(
-        lambda: run_sharded(base, log, trigger=TimeWindowTrigger(2.0),
-                            rebalance=ShardRebalancer(interval=8)),
-        rounds=1, iterations=1,
-    )
-
-    assert sorted_pairs(on) == sorted_pairs(off)
-    off_summary = off.summary()
-    on_summary = on.summary()
-    print(
-        f"\n{rate_factor:>3}x rate, {CLUSTERS} shards: "
-        f"{latency_columns('rebalance-off', off_summary)}, "
-        f"{latency_columns('rebalance-on', on_summary)}; "
-        f"{on.metrics.total_repacks} repacks"
-    )
-    assert on_summary.assigned == off_summary.assigned > 0
 
 
 class DistanceLexAssigner(LexicographicCostAssigner):

@@ -39,9 +39,9 @@ def test_online_batch_size(benchmark, online_world, batch_hours):
 
 @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "full"])
 def test_online_round_preparation_cost(benchmark, online_world, incremental):
-    """Incremental RoundState preparation vs per-round full recomputation:
-    same assignments, lower per-round CPU.  The parametrized mode is timed;
-    the other one runs untimed as the reference."""
+    """RoundState preparation (attribute columns, grid pair enumeration)
+    vs the dense per-round reference: same assignments.  The parametrized
+    mode is timed; the other one runs untimed as the reference."""
     instance, arrivals, influence = online_world
 
     def simulate(mode):

@@ -263,14 +263,9 @@ class EntityColumns(NamedTuple):
 
     ``ids`` holds the entity ids and ``attrs`` one attribute row per
     entity (:func:`worker_attributes` / :func:`task_attributes`).
-    ``keys`` are int64 identity keys: an entity whose key was in the
-    previous round is the same payload, so its cached influence cells are
-    reused.  The stream passes the log row that set each entity's state;
-    :func:`entity_columns` passes each object's ``id()``.
     """
 
     ids: np.ndarray
-    keys: np.ndarray
     attrs: np.ndarray
 
 
@@ -282,16 +277,13 @@ ENTITY_KINDS = {
 
 
 def entity_columns(kind: str, entities: Sequence, venue_visits: Mapping) -> EntityColumns:
-    """The :class:`EntityColumns` of ``"worker"`` or ``"task"`` objects,
-    keyed by ``id()``; task rows read their location entropy from
-    ``venue_visits``.  :class:`RoundState` holds the previous round's
-    objects, so no key it can match belongs to a collected object."""
+    """The :class:`EntityColumns` of ``"worker"`` or ``"task"`` objects;
+    task rows read their location entropy from ``venue_visits``."""
     id_of, attributes, width = ENTITY_KINDS[kind]
     count = len(entities)
     entropy = VenueEntropy(venue_visits)
     return EntityColumns(
         np.fromiter(map(id_of, entities), dtype=np.int64, count=count),
-        np.fromiter(map(id, entities), dtype=np.int64, count=count),
         np.fromiter(
             chain.from_iterable(map(attributes, entities, repeat(entropy))),
             dtype=float, count=count * width,
@@ -307,36 +299,8 @@ def _check_unique(kind: str, ids: np.ndarray) -> None:
         raise ValueError(f"{kind} id {int(repeated[0])} appears more than once in one round")
 
 
-class _Keys(NamedTuple):
-    """One round's identity keys in matrix order and their argsort, which
-    the next round searches."""
-
-    keys: np.ndarray
-    order: np.ndarray
-
-
-_NO_KEYS = _Keys(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-
-
-def _match(keys: np.ndarray, previous: _Keys) -> tuple[_Keys, np.ndarray]:
-    """Match one round's identity keys against the previous round's.
-
-    Returns this round's keys and, per entity, its position in the
-    previous round, or -1 where it is new: first seen, absent last round,
-    or under a new key (relocated, re-arrived, republished).
-    """
-    source = np.full(keys.size, -1, dtype=np.int64)
-    cached_keys, cached_order = previous
-    if cached_keys.size:
-        at = np.searchsorted(cached_keys, keys, sorter=cached_order)
-        at = cached_order[at.clip(max=cached_keys.size - 1)]
-        hit = cached_keys[at] == keys
-        source[hit] = at[hit]
-    return _Keys(keys, np.argsort(keys, kind="stable")), source
-
-
 class RoundState:
-    """Incremental round preparation for online (batched-arrival) loops.
+    """Round preparation from columns for online (batched-arrival) loops.
 
     Each round arrives as attribute columns (:class:`EntityColumns`) and,
     optionally, its feasible-pair graph
@@ -344,28 +308,18 @@ class RoundState:
     graph is enumerated from the columns by
     :func:`~repro.assignment.candidates.pair_graph`.  The dense distance
     and mask are left to the solvers that read them.  With an influence
-    model, ``RoundState`` carries the previous round's identity keys and
-    influence matrix.  A round's entity is *kept* when its key was in the
-    previous round, and *new* otherwise — first seen, absent last round,
-    or relocated or republished under a new key.  Kept x kept influence
-    cells are gathered; new rows x all columns and kept rows x new columns
-    are computed.  Entities absent from a round are dropped, so the cache
-    is as large as the live pool.
+    model, the round's influence matrix is one
+    :meth:`~repro.influence.InfluenceModel.influence_matrix` call over its
+    workers and tasks.
 
-    Cached values are time-independent and no cell depends on the shape of
-    the rectangle it was computed in, so results are bit-identical to a
-    full per-round recomputation.  The returned ``distance_km`` and
-    ``influence_matrix`` are read-only; the influence matrix is carried
-    into the next round.  Ids must be unique within a round.
+    A round is a function of its pools alone: the state holds nothing but
+    the model, so results are bit-identical to a :class:`PreparedInstance`
+    of the same instance.  The returned ``distance_km`` and
+    ``influence_matrix`` are read-only.  Ids must be unique within a round.
     """
 
     def __init__(self, influence: InfluenceModel | None = None) -> None:
         self.influence = influence
-        self._rows = self._columns = _NO_KEYS
-        self._influence = np.zeros((0, 0))
-        # The previous round's payloads, kept alive so that no id() key
-        # from entity_columns is reused while it can still match.
-        self._entities: tuple = ((), ())
 
     def prepare(
         self,
@@ -399,44 +353,11 @@ class RoundState:
             worker_objects, task_objects, pairs, (row_attrs[:, :2], column_attrs[:, :2])
         )
         if self.influence is not None:
-            influence = self._carry_influence(
-                worker_objects, task_objects, workers.keys, tasks.keys
-            )
+            influence = self.influence.influence_matrix(worker_objects, task_objects)
             influence.flags.writeable = False
             prepared.__dict__["influence_matrix"] = influence
         prepared._task_entropy = column_attrs[:, 3]
         return prepared
-
-    def _carry_influence(
-        self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        worker_keys: np.ndarray,
-        task_keys: np.ndarray,
-    ) -> np.ndarray:
-        """This round's influence matrix: kept x kept cells gathered from
-        the previous round's, new rows x all columns and kept rows x new
-        columns computed."""
-        rows, row_source = _match(worker_keys, self._rows)
-        columns, column_source = _match(task_keys, self._columns)
-        shape = (len(workers), len(tasks))
-        kept_rows = np.flatnonzero(row_source >= 0)
-        new_rows = np.flatnonzero(row_source < 0)
-        new_columns = np.flatnonzero(column_source < 0)
-        influence = np.zeros(shape)
-        if kept_rows.size and new_columns.size < shape[1]:
-            # One gather; the cells of new rows and columns read row or
-            # column -1 here and are overwritten just below.
-            influence = self._influence[np.ix_(row_source, column_source)]
-        for fill_rows, fill_columns in ((new_rows, np.arange(shape[1])), (kept_rows, new_columns)):
-            if fill_rows.size and fill_columns.size:
-                influence[np.ix_(fill_rows, fill_columns)] = self.influence.influence_matrix(
-                    [workers[p] for p in fill_rows.tolist()],
-                    [tasks[p] for p in fill_columns.tolist()],
-                )
-        self._rows, self._columns, self._influence = rows, columns, influence
-        self._entities = (workers, tasks)
-        return influence
 
 
 class Assigner(abc.ABC):

@@ -274,17 +274,6 @@ def _admission_request(args: argparse.Namespace) -> dict | None:
     }
 
 
-def _rebalance_request(args: argparse.Namespace) -> dict | None:
-    """The run's shard-rebalance identity (None when disabled)."""
-    if not args.rebalance:
-        return None
-    return {
-        "interval": args.rebalance_interval,
-        "alpha": args.rebalance_alpha,
-        "hysteresis": args.rebalance_hysteresis,
-    }
-
-
 def _validate_stream_flags(args: argparse.Namespace, trigger) -> str | None:
     """Check checkpoint/trigger/shard/admission flag combinations early.
 
@@ -297,16 +286,6 @@ def _validate_stream_flags(args: argparse.Namespace, trigger) -> str | None:
         return "--executor requires --shards (the unsharded runtime has no backend)"
     if args.pipeline and args.shards is None:
         return "--pipeline requires --shards"
-    if args.rebalance and args.shards is None:
-        return "--rebalance requires --shards (there is no layout to repack)"
-    if args.rebalance_interval < 1:
-        return f"--rebalance-interval must be >= 1, got {args.rebalance_interval}"
-    if not 0.0 < args.rebalance_alpha <= 1.0:
-        return f"--rebalance-alpha must be in (0, 1], got {args.rebalance_alpha}"
-    if not args.rebalance_hysteresis >= 0.0:
-        return (
-            f"--rebalance-hysteresis must be >= 0, got {args.rebalance_hysteresis}"
-        )
     if args.shards is not None and args.shards < 1:
         return f"--shards must be >= 1, got {args.shards}"
     if args.patience_hours is not None and not args.patience_hours >= 0:
@@ -349,13 +328,12 @@ def _validate_stream_flags(args: argparse.Namespace, trigger) -> str | None:
             ),
             admission=_admission_request(args),
             pipeline=args.pipeline,
-            rebalance=_rebalance_request(args),
             segmented=args.segment_days is not None,
         )
     except DataError as error:
         return (
             f"cannot resume from {args.resume}: {error} "
-            "(--trigger/--patience-hours/--shards/--pipeline/--rebalance-*/"
+            "(--trigger/--patience-hours/--shards/--pipeline/"
             "--admission-*/--segment-days must match the checkpointed run)"
         )
     except (OSError, ValueError) as error:
@@ -432,7 +410,6 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
     from repro.exceptions import DataError
     from repro.stream import (
         AdmissionController,
-        ShardRebalancer,
         StreamRuntime,
         day_stream,
         multi_day_stream,
@@ -476,14 +453,6 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
             policy=args.admission_policy or "defer",
         )
 
-    rebalance = None
-    if args.rebalance:
-        rebalance = ShardRebalancer(
-            interval=args.rebalance_interval,
-            alpha=args.rebalance_alpha,
-            hysteresis=args.rebalance_hysteresis,
-        )
-
     influence = None
     if not args.no_influence:
         from repro.framework import DITAPipeline
@@ -497,7 +466,7 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
                 patience_hours=args.patience_hours,
                 shards=args.shards, executor=args.executor,
                 admission=admission,
-                pipeline=args.pipeline, rebalance=rebalance, obs=obs,
+                pipeline=args.pipeline, obs=obs,
             )
         except DataError as error:
             print(f"cannot resume from {args.resume}: {error}", file=sys.stderr)
@@ -508,7 +477,7 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
             patience_hours=args.patience_hours,
             shards=args.shards, executor=args.executor,
             admission=admission,
-            pipeline=args.pipeline, rebalance=rebalance, obs=obs,
+            pipeline=args.pipeline, obs=obs,
         )
     # Context-managed so pipelined executors never leak worker threads,
     # whatever path exits the block (including validation errors below).
@@ -554,8 +523,6 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
             print("phases (s):        " + "  ".join(
                 f"{name} {seconds:.3f}" for name, seconds in phases.items()
             ))
-            if runtime.shard_executor.rebalancer is not None:
-                print(f"shard repacks:     {result.metrics.total_repacks}")
         if not runtime.done:
             print(f"\nstopped after {args.max_rounds} rounds "
                   "(stream not exhausted)")
@@ -684,17 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility (requires "
                              "--shards): rounds always prepare in the "
                              "calling thread and solve on the executor")
-    stream.add_argument("--rebalance", action="store_true",
-                        help="repack shard components from an EWMA of "
-                             "observed solve latency at deterministic "
-                             "round boundaries (requires --shards)")
-    stream.add_argument("--rebalance-interval", type=int, default=16,
-                        help="rounds between repack decisions")
-    stream.add_argument("--rebalance-alpha", type=float, default=0.25,
-                        help="EWMA smoothing factor in (0, 1]")
-    stream.add_argument("--rebalance-hysteresis", type=float, default=0.1,
-                        help="minimum relative bottleneck improvement "
-                             "before a repack is applied")
     stream.add_argument("--max-rounds", type=int, default=None,
                         help="stop after this many rounds (resumable)")
     stream.add_argument("--show-rounds", type=int, default=12,

@@ -11,11 +11,11 @@ window.
 
 The influence components are fitted once from history (they do not depend
 on the intra-day arrival order), so the online loop reuses one
-:class:`~repro.influence.InfluenceModel` across rounds.  Round preparation
-is incremental: a :class:`~repro.assignment.RoundState` carries the
-previous round's influence/distance matrices, so each batch round only
-computes the rows and columns of newly arrived workers and newly published
-tasks instead of rebuilding the prepared instance from scratch.
+:class:`~repro.influence.InfluenceModel` across rounds.  Each round is
+prepared from the pools at round time alone: a
+:class:`~repro.assignment.RoundState` reads the round's entities as
+attribute columns, enumerates its feasible pairs on the grid and fills
+its influence matrix in one call.
 
 .. note::
    The event-driven :class:`~repro.stream.StreamRuntime` is a strict
@@ -170,11 +170,11 @@ class OnlineSimulator:
         If set, an unassigned worker goes offline this many hours after
         arriving; ``None`` reproduces the paper's "online until assigned".
     incremental:
-        When True (default) rounds are prepared through a shared
-        :class:`~repro.assignment.RoundState`, computing only the matrix
-        rectangles introduced by new arrivals/publications.  False rebuilds
-        every round from scratch — the reference path the incremental one is
-        regression-tested against.
+        When True (default) rounds are prepared through
+        :class:`~repro.assignment.RoundState`, from attribute columns and
+        the grid pair enumeration.  False prepares every round through
+        :class:`~repro.assignment.PreparedInstance`'s dense feasibility —
+        the reference path the column one is regression-tested against.
     """
 
     def __init__(

@@ -184,7 +184,7 @@ class Tracer:
         cat: str = "stream",
         args: Mapping[str, Any] | None = None,
     ) -> None:
-        """Record a point-in-time event (admission gates, shard repacks)."""
+        """Record a point-in-time event (admission gates)."""
         event = {
             "name": name,
             "ph": "i",

@@ -27,8 +27,8 @@ day loop:
   released as the cursor passes, with replay bit-identical to the
   materialized log;
 * :mod:`repro.stream.checkpoint` — atomic, content-addressed chunked
-  snapshots (v7 manifest + sha256 chunk store) with bit-identical resume
-  (including shard layout, per-shard RNG state, wait-histogram state and
+  snapshots (v8 manifest + sha256 chunk store) with bit-identical resume
+  (including shard layout, RNG state, wait-histogram state and
   the segmented-log fingerprint chain in the manifest meta).
 """
 
@@ -68,7 +68,7 @@ from repro.stream.runtime import (
     StreamResult,
     StreamRuntime,
 )
-from repro.stream.shards import ShardLayout, ShardRebalancer, pack_components
+from repro.stream.shards import ShardLayout
 from repro.stream.scheduler import (
     AdaptiveTrigger,
     CountTrigger,
@@ -114,8 +114,6 @@ __all__ = [
     "ADMISSION_POLICIES",
     "ShardExecutor",
     "ShardLayout",
-    "ShardRebalancer",
-    "pack_components",
     "EXECUTOR_BACKENDS",
     "CHECKPOINT_SUFFIX",
     "canonical_checkpoint_path",

@@ -16,12 +16,11 @@ A checkpoint captures everything the runtime needs to continue
   resume under a different policy fails with a clear message) and the
   **RNG state** of the runtime's generator, keeping adaptive policies and
   stochastic extensions on the same trajectory;
-* for sharded runs, the **shard layout** and the **per-shard RNG states**,
-  so a resumed run partitions its rounds identically; with latency-driven
-  rebalancing, the layout may be a repack of the planned one and the
-  rebalancer's **EWMA state** rides along, so repack decisions replay
-  exactly — the pipeline flag and rebalance config are validated up front
-  with fast mismatch errors;
+* for sharded runs, the **shard layout**, checked against the layout the
+  resumed run plans, so it partitions its rounds identically; the
+  pipeline flag is validated up front with a fast mismatch error.  Rounds
+  carry no other state from one to the next, so nothing else about them
+  is saved;
 * for admission-controlled runs, the **controller state** — overload flag,
   deferred backlog (as publish event indices) and cumulative counters — so
   a resumed run defers/sheds exactly as the uninterrupted one.
@@ -40,7 +39,7 @@ the recorded row is canonical but not the only valid one.  Pair indices
 never change once recorded: the ``assigned_*_events`` arrays only append,
 and successive saves share every chunk of them but the tail.
 
-**On-disk format (v7).**  A checkpoint is a small binary *manifest* plus a
+**On-disk format (v8).**  A checkpoint is a small binary *manifest* plus a
 shared content-addressed *chunk store* directory (``repro-chunks/``) next
 to it.  Each state array's contiguous bytes are split into fixed-size
 chunks keyed by their sha256 digest; a chunk is written (atomically, via
@@ -89,9 +88,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: v3: relocation-aware pool/assignment event indices, admission-controller
 #:     state, and the wider per-round metrics rows
 #:     (relocated/deferred/shed columns).
-#: v4: pipeline flag, rebalancer config + EWMA state, component ids in the
-#:     shard-layout cells, and per-phase timing / repack columns in the
-#:     metrics rows.
+#: v4: pipeline flag, the EWMA shard-packing config and state, component
+#:     ids in the shard-layout cells, and per-phase timing / layout-change
+#:     columns in the metrics rows.
 #: v5: content-addressed chunked layout — struct-packed manifest + sha256
 #:     chunk store replacing the monolithic npz archive.
 #: v6: bounded wait histograms — the metrics wait distributions serialize
@@ -105,7 +104,11 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #:     fingerprint is the chain digest.  Resume fails fast on a
 #:     segmented/materialized mode mismatch, naming the first mismatching
 #:     segment when the chain disagrees.
-CHECKPOINT_VERSION = 7
+#: v8: stateless rounds — the per-shard RNG states, the EWMA
+#:     shard-packing config and state, the layout cells' component ids and
+#:     the per-round layout-change metrics column are gone.  A v7
+#:     checkpoint is refused; re-run it from the start.
+CHECKPOINT_VERSION = 8
 
 #: Canonical checkpoint suffix, appended when the user supplies none —
 #: save, load and the CLI pre-flight all agree on this one path.
@@ -158,7 +161,7 @@ def save_checkpoint(
     *,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> Path:
-    """Write the runtime's complete state to ``path`` (v7 manifest + chunks).
+    """Write the runtime's complete state to ``path`` (v8 manifest + chunks).
 
     Atomic: the manifest is replaced in one :func:`os.replace` after every
     chunk it references is durable, so a crash at any point leaves the
@@ -218,7 +221,10 @@ def _save_checkpoint(
             runtime.rng.bit_generator.state if runtime.rng is not None else None
         ),
         "shards": (
-            {**runtime.shard_executor.state_dict(), "requested": runtime.shard_request}
+            {
+                "layout": runtime.shard_executor.layout.state_dict(),
+                "requested": runtime.shard_request,
+            }
             if runtime.shard_request is not None
             else None
         ),
@@ -445,7 +451,6 @@ def validate_checkpoint_meta(
     shard_request: dict | None = None,
     admission: dict | None = None,
     pipeline: bool = False,
-    rebalance: dict | None = None,
     segmented: bool | None = None,
 ) -> None:
     """Check a checkpoint's meta against a run configuration.
@@ -505,21 +510,6 @@ def validate_checkpoint_meta(
             f"checkpoint was taken from {saved} run, this run is {built} — "
             "pass the same pipeline configuration"
         )
-    saved_rebalance = (meta.get("shards") or {}).get("rebalance")
-    if (saved_rebalance is None) != (rebalance is None):
-        saved = "without" if saved_rebalance is None else "with"
-        built = "with" if rebalance is not None else "without"
-        raise DataError(
-            f"checkpoint was taken {saved} shard rebalancing, this run is "
-            f"{built} it — pass the same rebalance configuration"
-        )
-    if saved_rebalance is not None and rebalance is not None:
-        for field in ("interval", "alpha", "hysteresis"):
-            if saved_rebalance.get(field) != rebalance.get(field):
-                raise DataError(
-                    f"checkpoint rebalance {field}={saved_rebalance.get(field)!r} "
-                    f"does not match this run's {rebalance.get(field)!r}"
-                )
     saved_admission = meta.get("admission")
     if (saved_admission is None) != (admission is None):
         saved = "without" if saved_admission is None else "with"
@@ -601,40 +591,17 @@ def _restore_runtime(runtime: "StreamRuntime", path: str | Path) -> "StreamRunti
             else None
         ),
         pipeline=runtime.pipeline,
-        rebalance=(
-            runtime.shard_executor.rebalancer.state_dict()
-            if runtime.shard_executor.rebalancer is not None
-            else None
-        ),
     )
     shard_meta = meta.get("shards")
-    if shard_meta is not None:
-        saved_layout = ShardLayout.from_state_dict(shard_meta["layout"])
-        planned_layout = runtime.shard_executor.layout
-        if runtime.shard_executor.rebalancer is not None:
-            # Under rebalancing the saved layout may be a repack of the
-            # planned one: same cells, components and halo, different
-            # component→bin packing.  Validate the immutable parts, then
-            # adopt the saved packing so the resumed run buckets exactly
-            # like the interrupted one.
-            if (
-                saved_layout.cell_km != planned_layout.cell_km
-                or saved_layout.max_radius_km != planned_layout.max_radius_km
-                or saved_layout.num_shards != planned_layout.num_shards
-                or saved_layout.components != planned_layout.components
-            ):
-                raise DataError(
-                    "checkpoint shard layout does not match the runtime's "
-                    "(different shard count, planning cell size or "
-                    "component partition?)"
-                )
-            runtime.shard_executor.layout = saved_layout
-        elif saved_layout != planned_layout:
-            raise DataError(
-                "checkpoint shard layout does not match the runtime's "
-                "(different shard count or planning cell size?)"
-            )
-        runtime.shard_executor.load_state_dict(shard_meta)
+    if (
+        shard_meta is not None
+        and ShardLayout.from_state_dict(shard_meta["layout"])
+        != runtime.shard_executor.layout
+    ):
+        raise DataError(
+            "checkpoint shard layout does not match the runtime's "
+            "(different shard count or planning cell size?)"
+        )
     admission_meta = meta.get("admission")
     if admission_meta is not None:
         runtime.admission.load_state_dict(admission_meta)

@@ -61,8 +61,7 @@ class RoundRecord:
     *cumulative across shards* — on the thread backend the shards' solve
     intervals overlap each other and later prepares, so the phase sums can
     exceed ``round_seconds``.  The first shard's prepare also covers the
-    round's pair enumeration.  ``repacks`` counts shard-layout repacks
-    applied at this round's boundary (0 or 1 without custom rebalancers).
+    round's pair enumeration.
     """
 
     index: int
@@ -82,7 +81,6 @@ class RoundRecord:
     prepare_seconds: float = 0.0
     solve_seconds: float = 0.0
     merge_seconds: float = 0.0
-    repacks: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +162,6 @@ class StreamMetrics:
         self.total_deferred = 0
         self.total_shed = 0
         self.total_drained = 0
-        self.total_repacks = 0
         self.wall_seconds = 0.0
 
     # ------------------------------------------------------------ recording
@@ -180,7 +177,6 @@ class StreamMetrics:
         self.total_deferred += record.deferred_tasks
         self.total_shed += record.shed_tasks
         self.total_drained += record.drained_events
-        self.total_repacks += record.repacks
 
     def on_assigned(self, task_wait_hours, worker_wait_hours) -> None:
         """Record matched pairs' waits (publication/arrival to round): one

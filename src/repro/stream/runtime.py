@@ -29,20 +29,14 @@ order through the same
 pair crosses shards, the sharded round solves the same problem as the
 unsharded one, split into independent sub-problems.  An unsharded runtime
 is simply the one-shard case: a fixed single-bin layout on the serial
-backend, so there is one round path.
-
-**Latency-driven rebalancing**
-(``StreamRuntime(rebalance=ShardRebalancer(...))``) replaces the planner's
-count-based component→shard packing with an EWMA of observed per-component
-solve latency, repacked at deterministic round-index boundaries — whole
-components move between bins, so the never-split invariant (and hence
-assignment equivalence) is untouched.  Per-phase timings
-(drain/prepare/solve/merge) and repack counts land on every
+backend, so there is one round path.  A round is a function of the pools
+at round time; the fixed layout is the only state rounds share.
+Per-phase timings (drain/prepare/solve/merge) land on every
 :class:`~repro.stream.metrics.RoundRecord`.
 
 The runtime is resumable: ``run(max_rounds=...)`` stops after a bounded
 number of rounds with all state intact, :meth:`checkpoint` snapshots that
-state to disk (including shard layout and per-shard RNG state), and
+state to disk (including the shard layout), and
 :meth:`resume` reconstructs a runtime that continues the run bit-identically
 (regression-tested against an uninterrupted run).
 """
@@ -70,7 +64,7 @@ from repro.obs.trace import Interval, clock_ns
 from repro.stream.events import KIND_PUBLISH, EventLog
 from repro.stream.metrics import RoundRecord, StreamMetrics, StreamSummary
 from repro.stream.scheduler import Trigger
-from repro.stream.shards import DEFAULT_CELL_KM, ShardLayout, ShardRebalancer
+from repro.stream.shards import DEFAULT_CELL_KM, ShardLayout
 from repro.stream.state import StreamState
 
 
@@ -123,9 +117,6 @@ class StreamResult:
         """Aggregate metrics snapshot."""
         return self.metrics.summary()
 
-
-#: Deterministic entropy pool for per-shard generators; spawn key = shard id.
-_SHARD_RNG_ENTROPY = 0x5AD5
 
 #: Recognized :class:`ShardExecutor` backends.
 EXECUTOR_BACKENDS = ("serial", "thread")
@@ -356,11 +347,6 @@ class RoundExecution:
     def merge_seconds(self) -> float:
         return self.merge.seconds
 
-    @property
-    def shard_seconds(self) -> dict[int, float]:
-        """Per-shard solve seconds (the latency rebalancer's input)."""
-        return {shard: interval.seconds for shard, interval in self.solve.items()}
-
 
 class ShardExecutor:
     """Runs one assignment round as independent per-shard solves.
@@ -371,12 +357,12 @@ class ShardExecutor:
     every shard lists its entities by ascending id), enumerate the round's
     feasible-pair graph once over all populated shards' rows and columns
     in shard-major order (:func:`~repro.assignment.candidates.pair_graph`)
-    and give each shard its slice, prepare each shard through its own
-    persistent :class:`~repro.assignment.RoundState` (the previous round's
-    influence cache, per shard, with a model), solve the shards on the
-    configured backend, and merge the per-shard assignments in ascending
-    shard order.  An unsharded :class:`StreamRuntime` runs a one-shard
-    serial executor, so this is the only round path.
+    and give each shard its slice, prepare each shard through the one
+    :class:`~repro.assignment.RoundState` (which holds only the influence
+    model, so a shard's prepare reads nothing of earlier rounds), solve the
+    shards on the configured backend, and merge the per-shard assignments
+    in ascending shard order.  An unsharded :class:`StreamRuntime` runs a
+    one-shard serial executor, so this is the only round path.
 
     Every prepare — the enumeration, the slicing and any influence fill —
     runs in the calling thread; pool threads only run solves, each
@@ -393,14 +379,6 @@ class ShardExecutor:
         A :class:`~concurrent.futures.ThreadPoolExecutor` for the solves.
         An exception raised by a shard's solve on a pool thread propagates
         unchanged out of :meth:`run_round`.
-
-    A per-shard :class:`numpy.random.Generator` stream is maintained (and
-    checkpointed for sharded runs): :meth:`rng_for` is the seed source for
-    stochastic assignment policies run inside a shard (deterministic
-    assigners never consume it).  When the runtime was given a user
-    generator the shard streams are spawned from it (so the user's seed
-    governs them); without one they fall back to a fixed entropy pool —
-    deterministic either way.
     """
 
     def __init__(
@@ -409,8 +387,6 @@ class ShardExecutor:
         influence: InfluenceModel | None = None,
         backend: str = "serial",
         max_workers: int | None = None,
-        rng: np.random.Generator | None = None,
-        rebalancer: ShardRebalancer | None = None,
     ) -> None:
         if backend not in EXECUTOR_BACKENDS:
             raise ValueError(
@@ -422,44 +398,23 @@ class ShardExecutor:
         self.layout = layout
         self.influence = influence
         self.backend = backend
-        self.rebalancer = rebalancer
         # Cap the default at the core count: threads beyond it only queue
         # on the GIL and add handoffs.
         self.max_workers = max_workers or min(
             layout.num_shards, os.cpu_count() or 1
         )
-        self.round_states: dict[int, RoundState] = {}
-        if rng is not None:
-            spawned = rng.spawn(layout.num_shards)
-            self.rngs: dict[int, np.random.Generator] = dict(enumerate(spawned))
-        else:
-            self.rngs = {
-                shard: np.random.default_rng(
-                    np.random.SeedSequence(
-                        entropy=_SHARD_RNG_ENTROPY, spawn_key=(shard,)
-                    )
-                )
-                for shard in range(layout.num_shards)
-            }
+        self.round_state = RoundState(influence)
         self._pool: ThreadPoolExecutor | None = None
-
-    def rng_for(self, shard: int) -> np.random.Generator:
-        """The checkpointed random stream owned by ``shard``."""
-        return self.rngs[shard]
 
     # ----------------------------------------------------------------- round
     def _prepare_shard(
         self,
-        shard: int,
         work: _ShardWork,
         columns: tuple[EntityColumns, EntityColumns] | None,
         pairs: PairGraph | None,
     ) -> PreparedInstance:
         if columns is not None:
-            round_state = self.round_states.get(shard)
-            if round_state is None:
-                round_state = self.round_states[shard] = RoundState(self.influence)
-            return round_state.prepare(work.instance, *columns, pairs=pairs)
+            return self.round_state.prepare(work.instance, *columns, pairs=pairs)
         prepared = PreparedInstance(work.instance, self.influence)
         # Force the lazy caches now, in the calling thread (see class doc).
         prepared.feasible
@@ -472,12 +427,11 @@ class ShardExecutor:
             self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return self._pool
 
-    def _component_entities(self, *locations: tuple[np.ndarray, np.ndarray]) -> dict[int, int]:
-        """Pooled entities per layout component (rebalancer attribution),
-        from the pools' ``(x, y)`` coordinate arrays."""
-        components = np.concatenate([self.layout.components_of(*xy) for xy in locations])
-        values, counts = np.unique(components[components >= 0], return_counts=True)
-        return dict(zip(values.tolist(), counts.tolist()))
+    def _route(self, pool) -> list[np.ndarray]:
+        """The pool's live slots in ascending id order, split by shard."""
+        slots = pool.slots_by_id()
+        shards = self.layout.shards_of(pool.attrs[slots, 0], pool.attrs[slots, 1])
+        return _split(slots, shards, self.layout.num_shards)
 
     @staticmethod
     def _shard_inputs(
@@ -541,21 +495,7 @@ class ShardExecutor:
         shard's instance lists its entities by ascending id and is
         deterministic.
         """
-        layout = self.layout
-        pools = (state.workers, state.tasks)
-        pool_slots = [pool.slots_by_id() for pool in pools]
-        locations = [
-            (pool.attrs[slots, 0], pool.attrs[slots, 1])
-            for pool, slots in zip(pools, pool_slots)
-        ]
-        shard_workers, shard_tasks = (
-            _split(slots, layout.shards_of(*xy), layout.num_shards)
-            for slots, xy in zip(pool_slots, locations)
-        )
-        component_entities = (
-            self._component_entities(*locations)
-            if self.rebalancer is not None else {}
-        )
+        shard_workers, shard_tasks = self._route(state.workers), self._route(state.tasks)
         shard_work: list[tuple[int, _ShardWork]] = []
         workers, tasks = state.workers.payloads, state.tasks.payloads
         for shard, (worker_slots, task_slots) in enumerate(zip(shard_workers, shard_tasks)):
@@ -585,7 +525,7 @@ class ShardExecutor:
             else [(None, None)] * len(shard_work)
         )
         for (shard, work), (columns, pairs) in zip(shard_work, inputs):
-            prepared = self._prepare_shard(shard, work, columns, pairs)
+            prepared = self._prepare_shard(work, columns, pairs)
             prepare[shard] = Interval.since(start_ns)
             if pool is None:
                 outcomes.append(_solve_shard(assigner, shard, prepared))
@@ -601,7 +541,7 @@ class ShardExecutor:
         start_ns = clock_ns()
         merged = merge_assignments(parts)
         waits, events = state.retire_pairs(merged, now)
-        execution = RoundExecution(
+        return RoundExecution(
             assignment=merged,
             waits=waits,
             events=events,
@@ -609,26 +549,6 @@ class ShardExecutor:
             solve=solve,
             merge=Interval.since(start_ns),
         )
-        if self.rebalancer is not None:
-            self.rebalancer.observe(
-                layout, execution.shard_seconds, component_entities
-            )
-        return execution
-
-    def maybe_repack(self, round_index: int) -> int:
-        """Apply a latency-driven repack at this round boundary.
-
-        Returns the number of repacks applied (0 or 1).  Delegates the
-        decision to the configured :class:`ShardRebalancer`; without one
-        the layout is immutable and this is a no-op.
-        """
-        if self.rebalancer is None:
-            return 0
-        repacked = self.rebalancer.maybe_repack(round_index, self.layout)
-        if repacked is None:
-            return 0
-        self.layout = repacked
-        return 1
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -640,27 +560,6 @@ class ShardExecutor:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    # ----------------------------------------------------------- checkpoints
-    def state_dict(self) -> dict[str, Any]:
-        """Layout + per-shard RNG states (+ EWMA state when rebalancing)."""
-        state = {
-            "layout": self.layout.state_dict(),
-            "rngs": [
-                self.rngs[shard].bit_generator.state
-                for shard in range(self.layout.num_shards)
-            ],
-        }
-        if self.rebalancer is not None:
-            state["rebalance"] = self.rebalancer.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore per-shard RNG (and EWMA) state; layout validated upstream."""
-        for shard, rng_state in enumerate(state["rngs"]):
-            self.rngs[shard].bit_generator.state = rng_state
-        if self.rebalancer is not None and state.get("rebalance") is not None:
-            self.rebalancer.load_state_dict(state["rebalance"])
 
 
 class StreamRuntime:
@@ -692,8 +591,9 @@ class StreamRuntime:
         :class:`~repro.stream.events.WorkerChurnEvent` entries work with or
         without it.
     incremental:
-        Prepare rounds through the persistent per-shard round caches
-        (True, default) or from scratch every round (False, the reference
+        Prepare rounds from the pools' columns and one pair enumeration
+        (True, default) or from the entity objects through
+        :class:`~repro.assignment.PreparedInstance` (False, the reference
         path).
     rng:
         Optional generator for stochastic policies; its state is captured
@@ -716,12 +616,6 @@ class StreamRuntime:
         every shard is prepared in the calling thread and, on the thread
         backend, each shard's solve goes to the pool as soon as the shard
         is prepared (see :class:`ShardExecutor`).
-    rebalance:
-        Optional :class:`~repro.stream.shards.ShardRebalancer` repacking
-        the component→shard layout from an EWMA of observed per-component
-        solve latency at deterministic round boundaries.  Requires
-        ``shards``; assignments stay equivalent under any repack because
-        only whole never-split components move between bins.
     admission:
         Optional :class:`AdmissionController` deferring/shedding low-value
         task admissions when observed round latency exceeds its budget.
@@ -751,7 +645,6 @@ class StreamRuntime:
         shard_cell_km: float | None = None,
         admission: AdmissionController | None = None,
         pipeline: bool = False,
-        rebalance: ShardRebalancer | None = None,
         obs: Observability | None = None,
     ) -> None:
         if patience_hours is not None and not patience_hours >= 0:
@@ -760,8 +653,6 @@ class StreamRuntime:
             )
         if pipeline and shards is None:
             raise ValueError("pipeline=True requires shards")
-        if rebalance is not None and shards is None:
-            raise ValueError("rebalance requires shards")
         self.assigner = assigner
         self.trigger = trigger
         self.log = log
@@ -791,8 +682,7 @@ class StreamRuntime:
             )
             executor = "serial"
         self.shard_executor = ShardExecutor(
-            layout, influence=influence_model, backend=executor, rng=rng,
-            rebalancer=rebalance,
+            layout, influence=influence_model, backend=executor
         )
         self.state = StreamState(base_instance, incremental=incremental)
         self._result = StreamResult()
@@ -946,10 +836,6 @@ class StreamRuntime:
             result.task_events.extend(execution.events[:, 1].tolist())
             result.metrics.on_assigned(execution.waits[:, 0], execution.waits[:, 1])
             assigned = len(assignment)
-        # Latency-driven repacking fires at deterministic round-index
-        # boundaries, after this round's EWMA observation and before the
-        # next round's bucketing — never on wall-clock.
-        repacks = self.shard_executor.maybe_repack(round_index)
         deferred = shed = 0
         if self.admission is not None:
             deferred, shed = self.admission.take_round_counts()
@@ -971,7 +857,6 @@ class StreamRuntime:
             prepare_seconds=prepare_seconds,
             solve_seconds=solve_seconds,
             merge_seconds=merge_seconds,
-            repacks=repacks,
         )
         self._result.metrics.on_round(record)
         self.trigger.on_round(record)
@@ -1065,10 +950,6 @@ class StreamRuntime:
                 "repro_stream_shed_tasks_total",
                 "Task admissions shed by the admission controller.",
             ),
-            "repacks": registry.counter(
-                "repro_stream_repacks_total",
-                "Shard-layout repacks applied at round boundaries.",
-            ),
             "workers": registry.gauge(
                 "repro_stream_online_workers",
                 "Online workers at the last round's start.",
@@ -1111,16 +992,6 @@ class StreamRuntime:
                         ),
                     },
                 )
-            if record.repacks:
-                decision = (
-                    self.shard_executor.rebalancer.last_decision
-                    if self.shard_executor.rebalancer is not None
-                    else None
-                )
-                tracer.instant(
-                    "shards.repack", cat="shard",
-                    args=decision or {"round": record.index},
-                )
         instruments = self._instruments
         if instruments is None:
             return
@@ -1131,7 +1002,6 @@ class StreamRuntime:
         instruments["churned"].inc(record.churned_workers)
         instruments["deferred"].inc(record.deferred_tasks)
         instruments["shed"].inc(record.shed_tasks)
-        instruments["repacks"].inc(record.repacks)
         instruments["workers"].set(record.online_workers)
         instruments["tasks"].set(record.open_tasks)
         instruments["round_seconds"].record(record.round_seconds)
@@ -1172,7 +1042,7 @@ class StreamRuntime:
 
     # ----------------------------------------------------------- checkpoints
     def checkpoint(self, path: str | Path) -> Path:
-        """Snapshot the complete runtime state to a chunked v7 checkpoint.
+        """Snapshot the complete runtime state to a chunked v8 checkpoint.
 
         Atomic (a crash mid-save leaves any previous checkpoint intact)
         and incremental (successive snapshots share unchanged chunks
@@ -1200,7 +1070,6 @@ class StreamRuntime:
         shard_cell_km: float | None = None,
         admission: AdmissionController | None = None,
         pipeline: bool = False,
-        rebalance: ShardRebalancer | None = None,
         obs: Observability | None = None,
     ) -> "StreamRuntime":
         """Reconstruct a runtime from a checkpoint and the original log.
@@ -1208,13 +1077,10 @@ class StreamRuntime:
         The caller supplies the same (deterministic) collaborators the
         checkpointed run used; the snapshot restores cursor, clock, pools,
         accumulated results, trigger adaptation state, admission-control
-        state (overload flag + deferred backlog), shard layout and RNG
-        state (runtime-level and per-shard), after verifying the log
-        fingerprint — and, for sharded runs, the replanned layout —
-        matches.  Pipeline/rebalance configuration must match the
-        checkpointed run too; with rebalancing, the saved (possibly
-        repacked) layout and EWMA state are adopted so repack decisions
-        replay exactly.
+        state (overload flag + deferred backlog) and the runtime's RNG
+        state, after verifying the log fingerprint — and, for sharded
+        runs, the replanned layout — matches.  The pipeline flag must
+        match the checkpointed run too.
         """
         from repro.stream.checkpoint import restore_runtime
 
@@ -1232,7 +1098,6 @@ class StreamRuntime:
             shard_cell_km=shard_cell_km,
             admission=admission,
             pipeline=pipeline,
-            rebalance=rebalance,
             obs=obs,
         )
         restore_runtime(runtime, path)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -107,25 +107,17 @@ class ShardLayout:
         The radius the halo was planned for; pairs within this distance
         are guaranteed unsplit.
     cells:
-        Occupied planning cell → shard id.
-    components:
-        Occupied planning cell → connected-component id.  Components are
-        the never-split units; ids are assigned in the planner's packing
-        order (heaviest first) so they are stable for a given log.  Only
-        the component→shard packing may change over a run (see
-        :meth:`repacked` and :class:`ShardRebalancer`); the component
-        partition itself is immutable.
+        Occupied planning cell → shard id.  Each connected component of
+        cells (the never-split unit) lies within one shard.
 
-    ``cells`` and ``components`` are read into a sorted lookup table the
-    first time a location is routed, so they must not change afterwards;
-    :meth:`repacked` returns a new layout instead.
+    ``cells`` is read into a sorted lookup table the first time a location
+    is routed, so it must not change afterwards.
     """
 
     cell_km: float
     num_shards: int
     max_radius_km: float
     cells: dict[tuple[int, int], int] = field(default_factory=dict)
-    components: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @classmethod
     def plan(
@@ -193,20 +185,12 @@ class ShardLayout:
         bins = min(num_shards, len(ordered))
         bin_load = [0] * bins
         cells: dict[tuple[int, int], int] = {}
-        component_of: dict[tuple[int, int], int] = {}
-        for component, members in enumerate(ordered):
+        for members in ordered:
             shard = min(range(bins), key=lambda b: (bin_load[b], b))
             bin_load[shard] += int(loads[members].sum())
             for member in members:
                 cells[keys[member]] = shard
-                component_of[keys[member]] = component
-        return cls(
-            cell_km=cell_km,
-            num_shards=bins,
-            max_radius_km=radius,
-            cells=cells,
-            components=component_of,
-        )
+        return cls(cell_km=cell_km, num_shards=bins, max_radius_km=radius, cells=cells)
 
     # --------------------------------------------------------------- queries
     def shard_of_cell(self, key: tuple[int, int]) -> int:
@@ -223,24 +207,20 @@ class ShardLayout:
         return ((key[0] * 73856093) ^ (key[1] * 19349663)) % self.num_shards
 
     @cached_property
-    def _cell_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(packed_keys, shards, components)`` of ``cells``, sorted by key;
-        component ``-1`` where a cell has none."""
+    def _cell_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(packed_keys, shards)`` of ``cells``, sorted by key."""
         keys = np.array(list(self.cells), dtype=np.int64).reshape(-1, 2)
         packed = _pack_cells(keys[:, 0], keys[:, 1])
         shards = np.fromiter(self.cells.values(), dtype=np.int64, count=len(keys))
-        components = np.fromiter(
-            (self.components.get(key, -1) for key in self.cells),
-            dtype=np.int64, count=len(keys),
-        )
         order = np.argsort(packed)
-        return packed[order], shards[order], components[order]
+        return packed[order], shards[order]
 
-    def _locate(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(kx, ky, row)`` per point: its :func:`~repro.geo.cell_key`
-        indices and its row of :attr:`_cell_table` (``-1`` if unplanned).
+    def shards_of(self, x, y) -> np.ndarray:
+        """Shard of each planar point ``(x[i], y[i])``, as an int64 array.
 
-        Quantizes with the same IEEE operations as ``cell_key`` and raises
+        :meth:`shard_of_cell` of each point's cell: a sorted-table lookup
+        for planned cells and the same hash for the rest.  Quantizes with
+        the same IEEE operations as :func:`~repro.geo.cell_key` and raises
         its :class:`~repro.exceptions.DataError` for the first point
         outside ``|k| < MAX_CELL_INDEX``.
         """
@@ -253,81 +233,18 @@ class ShardLayout:
             first = int(np.flatnonzero(~inside)[0])
             cell_key(float(x[first]), float(y[first]), self.cell_km)  # raises
         kx, ky = fx.astype(np.int64), fy.astype(np.int64)
-        keys = self._cell_table[0]
-        row = np.full(kx.shape, -1, dtype=np.int64)
+        shards = ((kx * 73856093) ^ (ky * 19349663)) % self.num_shards
+        keys, owners = self._cell_table
         if keys.size:
             packed = _pack_cells(kx, ky)
             at = np.searchsorted(keys, packed).clip(max=keys.size - 1)
             found = keys[at] == packed
-            row[found] = at[found]
-        return kx, ky, row
-
-    def shards_of(self, x, y) -> np.ndarray:
-        """Shard of each planar point ``(x[i], y[i])``, as an int64 array.
-
-        :meth:`shard_of_cell` of each point's cell: a sorted-table lookup
-        for planned cells and the same hash for the rest.
-        """
-        kx, ky, row = self._locate(x, y)
-        shards = ((kx * 73856093) ^ (ky * 19349663)) % self.num_shards
-        planned = row >= 0
-        shards[planned] = self._cell_table[1][row[planned]]
+            shards[found] = owners[at[found]]
         return shards
 
     def shard_of(self, location: Point) -> int:
         """Shard owning a planar location."""
         return int(self.shards_of([location.x], [location.y])[0])
-
-    def component_count(self) -> int:
-        """Distinct shards that actually own at least one cell."""
-        return len(set(self.cells.values())) if self.cells else 1
-
-    def components_of(self, x, y) -> np.ndarray:
-        """Component of each planar point, ``-1`` where its cell was never
-        planned, as an int64 array."""
-        _, _, row = self._locate(x, y)
-        components = np.full(row.shape, -1, dtype=np.int64)
-        planned = row >= 0
-        components[planned] = self._cell_table[2][row[planned]]
-        return components
-
-    def component_of(self, location: Point) -> int:
-        """Component owning a planar location (``-1`` if unplanned)."""
-        return int(self.components_of([location.x], [location.y])[0])
-
-    def component_bins(self) -> dict[int, int]:
-        """The current component→shard packing, derived from ``cells``."""
-        bins: dict[int, int] = {}
-        for key, component in self.components.items():
-            bins[component] = self.cells[key]
-        return bins
-
-    def repacked(self, assignment: dict[int, int]) -> "ShardLayout":
-        """A new layout with the same cells/components under a new packing.
-
-        ``assignment`` maps every component id to a shard bin in
-        ``range(num_shards)``.  Cells, components, ``cell_km`` and the halo
-        radius are untouched, so the never-split-a-feasible-pair guarantee
-        carries over verbatim — only which bin solves each component moves.
-        """
-        missing = set(self.components.values()) - set(assignment)
-        if missing:
-            raise ValueError(f"assignment misses components {sorted(missing)}")
-        bad = [b for b in assignment.values() if not 0 <= b < self.num_shards]
-        if bad:
-            raise ValueError(
-                f"assignment targets out-of-range bins {sorted(set(bad))}"
-            )
-        return ShardLayout(
-            cell_km=self.cell_km,
-            num_shards=self.num_shards,
-            max_radius_km=self.max_radius_km,
-            cells={
-                key: assignment[component]
-                for key, component in self.components.items()
-            },
-            components=dict(self.components),
-        )
 
     def covers(self, log: "EventLog") -> bool:
         """Whether every located event row of ``log`` maps to a planned cell.
@@ -348,199 +265,16 @@ class ShardLayout:
             "cell_km": self.cell_km,
             "num_shards": self.num_shards,
             "max_radius_km": self.max_radius_km,
-            "cells": [
-                [kx, ky, shard, self.components.get((kx, ky), -1)]
-                for (kx, ky), shard in sorted(self.cells.items())
-            ],
+            "cells": [[kx, ky, shard] for (kx, ky), shard in sorted(self.cells.items())],
         }
 
     @classmethod
     def from_state_dict(cls, state: dict[str, Any]) -> "ShardLayout":
         """Rebuild a layout from :meth:`state_dict` output."""
-        cells: dict[tuple[int, int], int] = {}
-        components: dict[tuple[int, int], int] = {}
-        for row in state["cells"]:
-            kx, ky, shard = int(row[0]), int(row[1]), int(row[2])
-            cells[(kx, ky)] = shard
-            component = int(row[3]) if len(row) > 3 else -1
-            if component >= 0:
-                components[(kx, ky)] = component
         return cls(
             cell_km=float(state["cell_km"]),
             num_shards=int(state["num_shards"]),
             max_radius_km=float(state["max_radius_km"]),
-            cells=cells,
-            components=components,
+            cells={(int(kx), int(ky)): int(shard) for kx, ky, shard in state["cells"]},
         )
 
-
-def pack_components(weights: Mapping[int, float], bins: int) -> dict[int, int]:
-    """Greedy component→bin packing, heaviest component first.
-
-    The exact packing rule of :meth:`ShardLayout.plan` — components sorted
-    by ``(-weight, component_id)``, each placed on the least-loaded bin with
-    ties broken by bin index — applied to arbitrary weights instead of
-    entity counts.  Fully deterministic for a given weight map.
-    """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    ordered = sorted(weights, key=lambda component: (-weights[component], component))
-    bin_load = [0.0] * bins
-    assignment: dict[int, int] = {}
-    for component in ordered:
-        shard = min(range(bins), key=lambda b: (bin_load[b], b))
-        bin_load[shard] += float(weights[component])
-        assignment[component] = shard
-    return assignment
-
-
-class ShardRebalancer:
-    """Latency-driven shard repacking on an EWMA of per-component cost.
-
-    The planner packs components by *entity count*, a proxy that can be
-    badly off when per-entity solve cost varies across regions.  The
-    rebalancer folds each round's observed per-shard solve latency into a
-    per-component EWMA (a shard's latency is attributed to its components
-    proportionally to their entity counts) and, at deterministic round
-    boundaries (``round_index % interval == 0`` — never wall-clock),
-    proposes a fresh :func:`pack_components` packing.  The repack is
-    applied only when it improves the predicted bottleneck-bin latency by
-    more than ``hysteresis`` (relative), so near-ties never thrash;
-    ``hysteresis=inf`` never repacks, NaN is rejected.
-
-    Repacking moves whole components between bins; the never-split
-    invariant lives in the component partition, which is immutable, so any
-    packing — including every intermediate one a resumed run replays —
-    yields assignment-equivalent rounds.
-
-    ``latency_of(shard, entities, seconds)`` converts an attributed
-    observation into the EWMA sample; the default returns the measured
-    seconds.  Tests inject deterministic shapes (e.g. ``lambda s, n, sec:
-    float(n)``) to pin repack decisions independent of wall-clock.
-    """
-
-    def __init__(
-        self,
-        interval: int = 16,
-        alpha: float = 0.25,
-        hysteresis: float = 0.1,
-        latency_of: Callable[[int, int, float], float] | None = None,
-    ) -> None:
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not hysteresis >= 0.0:
-            raise ValueError(f"hysteresis must be >= 0, got {hysteresis}")
-        self.interval = int(interval)
-        self.alpha = float(alpha)
-        self.hysteresis = float(hysteresis)
-        self.latency_of = latency_of
-        self.ewma: dict[int, float] = {}
-        self.last_repack = -1
-        self.observed_rounds = 0
-        #: Telemetry for the most recent *applied* repack: round index and
-        #: predicted bottleneck-bin latency before/after.  Observational
-        #: only — deliberately absent from :meth:`state_dict`, since the
-        #: bottleneck figures derive from wall-clock EWMA samples and the
-        #: checkpoint meta must stay timing-free.
-        self.last_decision: dict[str, float] | None = None
-
-    # --------------------------------------------------------------- observe
-    def observe(
-        self,
-        layout: ShardLayout,
-        shard_seconds: Mapping[int, float],
-        component_entities: Mapping[int, int],
-    ) -> None:
-        """Fold one round's per-shard solve spans into the component EWMA.
-
-        A bin's measured seconds are split across its populated components
-        proportionally to entity count — the best attribution available
-        without per-component timers inside the solver.
-        """
-        bins = layout.component_bins()
-        bin_entities: dict[int, int] = {}
-        for component, entities in component_entities.items():
-            shard = bins.get(component)
-            if shard is not None and entities > 0:
-                bin_entities[shard] = bin_entities.get(shard, 0) + int(entities)
-        for component in sorted(component_entities):
-            entities = int(component_entities[component])
-            shard = bins.get(component)
-            if shard is None or entities <= 0:
-                continue
-            share = shard_seconds.get(shard, 0.0) * entities / bin_entities[shard]
-            sample = (
-                float(self.latency_of(shard, entities, share))
-                if self.latency_of is not None
-                else float(share)
-            )
-            previous = self.ewma.get(component)
-            self.ewma[component] = (
-                sample
-                if previous is None
-                else previous + self.alpha * (sample - previous)
-            )
-        self.observed_rounds += 1
-
-    # ---------------------------------------------------------------- repack
-    def maybe_repack(self, round_index: int, layout: ShardLayout) -> ShardLayout | None:
-        """A repacked layout for this round boundary, or ``None``.
-
-        Deterministic given the EWMA state: fires only when ``round_index``
-        is a positive multiple of ``interval``, the candidate packing
-        differs, and the predicted max-bin latency drops by more than
-        ``hysteresis`` (relative).
-        """
-        if round_index <= 0 or round_index % self.interval:
-            return None
-        if layout.num_shards <= 1 or not self.ewma:
-            return None
-        current = layout.component_bins()
-        weights = {component: self.ewma.get(component, 0.0) for component in current}
-        candidate = pack_components(weights, layout.num_shards)
-        if candidate == current:
-            return None
-
-        def max_bin(assignment: Mapping[int, int]) -> float:
-            load: dict[int, float] = {}
-            for component, shard in assignment.items():
-                load[shard] = load.get(shard, 0.0) + weights[component]
-            return max(load.values(), default=0.0)
-
-        current_max = max_bin(current)
-        if current_max <= 0.0:
-            return None
-        candidate_max = max_bin(candidate)
-        if (current_max - candidate_max) / current_max <= self.hysteresis:
-            return None
-        self.last_repack = int(round_index)
-        self.last_decision = {
-            "round": int(round_index),
-            "bottleneck_before": float(current_max),
-            "bottleneck_after": float(candidate_max),
-        }
-        return layout.repacked(candidate)
-
-    # ----------------------------------------------------------- checkpoints
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-serializable EWMA state (checkpoint payload)."""
-        return {
-            "interval": self.interval,
-            "alpha": self.alpha,
-            "hysteresis": self.hysteresis,
-            "ewma": [
-                [component, value] for component, value in sorted(self.ewma.items())
-            ],
-            "last_repack": self.last_repack,
-            "observed_rounds": self.observed_rounds,
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output bit-exactly (config untouched)."""
-        self.ewma = {
-            int(component): float(value) for component, value in state["ewma"]
-        }
-        self.last_repack = int(state["last_repack"])
-        self.observed_rounds = int(state["observed_rounds"])

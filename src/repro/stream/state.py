@@ -4,16 +4,14 @@
 keeps the online worker pool and the open task pool and applies drained
 events to them.  Rounds are prepared and solved by
 :class:`~repro.stream.runtime.ShardExecutor`, which routes the pools to
-shards and keeps the incremental :class:`~repro.assignment.RoundState`
-caches per shard; the state layer retires the matched pairs
-(:meth:`retire_pairs`).
+shards and prepares each shard from the pools' columns; the state layer
+retires the matched pairs (:meth:`retire_pairs`).
 
 Both pools are columnar (:class:`EntityPool`): each live entity owns a
 slot in arrays of ids, attribute rows (location plus radius/speed or
 deadline), arrival/publication times and the global index of the log row
 that set its current state, which is what checkpoints store (see
-:mod:`repro.stream.checkpoint`) and what the round caches use as the
-entity's identity key.  Slots freed by retirement are reused, so the
+:mod:`repro.stream.checkpoint`).  Slots freed by retirement are reused, so the
 arrays are as large as the largest pool seen.  The
 :class:`~repro.entities.Worker` / :class:`~repro.entities.Task` payloads
 stay in a per-slot list for the API edge.
@@ -103,8 +101,8 @@ class EntityPool(Mapping):
         return slots[np.argsort(self.ids[slots], kind="stable")]
 
     def columns(self, slots: np.ndarray) -> EntityColumns:
-        """The round columns of ``slots``, keyed by recorded log row."""
-        return EntityColumns(self.ids[slots], self.events[slots], self.attrs[slots])
+        """The round columns of ``slots``."""
+        return EntityColumns(self.ids[slots], self.attrs[slots])
 
     def slots_of(self, entity_ids: Iterable[int]) -> np.ndarray:
         """The slot of each pooled id, in the order given."""
@@ -183,10 +181,10 @@ class StreamState:
         Supplies the immutable context every round instance shares —
         histories, social network, venue visits, ``all_worker_ids``.
     incremental:
-        When True, rounds are prepared through persistent
-        :class:`~repro.assignment.RoundState` caches; False rebuilds each
-        round from scratch (the regression reference, exactly as in the
-        online simulator).
+        When True, rounds are prepared from the pools' columns through
+        :class:`~repro.assignment.RoundState`; False rebuilds each round
+        from the entity objects (the regression reference, exactly as in
+        the online simulator).
 
     ``workers`` holds ``(x, y, reachable_km, speed_kmh)`` rows and
     ``since`` = arrival time; ``tasks`` holds ``(x, y, expiry_time,
@@ -238,8 +236,8 @@ class StreamState:
             return False, self.workers.remove(entity_id)
         elif kind == KIND_RELOCATE:
             # A live worker's location update: the pooled worker object is
-            # replaced (arrival time unchanged — the wait keeps accruing).
-            # The new event index makes RoundState recompute its row.
+            # replaced (arrival time unchanged — the wait keeps accruing)
+            # and records the relocation row as its event index.
             if entity_id in self.workers:
                 self.workers.add(entity_id, worker, None, event)
         else:  # pragma: no cover - new event kinds must be wired explicitly

@@ -11,11 +11,10 @@ asserts the three equivalences the streaming stack claims, bit for bit:
 2. **Sharded == unsharded** — across shard counts, assigners and
    executor backends, on the full scenario log (relocations, churn,
    cancellations and all).
-3. **Pipelined == serial** — the overlapped executor and latency-driven
-   shard rebalancing change wall-clock behaviour only: pairs, round
-   records and wait distributions stay bit-identical across the same
-   scenario / assigner / backend matrix.
-4. **Checkpoint/resume** — a v4 checkpoint taken mid-stream (mid-
+3. **Pipelined == serial** — the overlapped executor changes wall-clock
+   behaviour only: pairs, round records and wait distributions stay
+   bit-identical across the same scenario / assigner / backend matrix.
+4. **Checkpoint/resume** — a checkpoint taken mid-stream (mid-
    relocation wave where the scenario has one) resumes event-for-event
    identically, admission-control state included.
 5. **Observability on == off** — full telemetry (live registry + tracer)
@@ -57,7 +56,6 @@ from repro.obs import (
 from repro.stream import (
     AdmissionController,
     SegmentedEventLog,
-    ShardRebalancer,
     StreamRuntime,
     TimeWindowTrigger,
 )
@@ -228,16 +226,8 @@ class TestShardedUnsharded:
                     assert layout.shard_of(task.location) == shard
 
 
-def eager_rebalancer():
-    """A rebalancer that repacks as often as the hysteresis gate allows,
-    fed by a deterministic latency signal (entity counts, not wall time)."""
-    return ShardRebalancer(
-        interval=2, hysteresis=0.0, latency_of=lambda shard, n, seconds: float(n)
-    )
-
-
 class TestPipelinedSerial:
-    """Pipelining and rebalancing change wall clock only — never output."""
+    """Pipelining changes wall clock only — never output."""
 
     def test_all_scenarios_pipelined_thread(self, scenario, nn_reference):
         shards = scenario.shard_counts[-1]
@@ -275,22 +265,12 @@ class TestPipelinedSerial:
         assert pairs(pipelined) == pairs(plain)
         assert round_rows(pipelined) == round_rows(plain)
 
-    def test_rebalancing_is_assignment_equivalent(self, scenario, nn_reference):
-        shards = scenario.shard_counts[-1]
-        rebalanced = run_stream(
-            scenario, NearestNeighborAssigner(), shards=shards,
-            rebalance=eager_rebalancer(),
-        )
-        assert pairs(rebalanced) == pairs(nn_reference)
-        assert round_rows(rebalanced) == round_rows(nn_reference)
-        assert wait_profile(rebalanced) == wait_profile(nn_reference)
-
-    def test_pipelined_rebalancing_full_stack(self):
+    def test_pipelined_full_stack(self):
         scenario = SCENARIOS["rush_hour_relocation"]()
         plain = run_stream(scenario, NearestNeighborAssigner())
         stacked = run_stream(
             scenario, NearestNeighborAssigner(), shards=scenario.shard_counts[-1],
-            executor="thread", pipeline=True, rebalance=eager_rebalancer(),
+            executor="thread", pipeline=True,
         )
         assert pairs(stacked) == pairs(plain)
         assert round_rows(stacked) == round_rows(plain)
@@ -333,20 +313,16 @@ class TestObservabilityDifferential:
             event["name"] == "shard.solve" for event in obs.tracer.events()
         ), backend
 
-    def test_pipelined_rebalanced_full_stack_emits_valid_telemetry(self):
+    def test_pipelined_full_stack_emits_valid_telemetry(self):
         scenario = SCENARIOS["rush_hour_relocation"]()
         shards = scenario.shard_counts[-1]
         kwargs = dict(
             shards=shards, executor="thread", pipeline=True,
         )
-        plain = run_stream(
-            scenario, NearestNeighborAssigner(),
-            rebalance=eager_rebalancer(), **kwargs,
-        )
+        plain = run_stream(scenario, NearestNeighborAssigner(), **kwargs)
         obs = full_obs()
         observed = run_stream(
-            scenario, NearestNeighborAssigner(),
-            rebalance=eager_rebalancer(), obs=obs, **kwargs,
+            scenario, NearestNeighborAssigner(), obs=obs, **kwargs,
         )
         assert pairs(observed) == pairs(plain)
         assert round_rows(observed) == round_rows(plain)
@@ -396,16 +372,16 @@ class TestDistanceLexDifferential:
         assert pairs(sharded) == pairs(plain)
         assert round_rows(sharded) == round_rows(plain)
 
-    def test_rebalancing_and_observability(self):
-        """The full stack — repacks + live telemetry — stays pinned."""
+    def test_pipelined_stack_and_observability(self):
+        """The full stack — pipelined shards + live telemetry — stays
+        pinned."""
         scenario = SCENARIOS["rush_hour_relocation"]()
         shards = scenario.shard_counts[-1]
         plain = run_stream(scenario, DistanceLexAssigner())
         obs = full_obs()
         stacked = run_stream(
             scenario, DistanceLexAssigner(), shards=shards,
-            executor="thread", pipeline=True, rebalance=eager_rebalancer(),
-            obs=obs,
+            executor="thread", pipeline=True, obs=obs,
         )
         assert pairs(stacked) == pairs(plain)
         assert round_rows(stacked) == round_rows(plain)
@@ -548,7 +524,7 @@ def mid_relocation_round(full_result, log) -> int:
 
 
 class TestCheckpointResume:
-    """v4 checkpoints resume event-for-event identically, mid-relocation."""
+    """Checkpoints resume event-for-event identically, mid-relocation."""
 
     def test_resume_matches_uninterrupted(self, scenario, nn_reference, tmp_path):
         stop_after = mid_relocation_round(nn_reference, scenario.log)
@@ -599,19 +575,13 @@ class TestCheckpointResume:
         assert pairs(resumed) == pairs(full)
         assert round_rows(resumed) == round_rows(full)
 
-    def test_pipelined_rebalanced_resume(self, tmp_path):
-        """A v4 checkpoint taken mid-pipeline — overlapped executor and
-        rebalancer EWMA state live — resumes event-for-event identically."""
+    def test_pipelined_resume(self, tmp_path):
+        """A checkpoint taken mid-pipeline — overlapped executor live —
+        resumes event-for-event identically."""
         scenario = SCENARIOS["mass_relocation"]()
         kwargs = dict(shards=4, executor="thread", pipeline=True)
-        full = run_stream(
-            scenario, NearestNeighborAssigner(),
-            rebalance=eager_rebalancer(), **kwargs,
-        )
-        interrupted = make_runtime(
-            scenario, NearestNeighborAssigner(),
-            rebalance=eager_rebalancer(), **kwargs,
-        )
+        full = run_stream(scenario, NearestNeighborAssigner(), **kwargs)
+        interrupted = make_runtime(scenario, NearestNeighborAssigner(), **kwargs)
         try:
             interrupted.run(max_rounds=mid_relocation_round(full, scenario.log))
             saved = interrupted.checkpoint(tmp_path / "pipelined.npz")
@@ -620,8 +590,7 @@ class TestCheckpointResume:
         with StreamRuntime.resume(
             saved, NearestNeighborAssigner(), None,
             TimeWindowTrigger(scenario.batch_hours), scenario.base, scenario.log,
-            patience_hours=scenario.patience_hours,
-            rebalance=eager_rebalancer(), **kwargs,
+            patience_hours=scenario.patience_hours, **kwargs,
         ) as runtime:
             resumed = runtime.run()
         assert pairs(resumed) == pairs(full)

@@ -439,35 +439,9 @@ class TestStreamPipelineFlags:
         assert "pipelined" in out
         assert "phases (s):" in out
 
-    def test_rebalanced_run(self, capsys):
-        assert main(["stream", *FAST, "--no-influence", "--shards", "4",
-                     "--rebalance", "--rebalance-interval", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "shard repacks:" in out
-
     def test_pipeline_requires_shards(self, capsys):
         assert main(["stream", *FAST, "--no-influence", "--pipeline"]) == 2
         assert "--pipeline requires --shards" in capsys.readouterr().err
-
-    def test_rebalance_requires_shards(self, capsys):
-        assert main(["stream", *FAST, "--no-influence", "--rebalance"]) == 2
-        assert "--rebalance requires --shards" in capsys.readouterr().err
-
-    def test_rebalance_interval_must_be_positive(self, capsys):
-        assert main(["stream", *FAST, "--no-influence", "--shards", "2",
-                     "--rebalance", "--rebalance-interval", "0"]) == 2
-        assert "--rebalance-interval" in capsys.readouterr().err
-
-    def test_rebalance_alpha_range_checked(self, capsys):
-        assert main(["stream", *FAST, "--no-influence", "--shards", "2",
-                     "--rebalance", "--rebalance-alpha", "1.5"]) == 2
-        assert "--rebalance-alpha" in capsys.readouterr().err
-
-    def test_rebalance_hysteresis_rejects_negative(self, capsys):
-        for bad in ("-0.5", "nan"):
-            assert main(["stream", *FAST, "--no-influence", "--shards", "2",
-                         "--rebalance", "--rebalance-hysteresis", bad]) == 2
-            assert "--rebalance-hysteresis" in capsys.readouterr().err
 
     def test_resume_with_mismatched_pipeline_fails_fast(self, tmp_path, capsys):
         checkpoint = tmp_path / "stream.npz"
@@ -478,33 +452,9 @@ class TestStreamPipelineFlags:
                      "--pipeline", "--resume", str(checkpoint)]) == 2
         assert "pipelin" in capsys.readouterr().err
 
-    def test_resume_with_mismatched_rebalance_fails_fast(self, tmp_path, capsys):
+    def test_pipelined_resume_round_trip(self, tmp_path, capsys):
         checkpoint = tmp_path / "stream.npz"
-        assert main(["stream", *FAST, "--no-influence", "--max-rounds", "2",
-                     "--shards", "2", "--rebalance",
-                     "--checkpoint", str(checkpoint)]) == 0
-        capsys.readouterr()
-        assert main(["stream", *FAST, "--no-influence", "--shards", "2",
-                     "--resume", str(checkpoint)]) == 2
-        assert "rebalanc" in capsys.readouterr().err
-
-    def test_resume_with_mismatched_rebalance_config_fails_fast(
-        self, tmp_path, capsys
-    ):
-        checkpoint = tmp_path / "stream.npz"
-        assert main(["stream", *FAST, "--no-influence", "--max-rounds", "2",
-                     "--shards", "2", "--rebalance", "--rebalance-interval", "4",
-                     "--checkpoint", str(checkpoint)]) == 0
-        capsys.readouterr()
-        assert main(["stream", *FAST, "--no-influence", "--shards", "2",
-                     "--rebalance", "--rebalance-interval", "8",
-                     "--resume", str(checkpoint)]) == 2
-        assert "interval" in capsys.readouterr().err
-
-    def test_pipelined_rebalanced_resume_round_trip(self, tmp_path, capsys):
-        checkpoint = tmp_path / "stream.npz"
-        flags = ["--shards", "2", "--executor", "thread", "--pipeline",
-                 "--rebalance", "--rebalance-interval", "2"]
+        flags = ["--shards", "2", "--executor", "thread", "--pipeline"]
         assert main(["stream", *FAST, "--no-influence", "--max-rounds", "2",
                      *flags, "--checkpoint", str(checkpoint)]) == 0
         capsys.readouterr()

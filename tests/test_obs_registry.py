@@ -1,5 +1,8 @@
 """Tests for repro.obs.registry — labelled instruments and snapshots."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.obs.histo import SECONDS_HISTOGRAM
@@ -11,6 +14,9 @@ from repro.obs.registry import (
     Gauge,
     MetricsRegistry,
 )
+from repro.stream import StreamRuntime
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestInstruments:
@@ -144,3 +150,16 @@ class TestNullRegistry:
         assert NULL_REGISTRY.histogram("h").labels("x") is NULL_REGISTRY.gauge("g")
         assert NULL_REGISTRY.families() == []
         assert NULL_REGISTRY.snapshot() == {}
+
+
+class TestDocumentedVocabulary:
+    def test_readme_lists_every_stream_metric(self):
+        """README's stream metric table names exactly the families the
+        runtime registers, each with its kind."""
+        documented = dict(
+            re.findall(r"^\s*\| `(repro_stream_\w+)` \| (\w+)", README.read_text(), re.M)
+        )
+        registry = MetricsRegistry()
+        StreamRuntime._register_instruments(registry)
+        registered = {family.name: family.kind for family in registry.families()}
+        assert documented == registered

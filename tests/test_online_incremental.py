@@ -1,8 +1,9 @@
-"""Regression tests: incremental online rounds == full recomputation.
+"""Regression tests: column-prepared online rounds == full recomputation.
 
-The :class:`~repro.assignment.RoundState` cache must be an invisible
-optimization: every prepared matrix and every resulting assignment has to
-match the from-scratch per-round path bit for bit.
+:class:`~repro.assignment.RoundState` prepares a round from attribute
+columns and the grid pair enumeration: every prepared matrix and every
+resulting assignment has to match the from-scratch per-round path bit for
+bit, and no round may read anything of an earlier one.
 """
 
 from dataclasses import replace
@@ -192,9 +193,10 @@ def assert_matches_fresh(prepared, fresh):
 
 
 class TestCarriedRoundCache:
-    """The cache carries exactly the previous round: entities join, leave,
-    return after an absent round, return relocated, or return as an equal
-    but distinct object, and every round equals a fresh preparation."""
+    """Rounds over one state: entities join, leave, return after an absent
+    round, return relocated, or return as an equal but distinct object,
+    and every round equals a fresh preparation, because nothing is carried
+    from one round to the next."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -236,10 +238,12 @@ class TestCarriedRoundCache:
             prepared = state.prepare(instance)
             assert_matches_fresh(prepared, PreparedInstance(instance, reference))
 
-    def test_only_new_rows_and_columns_are_computed(self, monkeypatch, fitted_models):
-        """Kept entities are found in unsorted rounds and reused: a round
-        computes influence for new rows x all columns and kept rows x new
-        columns only, and the pair graph once, at the round's full shape."""
+    def test_each_round_is_one_fill_and_keeps_only_the_model(
+        self, monkeypatch, fitted_models
+    ):
+        """Every prepare makes one W x T influence call and one pair
+        enumeration at the round's full shape, and leaves the state holding
+        only its model: nothing of a round outlives it."""
         model = fitted_models.influence_model()
         influence_shapes, distance_shapes = [], []
         influence_matrix = model.influence_matrix
@@ -258,38 +262,27 @@ class TestCarriedRoundCache:
         state = RoundState(model)
         tasks = [make_task(i, float(i), 0.0, phi=50.0) for i in (7, 2, 9, 4)]
         workers = [make_worker(i, 0.3 * i, 0.5) for i in (5, 1, 8)]
-        state.prepare(make_instance(tasks, workers))
-        assert influence_shapes == [(3, 4)]
-        assert distance_shapes == [(3, 4)]
-        influence_shapes.clear()
-        distance_shapes.clear()
-        # Reordered, one worker and one task left, one of each joined.
-        state.prepare(make_instance(
-            [tasks[3], make_task(3, 1.5, 0.0, phi=50.0), tasks[0], tasks[2]],
-            [workers[2], make_worker(6, 1.0, 1.0), workers[0]],
-            current_time=1.0,
-        ))
-        assert influence_shapes == [(1, 4), (2, 1)]
-        assert distance_shapes == [(3, 4)]
-
-    def test_cache_shrinks_to_the_round(self):
-        """Nothing of an entity that left is carried: every cached array is
-        sized by the latest round's pool, not by every entity ever seen."""
-        state = RoundState(influence=None)
-        tasks = [make_task(i, float(i), 0.0, phi=50.0) for i in range(9)]
-        workers = [make_worker(i, 0.3 * i, 0.5) for i in range(7)]
-        state.prepare(make_instance(tasks, workers))
-        prepared = state.prepare(make_instance(tasks[2:6], workers[4:7], current_time=1.0))
-        assert prepared.feasible.distance_km.shape == (3, 4)
-        arrays = [
-            item
-            for value in vars(state).values()
-            for item in (value if isinstance(value, tuple) else (value,))
-            if isinstance(item, np.ndarray)
+        rounds = [
+            make_instance(tasks, workers),
+            # Reordered, one worker and one task left, one of each joined.
+            make_instance(
+                [tasks[3], make_task(3, 1.5, 0.0, phi=50.0), tasks[0], tasks[2]],
+                [workers[2], make_worker(6, 1.0, 1.0), workers[0]],
+                current_time=1.0,
+            ),
+            # The same pools again, then a shrunken round.
+            make_instance(tasks, workers, current_time=1.0),
+            make_instance(tasks[1:3], workers[:1], current_time=2.0),
         ]
-        assert arrays
-        for array in arrays:
-            assert max(array.shape) <= 4, array.shape
+        for instance in rounds:
+            shape = (len(instance.workers), len(instance.tasks))
+            prepared = state.prepare(instance)
+            assert influence_shapes == [shape]
+            assert distance_shapes == [shape]
+            assert prepared.influence_matrix.shape == shape
+            assert vars(state) == {"influence": model}
+            influence_shapes.clear()
+            distance_shapes.clear()
 
     def test_returned_matrices_are_read_only(self, fitted_models, tiny_instance):
         state = RoundState(fitted_models.influence_model())

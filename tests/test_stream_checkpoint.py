@@ -22,6 +22,7 @@ from repro.stream import (
     log_from_arrivals,
     synthetic_stream,
 )
+from repro.stream.checkpoint import CHECKPOINT_VERSION
 
 
 def make_instance(tasks=(), current_time=0.0):
@@ -273,7 +274,10 @@ class TestCheckpointValidation:
                 base, log, patience_hours=5.0,
             )
 
-    def test_version_check(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("refused", [7, 999])
+    def test_version_check(self, tmp_path, monkeypatch, refused):
+        """Saves carry the current version; any other is refused, including
+        v7, whose per-shard RNG and EWMA packing state v8 no longer reads."""
         base, log, _, _ = stream_world()
         runtime = StreamRuntime(
             NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base, log
@@ -281,14 +285,14 @@ class TestCheckpointValidation:
         runtime.run(max_rounds=1)
         saved = runtime.checkpoint(tmp_path / "ck.npz")
         payload = load_checkpoint(saved)
-        assert payload["meta"]["version"] == 7
+        assert payload["meta"]["version"] == CHECKPOINT_VERSION == 8
 
         from repro.stream import checkpoint as checkpoint_module
 
-        monkeypatch.setattr(checkpoint_module, "CHECKPOINT_VERSION", 999)
+        monkeypatch.setattr(checkpoint_module, "CHECKPOINT_VERSION", refused)
         bad = runtime.checkpoint(tmp_path / "bad.ckpt")
         monkeypatch.undo()
-        with pytest.raises(DataError, match="version 999"):
+        with pytest.raises(DataError, match=f"version {refused}"):
             load_checkpoint(bad)
 
     def test_legacy_npz_rejected_with_clear_message(self, tmp_path):
@@ -620,7 +624,7 @@ class TestHistogramStateInMeta:
         _, _, saved = self._interrupted(tmp_path)
         manifest = load_checkpoint_manifest(saved)
         meta = manifest["meta"]
-        assert meta["version"] == 7
+        assert meta["version"] == CHECKPOINT_VERSION
         assert meta["metrics"]["task_waits"]["count"] > 0
         assert meta["metrics"]["worker_waits"]["count"] > 0
         # The unbounded per-sample wait arrays of v5 and earlier are gone.

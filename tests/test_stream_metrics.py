@@ -172,13 +172,12 @@ class TestPhaseTimings:
         assert record.prepare_seconds == 0.0
         assert record.solve_seconds == 0.0
         assert record.merge_seconds == 0.0
-        assert record.repacks == 0
 
     def test_phase_totals_accumulate(self):
         metrics = StreamMetrics()
         metrics.on_round(self._phased_record(
             0, drain_seconds=0.1, prepare_seconds=0.2, solve_seconds=0.3,
-            merge_seconds=0.05, repacks=1,
+            merge_seconds=0.05,
         ))
         metrics.on_round(self._phased_record(
             1, drain_seconds=0.1, prepare_seconds=0.3, solve_seconds=0.1,
@@ -188,13 +187,12 @@ class TestPhaseTimings:
         assert totals["prepare"] == pytest.approx(0.5)
         assert totals["solve"] == pytest.approx(0.4)
         assert totals["merge"] == pytest.approx(0.05)
-        assert metrics.total_repacks == 1
 
     def test_phase_fields_roundtrip_state_dict(self):
         metrics = StreamMetrics()
         metrics.on_round(self._phased_record(
             0, drain_seconds=0.125, prepare_seconds=0.25, solve_seconds=0.0625,
-            merge_seconds=0.03125, repacks=2,
+            merge_seconds=0.03125,
         ))
         restored = StreamMetrics()
         restored.load_state_dict(metrics.state_dict())
@@ -203,7 +201,4 @@ class TestPhaseTimings:
         assert record.prepare_seconds == 0.25
         assert record.solve_seconds == 0.0625
         assert record.merge_seconds == 0.03125
-        assert record.repacks == 2
-        assert isinstance(record.repacks, int)
-        assert restored.total_repacks == 2
         assert restored.phase_totals() == metrics.phase_totals()

@@ -22,12 +22,10 @@ from repro.stream import (
     HybridTrigger,
     ShardExecutor,
     ShardLayout,
-    ShardRebalancer,
     StreamRuntime,
     TimeWindowTrigger,
     day_stream,
     log_from_arrivals,
-    pack_components,
     synthetic_stream,
 )
 from repro.stream.events import KIND_ARRIVAL, KIND_PUBLISH
@@ -66,7 +64,7 @@ class TestShardLayoutPlanning:
         _, log = clustered_world(clusters=4)
         layout = ShardLayout.plan(log, 4)
         assert layout.num_shards == 4
-        assert layout.component_count() == 4
+        assert set(layout.cells.values()) == set(range(4))
 
     def test_never_splits_a_feasible_pair(self):
         _, log = clustered_world(clusters=5, num_workers=80, num_tasks=80)
@@ -260,23 +258,19 @@ class TestShardedRoundDeterminism:
 
 
 def routing_layouts():
-    """Small hand-built layouts: a few planned cells with their shards, some
-    with a component and some without, at a drawn cell size."""
+    """Small hand-built layouts: a few planned cells with their shards, at a
+    drawn cell size."""
     cell = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
     return st.builds(
         lambda cell_km, num_shards, planned: ShardLayout(
             cell_km=cell_km,
             num_shards=num_shards,
             max_radius_km=cell_km,
-            cells={key: shard % num_shards for key, (shard, _) in planned.items()},
-            components={
-                key: component
-                for key, (_, component) in planned.items() if component >= 0
-            },
+            cells={key: shard % num_shards for key, shard in planned.items()},
         ),
         st.sampled_from([0.5, 1.0, 2.5, 3.0, 25.0]),
         st.integers(1, 5),
-        st.dictionaries(cell, st.tuples(st.integers(0, 9), st.integers(-1, 4)), max_size=12),
+        st.dictionaries(cell, st.integers(0, 9), max_size=12),
     )
 
 
@@ -304,7 +298,7 @@ def routing_points(layout):
 
 
 class TestArrayRouting:
-    """``shards_of``/``components_of`` are the per-point scalar rules
+    """``shards_of`` is the per-point scalar rule
     (``shard_of_cell(cell_key(...))``), applied to arrays."""
 
     @settings(max_examples=300)
@@ -318,18 +312,13 @@ class TestArrayRouting:
         except DataError:
             with pytest.raises(DataError):
                 layout.shards_of(xs, ys)
-            with pytest.raises(DataError):
-                layout.components_of(xs, ys)
             return
         shards = layout.shards_of(xs, ys)
         assert shards.dtype == np.int64
         assert shards.tolist() == [layout.shard_of_cell(key) for key in keys]
         assert all(0 <= shard < layout.num_shards for shard in shards.tolist())
-        components = layout.components_of(xs, ys)
-        assert components.tolist() == [layout.components.get(key, -1) for key in keys]
-        for (x, y), shard, component in zip(points, shards.tolist(), components.tolist()):
+        for (x, y), shard in zip(points, shards.tolist()):
             assert layout.shard_of(Point(x, y)) == shard
-            assert layout.component_of(Point(x, y)) == component
 
     def test_out_of_range_raises_the_scalar_error(self):
         layout = ShardLayout(cell_km=1.0, num_shards=2, max_radius_km=1.0, cells={(0, 0): 1})
@@ -339,7 +328,7 @@ class TestArrayRouting:
             with pytest.raises(DataError):
                 layout.shards_of([edge], [0.5])
             with pytest.raises(DataError):
-                layout.components_of([0.5], [edge])
+                layout.shards_of([0.5], [edge])
         inside = float(MAX_CELL_INDEX - 1)
         assert layout.shards_of([inside, -inside], [-inside, 0.5]).shape == (2,)
 
@@ -355,311 +344,32 @@ class TestShardExecutor:
         with pytest.raises(ValueError):
             ShardExecutor(layout, max_workers=0)
 
-    def test_per_shard_round_states_accumulate(self):
+    def test_round_state_holds_only_its_model(self):
+        """Every shard prepares through one stateless RoundState: each
+        prepare fills its shard's whole rectangle in one call, and after a
+        sharded run the state still holds nothing but the model."""
+
+        class ShapeModel:
+            def __init__(self):
+                self.shapes = []
+
+            def influence_matrix(self, workers, tasks):
+                self.shapes.append((len(workers), len(tasks)))
+                return np.zeros((len(workers), len(tasks)))
+
         base, log = clustered_world()
+        model = ShapeModel()
         runtime = StreamRuntime(
-            NearestNeighborAssigner(), None, TimeWindowTrigger(1.0), base, log,
+            NearestNeighborAssigner(), model, TimeWindowTrigger(1.0), base, log,
             shards=4,
         )
-        runtime.run()
-        executor = runtime.shard_executor
-        assert set(executor.round_states) <= set(range(executor.layout.num_shards))
-        assert len(executor.round_states) > 1  # several shards saw rounds
-
-    def test_shard_rngs_spawn_from_user_generator(self):
-        _, log = clustered_world(num_workers=20, num_tasks=20)
-        layout = ShardLayout.plan(log, 3)
-        seeded_a = ShardExecutor(layout, rng=np.random.default_rng(7))
-        seeded_b = ShardExecutor(layout, rng=np.random.default_rng(7))
-        other = ShardExecutor(layout, rng=np.random.default_rng(8))
-        default = ShardExecutor(layout)
-        for shard in range(layout.num_shards):
-            assert (
-                seeded_a.rng_for(shard).bit_generator.state
-                == seeded_b.rng_for(shard).bit_generator.state
-            )
-            assert (
-                seeded_a.rng_for(shard).bit_generator.state
-                != other.rng_for(shard).bit_generator.state
-            )
-            assert (
-                seeded_a.rng_for(shard).bit_generator.state
-                != default.rng_for(shard).bit_generator.state
-            )
-
-    def test_rng_state_dict_roundtrip(self):
-        _, log = clustered_world(num_workers=20, num_tasks=20)
-        layout = ShardLayout.plan(log, 3)
-        executor = ShardExecutor(layout)
-        executor.rngs[0].random(5)  # advance one shard's stream
-        snapshot = executor.state_dict()
-        fresh = ShardExecutor(ShardLayout.from_state_dict(snapshot["layout"]))
-        assert (
-            fresh.rngs[0].bit_generator.state != executor.rngs[0].bit_generator.state
-        )
-        fresh.load_state_dict(snapshot)
-        for shard in range(layout.num_shards):
-            assert (
-                fresh.rngs[shard].bit_generator.state
-                == executor.rngs[shard].bit_generator.state
-            )
-
-
-class TestPackComponents:
-    def test_greedy_least_loaded(self):
-        assignment = pack_components({0: 5.0, 1: 3.0, 2: 3.0, 3: 1.0}, 2)
-        assert assignment == {0: 0, 1: 1, 2: 1, 3: 0}
-
-    def test_ties_break_by_component_then_bin_index(self):
-        assert pack_components({1: 1.0, 0: 1.0, 2: 1.0}, 3) == {0: 0, 1: 1, 2: 2}
-
-    def test_single_bin_takes_everything(self):
-        assert pack_components({0: 2.0, 1: 1.0}, 1) == {0: 0, 1: 0}
-
-    def test_matches_planner_packing(self):
-        """plan() and pack_components share one greedy: re-packing the
-        planner's own component weights reproduces the planner's bins."""
-        _, log = clustered_world(clusters=5, num_workers=80, num_tasks=80)
-        layout = ShardLayout.plan(log, 3)
-        bins = layout.component_bins()
-        # Planner weight proxy: entities per component (cells carry counts
-        # at plan time; here equal weights per component reproduce the
-        # orderless case, so only assert the packing is a valid cover).
-        assert set(bins) == set(layout.components.values())
-        assert all(0 <= shard < layout.num_shards for shard in bins.values())
-
-
-def five_cluster_layout(shards=2):
-    _, log = clustered_world(clusters=5, num_workers=80, num_tasks=80)
-    layout = ShardLayout.plan(log, shards)
-    assert len(set(layout.components.values())) >= 3
-    return layout
-
-
-def loaded_rebalancer(ewma, **kwargs):
-    """A rebalancer with injected EWMA state (the checkpoint seam)."""
-    rebalancer = ShardRebalancer(**kwargs)
-    rebalancer.load_state_dict({
-        "ewma": [[component, value] for component, value in sorted(ewma.items())],
-        "last_repack": -1,
-        "observed_rounds": 1,
-    })
-    return rebalancer
-
-
-class TestShardRebalancer:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            ShardRebalancer(interval=0)
-        with pytest.raises(ValueError):
-            ShardRebalancer(alpha=0.0)
-        with pytest.raises(ValueError):
-            ShardRebalancer(alpha=1.5)
-        with pytest.raises(ValueError):
-            ShardRebalancer(hysteresis=-0.1)
-        with pytest.raises(ValueError, match="hysteresis.*nan"):
-            ShardRebalancer(hysteresis=float("nan"))
-        ShardRebalancer(hysteresis=float("inf"))  # never repacks
-
-    def test_observe_seeds_then_smooths(self):
-        layout = five_cluster_layout()
-        component = min(layout.components.values())
-        shard = layout.component_bins()[component]
-        rebalancer = ShardRebalancer(alpha=0.5)
-        rebalancer.observe(layout, {shard: 2.0}, {component: 10})
-        assert rebalancer.ewma[component] == 2.0  # seeded, not decayed
-        rebalancer.observe(layout, {shard: 4.0}, {component: 10})
-        assert rebalancer.ewma[component] == 3.0  # 2 + 0.5 * (4 - 2)
-        assert rebalancer.observed_rounds == 2
-
-    def test_observe_attributes_bin_latency_by_entity_share(self):
-        layout = five_cluster_layout()
-        bins = layout.component_bins()
-        shard = next(iter(bins.values()))
-        sharing = [c for c, b in bins.items() if b == shard]
-        if len(sharing) < 2:  # pragma: no cover - world-shape guard
-            pytest.skip("no co-located components in this layout")
-        a, b = sharing[0], sharing[1]
-        rebalancer = ShardRebalancer(alpha=1.0)
-        rebalancer.observe(layout, {shard: 3.0}, {a: 10, b: 20})
-        assert rebalancer.ewma[a] == pytest.approx(1.0)
-        assert rebalancer.ewma[b] == pytest.approx(2.0)
-
-    def test_latency_of_overrides_the_sample(self):
-        layout = five_cluster_layout()
-        component = min(layout.components.values())
-        shard = layout.component_bins()[component]
-        rebalancer = ShardRebalancer(latency_of=lambda s, n, sec: float(n))
-        rebalancer.observe(layout, {shard: 99.0}, {component: 7})
-        assert rebalancer.ewma[component] == 7.0
-
-    def _forced_repack_state(self, layout):
-        """EWMA weights that demand splitting a co-located heavy pair."""
-        bins = layout.component_bins()
-        by_bin: dict[int, list[int]] = {}
-        for component, shard in bins.items():
-            by_bin.setdefault(shard, []).append(component)
-        sharing = next(comps for comps in by_bin.values() if len(comps) >= 2)
-        heavy_a, heavy_b = sorted(sharing)[:2]
-        return {
-            component: (10.0 if component == heavy_a
-                        else 9.0 if component == heavy_b else 0.1)
-            for component in bins
-        }, (heavy_a, heavy_b)
-
-    def test_repack_fires_only_at_interval_boundaries(self):
-        layout = five_cluster_layout()
-        ewma, _ = self._forced_repack_state(layout)
-        rebalancer = loaded_rebalancer(ewma, interval=4, hysteresis=0.0)
-        assert rebalancer.maybe_repack(0, layout) is None
-        assert rebalancer.maybe_repack(3, layout) is None
-        assert rebalancer.maybe_repack(4, layout) is not None
-        assert rebalancer.last_repack == 4
-
-    def test_repack_splits_the_heavy_pair(self):
-        layout = five_cluster_layout()
-        ewma, (heavy_a, heavy_b) = self._forced_repack_state(layout)
-        rebalancer = loaded_rebalancer(ewma, interval=1, hysteresis=0.0)
-        repacked = rebalancer.maybe_repack(1, layout)
-        assert repacked is not None
-        new_bins = repacked.component_bins()
-        assert new_bins[heavy_a] != new_bins[heavy_b]
-        # The component partition — the never-split invariant — is intact:
-        # every cell keeps its component, components move bins wholesale.
-        assert repacked.components == layout.components
-        assert set(repacked.cells) == set(layout.cells)
-        for key, component in layout.components.items():
-            assert repacked.cells[key] == new_bins[component]
-        assert repacked.cell_km == layout.cell_km
-        assert repacked.num_shards == layout.num_shards
-
-    def test_hysteresis_blocks_near_ties(self):
-        layout = five_cluster_layout()
-        ewma, _ = self._forced_repack_state(layout)
-        eager = loaded_rebalancer(ewma, interval=1, hysteresis=0.0)
-        reluctant = loaded_rebalancer(ewma, interval=1, hysteresis=10.0)
-        assert eager.maybe_repack(1, layout) is not None
-        assert reluctant.maybe_repack(1, layout) is None
-
-    def test_single_shard_and_empty_ewma_never_fire(self):
-        layout = five_cluster_layout()
-        assert ShardRebalancer(interval=1).maybe_repack(1, layout) is None
-        single = five_cluster_layout(shards=1)
-        ewma = {component: 1.0 for component in set(single.components.values())}
-        rebalancer = loaded_rebalancer(ewma, interval=1, hysteresis=0.0)
-        assert rebalancer.maybe_repack(1, single) is None
-
-    def test_repacked_rejects_bad_assignments(self):
-        layout = five_cluster_layout()
-        with pytest.raises(ValueError):
-            layout.repacked({})  # misses every component
-        bad = {component: layout.num_shards + 3
-               for component in set(layout.components.values())}
-        with pytest.raises(ValueError):
-            layout.repacked(bad)
-
-    def test_state_dict_roundtrip_through_json(self):
-        import json
-
-        layout = five_cluster_layout()
-        rebalancer = ShardRebalancer(interval=3, alpha=0.5, hysteresis=0.2)
-        component = min(layout.components.values())
-        shard = layout.component_bins()[component]
-        rebalancer.observe(layout, {shard: 2.5}, {component: 4})
-        state = json.loads(json.dumps(rebalancer.state_dict()))
-        fresh = ShardRebalancer(interval=3, alpha=0.5, hysteresis=0.2)
-        fresh.load_state_dict(state)
-        assert fresh.ewma == rebalancer.ewma
-        assert fresh.last_repack == rebalancer.last_repack
-        assert fresh.observed_rounds == rebalancer.observed_rounds
-
-
-def entity_count_rebalancer(interval=2):
-    """Deterministic signal: latency == live entity count, no wall clock."""
-    return ShardRebalancer(
-        interval=interval, hysteresis=0.0,
-        latency_of=lambda shard, entities, seconds: float(entities),
-    )
-
-
-class TestRebalancedRuntime:
-    """Repacking mid-stream never changes output — only the packing."""
-
-    @pytest.mark.parametrize("seed", [3, 29])
-    def test_rebalanced_matches_plain(self, seed):
-        base, log = clustered_world(clusters=5, seed=seed,
-                                    num_workers=80, num_tasks=80)
-        plain = StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-        ).run()
-        runtime = StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            shards=3, rebalance=entity_count_rebalancer(),
-        )
-        rebalanced = runtime.run()
-        assert sorted_pairs(rebalanced) == sorted_pairs(plain)
-        assert round_rows(rebalanced) == round_rows(plain)
-        assert rebalanced.metrics.total_repacks == sum(
-            r.repacks for r in rebalanced.rounds
-        )
-
-    def test_repacks_fire_and_are_recorded(self):
-        """At least one boundary must actually repack under an entity-count
-        signal on a churned world (live counts drift from plan-time ones)."""
-        base, log = clustered_world(clusters=5, num_workers=80, num_tasks=80)
-        runtime = StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            shards=3, rebalance=entity_count_rebalancer(interval=1),
-        )
         result = runtime.run()
-        assert result.metrics.total_repacks > 0
-        assert any(r.repacks > 0 for r in result.rounds)
-
-    def test_runs_are_reproducible(self):
-        base, log = clustered_world(clusters=5, num_workers=60, num_tasks=60)
-        results = [
-            StreamRuntime(
-                NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
-                base, log, shards=3, rebalance=entity_count_rebalancer(),
-            ).run()
-            for _ in range(2)
-        ]
-        assert sorted_pairs(results[0]) == sorted_pairs(results[1])
-        assert round_rows(results[0]) == round_rows(results[1])
-        assert [r.repacks for r in results[0].rounds] == [
-            r.repacks for r in results[1].rounds
-        ]
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        world=stream_worlds(max_workers=40, max_tasks=40),
-        shards=st.integers(2, 6),
-        interval=st.integers(1, 3),
-    )
-    def test_property_repack_is_assignment_equivalent(
-        self, world, shards, interval
-    ):
-        """The ISSUE's property pin: any world, any shard count, any repack
-        cadence — a repacking run is bit-identical to a non-repacking one."""
-        base, log = world
-        plain = StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            shards=shards,
-        ).run()
-        rebalanced = StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            shards=shards, rebalance=entity_count_rebalancer(interval=interval),
-        ).run()
-        assert sorted_pairs(rebalanced) == sorted_pairs(plain)
-        assert round_rows(rebalanced) == round_rows(plain)
-
-    def test_rebalance_requires_shards(self):
-        base, log = clustered_world(num_workers=10, num_tasks=10)
-        with pytest.raises(ValueError, match="rebalance requires shards"):
-            StreamRuntime(
-                NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
-                base, log, rebalance=entity_count_rebalancer(),
-            )
+        executor = runtime.shard_executor
+        assert executor.layout.num_shards > 1
+        assert result.total_assigned > 0
+        assert len(model.shapes) > len(result.rounds)  # several shards per round
+        assert all(workers and tasks for workers, tasks in model.shapes)
+        assert vars(executor.round_state) == {"influence": model}
 
 
 class TestShardedCheckpoint:
@@ -675,7 +385,6 @@ class TestShardedCheckpoint:
 
         interrupted = self._runtime(base, log)
         interrupted.run(max_rounds=5)
-        interrupted.rngs_probe = interrupted.shard_executor.rngs[0].random()
         saved = interrupted.checkpoint(tmp_path / "sharded.npz")
         resumed_runtime = StreamRuntime.resume(
             saved, NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
@@ -684,11 +393,6 @@ class TestShardedCheckpoint:
         resumed = resumed_runtime.run()
         assert sorted_pairs(resumed) == sorted_pairs(uninterrupted)
         assert round_rows(resumed) == round_rows(uninterrupted)
-        # The consumed per-shard RNG stream resumes where it stopped.
-        assert (
-            resumed_runtime.shard_executor.rngs[0].random()
-            == interrupted.shard_executor.rngs[0].random()
-        )
 
     def test_refuses_shardedness_mismatch(self, tmp_path):
         base, log = clustered_world(seed=47)
@@ -738,65 +442,6 @@ class TestShardedCheckpoint:
             StreamRuntime.resume(
                 saved, NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
                 base, log, patience_hours=6.0, shards=4,
-            )
-
-    def _rebalanced_runtime(self, base, log, **kwargs):
-        return StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            patience_hours=6.0, shards=3,
-            rebalance=entity_count_rebalancer(**kwargs),
-        )
-
-    def test_rebalanced_resume_is_bit_identical(self, tmp_path):
-        """Resuming adopts the saved (possibly repacked) layout and EWMA
-        state, so replay repacks at the same boundaries and stays exact."""
-        base, log = clustered_world(clusters=5, num_workers=80, num_tasks=80)
-        uninterrupted = self._rebalanced_runtime(base, log, interval=1).run()
-        assert uninterrupted.metrics.total_repacks > 0
-
-        interrupted = self._rebalanced_runtime(base, log, interval=1)
-        interrupted.run(max_rounds=6)
-        saved = interrupted.checkpoint(tmp_path / "rebalanced.npz")
-        resumed = StreamRuntime.resume(
-            saved, NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
-            base, log, patience_hours=6.0, shards=3,
-            rebalance=entity_count_rebalancer(interval=1),
-        ).run()
-        assert sorted_pairs(resumed) == sorted_pairs(uninterrupted)
-        assert round_rows(resumed) == round_rows(uninterrupted)
-        assert resumed.metrics.total_repacks == uninterrupted.metrics.total_repacks
-
-    def test_refuses_rebalance_presence_mismatch(self, tmp_path):
-        base, log = clustered_world(seed=47)
-        rebalanced = self._rebalanced_runtime(base, log)
-        rebalanced.run(max_rounds=2)
-        saved = rebalanced.checkpoint(tmp_path / "rebalanced.npz")
-        with pytest.raises(DataError, match="rebalanc"):
-            StreamRuntime.resume(
-                saved, NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
-                base, log, patience_hours=6.0, shards=3,
-            )
-
-        plain = self._runtime(base, log, shards=3)
-        plain.run(max_rounds=2)
-        saved_plain = plain.checkpoint(tmp_path / "plain.npz")
-        with pytest.raises(DataError, match="rebalanc"):
-            StreamRuntime.resume(
-                saved_plain, NearestNeighborAssigner(), None,
-                HybridTrigger(32, 1.0), base, log, patience_hours=6.0,
-                shards=3, rebalance=entity_count_rebalancer(),
-            )
-
-    def test_refuses_rebalance_config_mismatch(self, tmp_path):
-        base, log = clustered_world(seed=47)
-        rebalanced = self._rebalanced_runtime(base, log, interval=2)
-        rebalanced.run(max_rounds=2)
-        saved = rebalanced.checkpoint(tmp_path / "rebalanced.npz")
-        with pytest.raises(DataError, match="interval"):
-            StreamRuntime.resume(
-                saved, NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
-                base, log, patience_hours=6.0, shards=3,
-                rebalance=entity_count_rebalancer(interval=5),
             )
 
     def test_refuses_pipeline_mismatch(self, tmp_path):

@@ -229,7 +229,7 @@ class TestQueriesAndRounds:
         assigner = RecordingAssigner()
         executor.run_round(state, assigner, 0.0)
         assert assigner.prepared.feasible.num_feasible == 1
-        assert executor.round_states == {}  # no persistent cache was built
+        assert vars(executor.round_state) == {"influence": None}
 
 
 class TestRelocation:
