@@ -238,12 +238,26 @@ class TestCarriedRoundCache:
             prepared = state.prepare(instance)
             assert_matches_fresh(prepared, PreparedInstance(instance, reference))
 
-    def test_each_round_is_one_fill_and_keeps_only_the_model(
-        self, monkeypatch, fitted_models
-    ):
+    @staticmethod
+    def churned_rounds():
+        tasks = [make_task(i, float(i), 0.0, phi=50.0) for i in (7, 2, 9, 4)]
+        workers = [make_worker(i, 0.3 * i, 0.5) for i in (5, 1, 8)]
+        return [
+            make_instance(tasks, workers),
+            # Reordered, one worker and one task left, one of each joined.
+            make_instance(
+                [tasks[3], make_task(3, 1.5, 0.0, phi=50.0), tasks[0], tasks[2]],
+                [workers[2], make_worker(6, 1.0, 1.0), workers[0]],
+                current_time=1.0,
+            ),
+            # The same pools again, then a shrunken round.
+            make_instance(tasks, workers, current_time=1.0),
+            make_instance(tasks[1:3], workers[:1], current_time=2.0),
+        ]
+
+    def test_each_round_is_one_full_fill(self, monkeypatch, fitted_models):
         """Every prepare makes one W x T influence call and one pair
-        enumeration at the round's full shape, and leaves the state holding
-        only its model: nothing of a round outlives it."""
+        enumeration at the round's full shape."""
         model = fitted_models.influence_model()
         influence_shapes, distance_shapes = [], []
         influence_matrix = model.influence_matrix
@@ -260,29 +274,25 @@ class TestCarriedRoundCache:
         monkeypatch.setattr(model, "influence_matrix", influence_spy)
         monkeypatch.setattr(assignment_base, "pair_graph", distance_spy)
         state = RoundState(model)
-        tasks = [make_task(i, float(i), 0.0, phi=50.0) for i in (7, 2, 9, 4)]
-        workers = [make_worker(i, 0.3 * i, 0.5) for i in (5, 1, 8)]
-        rounds = [
-            make_instance(tasks, workers),
-            # Reordered, one worker and one task left, one of each joined.
-            make_instance(
-                [tasks[3], make_task(3, 1.5, 0.0, phi=50.0), tasks[0], tasks[2]],
-                [workers[2], make_worker(6, 1.0, 1.0), workers[0]],
-                current_time=1.0,
-            ),
-            # The same pools again, then a shrunken round.
-            make_instance(tasks, workers, current_time=1.0),
-            make_instance(tasks[1:3], workers[:1], current_time=2.0),
-        ]
-        for instance in rounds:
+        for instance in self.churned_rounds():
             shape = (len(instance.workers), len(instance.tasks))
-            prepared = state.prepare(instance)
+            state.prepare(instance)
             assert influence_shapes == [shape]
             assert distance_shapes == [shape]
-            assert prepared.influence_matrix.shape == shape
-            assert vars(state) == {"influence": model}
             influence_shapes.clear()
             distance_shapes.clear()
+
+    def test_state_keeps_only_its_model(self, fitted_models):
+        """After every prepare the state holds only its model: nothing of
+        a round outlives it, and each result has the round's shape."""
+        model = fitted_models.influence_model()
+        state = RoundState(model)
+        for instance in self.churned_rounds():
+            shape = (len(instance.workers), len(instance.tasks))
+            prepared = state.prepare(instance)
+            assert prepared.influence_matrix.shape == shape
+            assert prepared.feasible.distance_km.shape == shape
+            assert vars(state) == {"influence": model}
 
     def test_returned_matrices_are_read_only(self, fitted_models, tiny_instance):
         state = RoundState(fitted_models.influence_model())
