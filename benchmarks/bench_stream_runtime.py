@@ -7,12 +7,10 @@ hybrid, latency-adaptive).  A cross-check against the batched
 :class:`~repro.framework.OnlineSimulator` pins the equivalence configuration
 at bench scale.
 
-Further column groups cover a clustered 8-shard world: **pipelined vs
-serial** (the overlapped per-shard prepare+solve path on the thread
-backend must beat the serial sharded path by >= 1.3x round p50 at the
-100x rate), the **lexicographic round solve** (round-solve p50/p99 of
-the production solver) and **observability on vs off** (identical output,
-bounded overhead).
+Further column groups cover a clustered 8-shard world: the
+**lexicographic round solve** (round-solve p50/p99 of the production
+solver) and **observability on vs off** (identical output, bounded
+overhead).
 
 ``REPRO_BENCH_SCALE`` scales the stream volumes like the other benches
 (default 0.15; CI smoke runs 0.05; 1.0 is the full 10-100x grid).
@@ -121,7 +119,7 @@ def test_stream_flow_assigner(benchmark, rate_factor):
     assert summary.assigned > 0
 
 
-#: Separated city clusters for the pipelined columns (mirrors
+#: Separated city clusters for the sharded columns (mirrors
 #: ``bench_stream_shards``: the world shape whose rounds decompose).
 CLUSTERS = 8
 
@@ -143,34 +141,24 @@ def make_clustered_stream(rate_factor: int, seed: int = 31):
     )
 
 
-#: Admissions per micro-batch for the pipelined column.  Uniform count
-#: batches keep every round comparably heavy, so the p50 round latency
-#: measures the typical overlapped round rather than the near-empty
-#: boundary rounds a skewed time-window stream produces.
-PIPELINE_BATCH = 4096
+#: Admissions per micro-batch for the observability column.  Uniform
+#: count batches keep every round comparably heavy, so the p50 round
+#: latency measures the typical round rather than the near-empty boundary
+#: rounds a skewed time-window stream produces.
+SHARD_BATCH = 4096
 
 
-def run_sharded(base, log, *, trigger, executor="serial", pipeline=False,
-                obs=None):
-    with StreamRuntime(
+def run_sharded(base, log, *, trigger, obs=None):
+    return StreamRuntime(
         NearestNeighborAssigner(), None, trigger, base, log,
-        patience_hours=6.0, shards=CLUSTERS, executor=executor,
-        pipeline=pipeline, obs=obs,
-    ) as runtime:
-        return runtime.run()
+        patience_hours=6.0, shards=CLUSTERS, obs=obs,
+    ).run()
 
 
 def sorted_pairs(result):
     return sorted(
         (pair.worker.worker_id, pair.task.task_id)
         for pair in result.assignment.pairs
-    )
-
-
-def latency_columns(label, summary):
-    return (
-        f"{label} p50 {summary.round_latency_p50 * 1e3:.2f} ms / "
-        f"p99 {summary.round_latency_p99 * 1e3:.2f} ms"
     )
 
 
@@ -184,49 +172,6 @@ def summary_payload(summary):
         "round_latency_p99_s": summary.round_latency_p99,
         "task_wait_p50_h": summary.task_wait_p50,
     }
-
-
-@pytest.mark.parametrize("rate_factor", [10, 100])
-def test_pipelined_vs_serial_rounds(benchmark, rate_factor):
-    """The tentpole column: overlapped per-shard prepare+solve vs serial."""
-    base, log = make_clustered_stream(rate_factor)
-    serial = run_sharded(base, log, trigger=CountTrigger(PIPELINE_BATCH))
-    pipelined = benchmark.pedantic(
-        lambda: run_sharded(base, log, trigger=CountTrigger(PIPELINE_BATCH),
-                            executor="thread", pipeline=True),
-        rounds=1, iterations=1,
-    )
-
-    assert sorted_pairs(pipelined) == sorted_pairs(serial)
-    assert [r.assigned for r in pipelined.rounds] == [
-        r.assigned for r in serial.rounds
-    ]
-
-    serial_summary = serial.summary()
-    pipelined_summary = pipelined.summary()
-    speedup = (
-        serial_summary.round_latency_p50 / pipelined_summary.round_latency_p50
-        if pipelined_summary.round_latency_p50 > 0 else float("inf")
-    )
-    phases = pipelined.metrics.phase_totals()
-    print(
-        f"\n{rate_factor:>3}x rate, {CLUSTERS} shards: "
-        f"{latency_columns('serial', serial_summary)}, "
-        f"{latency_columns('pipelined', pipelined_summary)} "
-        f"({speedup:.2f}x); pipelined phases (s) "
-        + "  ".join(f"{name} {seconds:.2f}" for name, seconds in phases.items())
-    )
-    assert phases["prepare"] > 0.0 and phases["solve"] > 0.0
-    bench_artifact(
-        f"stream_pipelined_{rate_factor}x",
-        {"rate_factor": rate_factor, "bench_scale": BENCH_SCALE,
-         "speedup": speedup, "serial": summary_payload(serial_summary),
-         "pipelined": summary_payload(pipelined_summary)},
-    )
-    if BENCH_SCALE >= 0.15 and rate_factor >= 100:
-        assert speedup >= 1.3, (
-            f"pipelined round latency regressed: {speedup:.2f}x < 1.3x"
-        )
 
 
 class DistanceLexAssigner(LexicographicCostAssigner):
@@ -287,12 +232,11 @@ def test_obs_on_vs_off_rounds(benchmark, rate_factor):
     most of the budget).
     """
     base, log = make_clustered_stream(rate_factor)
-    off = run_sharded(base, log, trigger=CountTrigger(PIPELINE_BATCH),
-                      executor="thread", pipeline=True)
+    off = run_sharded(base, log, trigger=CountTrigger(SHARD_BATCH))
     obs = Observability(registry=MetricsRegistry(), tracer=Tracer())
     on = benchmark.pedantic(
-        lambda: run_sharded(base, log, trigger=CountTrigger(PIPELINE_BATCH),
-                            executor="thread", pipeline=True, obs=obs),
+        lambda: run_sharded(base, log, trigger=CountTrigger(SHARD_BATCH),
+                            obs=obs),
         rounds=1, iterations=1,
     )
 

@@ -4,8 +4,7 @@ Drives :class:`~repro.stream.StreamRuntime` over *clustered* synthetic
 streams (multiple cities separated by more than the worker radius — the
 world shape whose rounds decompose) at 10x and 100x the paper's per-day
 arrival volumes, comparing the unsharded round path against the
-cell-sharded :class:`~repro.stream.ShardExecutor` with serial and
-thread-pool backends.
+cell-sharded :class:`~repro.stream.ShardExecutor`.
 
 Two things are asserted:
 
@@ -62,12 +61,11 @@ def sorted_pairs(result):
     )
 
 
-def run_variant(base, log, assigner, shards=None, executor="serial"):
-    with StreamRuntime(
+def run_variant(base, log, assigner, shards=None):
+    return StreamRuntime(
         assigner, None, TimeWindowTrigger(0.5), base, log,
-        patience_hours=6.0, shards=shards, executor=executor,
-    ) as runtime:
-        return runtime.run()
+        patience_hours=6.0, shards=shards,
+    ).run()
 
 
 def test_shard_layout_planning_rate(benchmark):
@@ -89,40 +87,28 @@ def test_sharded_round_speedup(benchmark, rate_factor):
 
     sharded_serial = benchmark.pedantic(
         lambda: run_variant(base, log, NearestNeighborAssigner(),
-                            shards=CLUSTERS, executor="serial"),
+                            shards=CLUSTERS),
         rounds=1, iterations=1,
-    )
-    sharded_thread = run_variant(
-        base, log, NearestNeighborAssigner(), shards=CLUSTERS, executor="thread"
     )
 
     assert sorted_pairs(sharded_serial) == sorted_pairs(plain)
-    assert sorted_pairs(sharded_thread) == sorted_pairs(plain)
     assert [r.assigned for r in sharded_serial.rounds] == [
         r.assigned for r in plain.rounds
     ]
 
     plain_summary = plain.summary()
     serial_summary = sharded_serial.summary()
-    thread_summary = sharded_thread.summary()
     speedup_serial = (
         plain_summary.round_latency_p50 / serial_summary.round_latency_p50
         if serial_summary.round_latency_p50 > 0 else float("inf")
-    )
-    speedup_thread = (
-        plain_summary.round_latency_p50 / thread_summary.round_latency_p50
-        if thread_summary.round_latency_p50 > 0 else float("inf")
     )
     print(
         f"\n{rate_factor:>3}x rate, {CLUSTERS} shards: round p50/p99 "
         f"unsharded {plain_summary.round_latency_p50 * 1e3:.2f}/"
         f"{plain_summary.round_latency_p99 * 1e3:.2f} ms, "
-        f"serial {serial_summary.round_latency_p50 * 1e3:.2f}/"
+        f"sharded {serial_summary.round_latency_p50 * 1e3:.2f}/"
         f"{serial_summary.round_latency_p99 * 1e3:.2f} ms "
-        f"({speedup_serial:.2f}x), "
-        f"thread {thread_summary.round_latency_p50 * 1e3:.2f}/"
-        f"{thread_summary.round_latency_p99 * 1e3:.2f} ms "
-        f"({speedup_thread:.2f}x)"
+        f"({speedup_serial:.2f}x)"
     )
     if BENCH_SCALE >= 0.15 and rate_factor >= 100:
         assert speedup_serial >= 1.5, (

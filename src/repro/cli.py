@@ -282,10 +282,6 @@ def _validate_stream_flags(args: argparse.Namespace, trigger) -> str | None:
     milliseconds with a clear message instead of a fingerprint traceback
     after minutes of fitting.
     """
-    if args.executor != "serial" and args.shards is None:
-        return "--executor requires --shards (the unsharded runtime has no backend)"
-    if args.pipeline and args.shards is None:
-        return "--pipeline requires --shards"
     if args.shards is not None and args.shards < 1:
         return f"--shards must be >= 1, got {args.shards}"
     if args.patience_hours is not None and not args.patience_hours >= 0:
@@ -327,14 +323,13 @@ def _validate_stream_flags(args: argparse.Namespace, trigger) -> str | None:
                 if args.shards is not None else None
             ),
             admission=_admission_request(args),
-            pipeline=args.pipeline,
             segmented=args.segment_days is not None,
         )
     except DataError as error:
         return (
             f"cannot resume from {args.resume}: {error} "
-            "(--trigger/--patience-hours/--shards/--pipeline/"
-            "--admission-*/--segment-days must match the checkpointed run)"
+            "(--trigger/--patience-hours/--shards/--admission-*/"
+            "--segment-days must match the checkpointed run)"
         )
     except (OSError, ValueError) as error:
         return f"cannot read checkpoint {args.resume}: {error}"
@@ -464,9 +459,7 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
             runtime = StreamRuntime.resume(
                 args.resume, assigner, influence, trigger, instance, log,
                 patience_hours=args.patience_hours,
-                shards=args.shards, executor=args.executor,
-                admission=admission,
-                pipeline=args.pipeline, obs=obs,
+                shards=args.shards, admission=admission, obs=obs,
             )
         except DataError as error:
             print(f"cannot resume from {args.resume}: {error}", file=sys.stderr)
@@ -475,67 +468,59 @@ def _run_stream(args: argparse.Namespace, assigner, trigger, obs) -> int:
         runtime = StreamRuntime(
             assigner, influence, trigger, instance, log,
             patience_hours=args.patience_hours,
-            shards=args.shards, executor=args.executor,
-            admission=admission,
-            pipeline=args.pipeline, obs=obs,
+            shards=args.shards, admission=admission, obs=obs,
         )
-    # Context-managed so pipelined executors never leak worker threads,
-    # whatever path exits the block (including validation errors below).
-    with runtime:
-        if args.resume is not None:
-            print(f"resumed from {args.resume} "
-                  f"at round {len(runtime.result.rounds)}")
-        if runtime.shard_request is not None:
-            layout = runtime.shard_executor.layout
-            mode = " pipelined" if args.pipeline else ""
-            print(f"sharded: {layout.num_shards} shards over "
-                  f"{len(layout.cells)} cells ({args.executor}{mode} backend)")
-        if args.checkpoint_every is None:
-            result = runtime.run(max_rounds=args.max_rounds)
-        else:
-            remaining = args.max_rounds
-            result = runtime.run(max_rounds=0)
-            while not runtime.done and (remaining is None or remaining > 0):
-                step = (
-                    args.checkpoint_every if remaining is None
-                    else min(args.checkpoint_every, remaining)
-                )
-                result = runtime.run(max_rounds=step)
-                saved = runtime.checkpoint(args.checkpoint)
-                print(f"checkpoint: {saved} "
-                      f"(after round {len(result.rounds)})", flush=True)
-                if remaining is not None:
-                    remaining -= step
-
-        active = [r for r in result.rounds if r.assigned or r.drained_events]
-        shown = active[-args.show_rounds:] if args.show_rounds > 0 else []
-        if shown:
-            print(f"\n{'t':>7s} {'online':>7s} {'open':>6s} {'drained':>8s} "
-                  f"{'assigned':>9s} {'expired':>8s} {'churned':>8s}")
-        for record in shown:
-            print(f"{record.time:7.2f} {record.online_workers:7d} "
-                  f"{record.open_tasks:6d} {record.drained_events:8d} "
-                  f"{record.assigned:9d} {record.expired_tasks:8d} "
-                  f"{record.churned_workers:8d}")
-        print(f"\n{result.summary().as_text()}")
-        if runtime.shard_request is not None:
-            phases = result.metrics.phase_totals()
-            print("phases (s):        " + "  ".join(
-                f"{name} {seconds:.3f}" for name, seconds in phases.items()
-            ))
-        if not runtime.done:
-            print(f"\nstopped after {args.max_rounds} rounds "
-                  "(stream not exhausted)")
-        if args.checkpoint is not None:
+    if args.resume is not None:
+        print(f"resumed from {args.resume} "
+              f"at round {len(runtime.result.rounds)}")
+    if runtime.shard_request is not None:
+        layout = runtime.shard_executor.layout
+        print(f"sharded: {layout.num_shards} shards over "
+              f"{len(layout.cells)} cells")
+    if args.checkpoint_every is None:
+        result = runtime.run(max_rounds=args.max_rounds)
+    else:
+        remaining = args.max_rounds
+        result = runtime.run(max_rounds=0)
+        while not runtime.done and (remaining is None or remaining > 0):
+            step = (
+                args.checkpoint_every if remaining is None
+                else min(args.checkpoint_every, remaining)
+            )
+            result = runtime.run(max_rounds=step)
             saved = runtime.checkpoint(args.checkpoint)
-            print(f"checkpoint: {saved}")
+            print(f"checkpoint: {saved} "
+                  f"(after round {len(result.rounds)})", flush=True)
+            if remaining is not None:
+                remaining -= step
+
+    active = [r for r in result.rounds if r.assigned or r.drained_events]
+    shown = active[-args.show_rounds:] if args.show_rounds > 0 else []
+    if shown:
+        print(f"\n{'t':>7s} {'online':>7s} {'open':>6s} {'drained':>8s} "
+              f"{'assigned':>9s} {'expired':>8s} {'churned':>8s}")
+    for record in shown:
+        print(f"{record.time:7.2f} {record.online_workers:7d} "
+              f"{record.open_tasks:6d} {record.drained_events:8d} "
+              f"{record.assigned:9d} {record.expired_tasks:8d} "
+              f"{record.churned_workers:8d}")
+    print(f"\n{result.summary().as_text()}")
+    if runtime.shard_request is not None:
+        phases = result.metrics.phase_totals()
+        print("phases (s):        " + "  ".join(
+            f"{name} {seconds:.3f}" for name, seconds in phases.items()
+        ))
+    if not runtime.done:
+        print(f"\nstopped after {args.max_rounds} rounds "
+              "(stream not exhausted)")
+    if args.checkpoint is not None:
+        saved = runtime.checkpoint(args.checkpoint)
+        print(f"checkpoint: {saved}")
     return 0
 
 
 # -------------------------------------------------------------------- parser
 def build_parser() -> argparse.ArgumentParser:
-    from repro.stream.runtime import EXECUTOR_BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Influence-aware task assignment (ICDE 2022) reproduction",
@@ -644,13 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--shards", type=int, default=None,
                         help="run rounds sharded by grid-cell components "
                              "(at most this many shards; exact decomposition)")
-    stream.add_argument("--executor", choices=EXECUTOR_BACKENDS,
-                        default="serial",
-                        help="shard backend (requires --shards)")
-    stream.add_argument("--pipeline", action="store_true",
-                        help="accepted for compatibility (requires "
-                             "--shards): rounds always prepare in the "
-                             "calling thread and solve on the executor")
     stream.add_argument("--max-rounds", type=int, default=None,
                         help="stop after this many rounds (resumable)")
     stream.add_argument("--show-rounds", type=int, default=12,

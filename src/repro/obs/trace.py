@@ -11,9 +11,7 @@ JSON object format Perfetto / ``chrome://tracing`` open directly::
 
 Every timestamp comes from one clock, :func:`clock_ns`, which reads
 monotonic nanoseconds.  That clock never steps backwards, so no span has
-a negative duration, and every thread reads it alike: an
-:class:`Interval` measured on a pool thread lands on the caller's
-timeline unchanged.  Event timestamps are microseconds past the tracer's
+a negative duration.  Event timestamps are microseconds past the tracer's
 epoch, read from the same clock.  The stream runtime measures each phase
 once, as an :class:`Interval`, and derives its round records, these spans
 and its phase histograms from that one measurement.
@@ -63,16 +61,15 @@ def clock_ns() -> int:
 
 
 class Interval(NamedTuple):
-    """One measured phase: monotonic start/end and the thread that ran it."""
+    """One measured phase: monotonic start and end."""
 
     start_ns: int
     end_ns: int
-    tid: int
 
     @classmethod
     def since(cls, start_ns: int) -> "Interval":
-        """The interval from ``start_ns`` to now, on the calling thread."""
-        return cls(start_ns, clock_ns(), threading.get_ident())
+        """The interval from ``start_ns`` to now."""
+        return cls(start_ns, clock_ns())
 
     @property
     def seconds(self) -> float:
@@ -159,9 +156,7 @@ class Tracer:
     ) -> None:
         """Record one finished span from explicit :func:`clock_ns` readings.
 
-        ``pid``/``tid`` default to the calling process/thread; pass the
-        ``tid`` of the pool thread that ran a phase to put its span on that
-        thread's timeline row.
+        ``pid``/``tid`` default to the calling process/thread.
         """
         event = {
             "name": name,

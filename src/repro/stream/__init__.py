@@ -18,7 +18,8 @@ day loop:
 * :mod:`repro.stream.runtime` — :class:`StreamRuntime`, the loop tying it
   together (bit-identical to the batched ``OnlineSimulator`` under
   equivalent boundaries), plus :class:`ShardExecutor`, the cell-sharded
-  round executor (serial / thread-pool backends);
+  round executor that prepares and solves each shard in the calling
+  thread;
 * :mod:`repro.stream.shards` — :class:`ShardLayout`, the radius-aware
   cell partition that never splits a feasible (worker, task) pair;
 * :mod:`repro.stream.segments` — :class:`SegmentedEventLog`, the
@@ -62,7 +63,6 @@ from repro.stream.metrics import RoundRecord, StreamMetrics, StreamSummary
 from repro.stream.segments import SegmentedEventLog, SegmentInfo
 from repro.stream.runtime import (
     ADMISSION_POLICIES,
-    EXECUTOR_BACKENDS,
     AdmissionController,
     ShardExecutor,
     StreamResult,
@@ -114,7 +114,6 @@ __all__ = [
     "ADMISSION_POLICIES",
     "ShardExecutor",
     "ShardLayout",
-    "EXECUTOR_BACKENDS",
     "CHECKPOINT_SUFFIX",
     "canonical_checkpoint_path",
     "chunk_store_path",

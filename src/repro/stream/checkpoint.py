@@ -17,8 +17,7 @@ A checkpoint captures everything the runtime needs to continue
   **RNG state** of the runtime's generator, keeping adaptive policies and
   stochastic extensions on the same trajectory;
 * for sharded runs, the **shard layout**, checked against the layout the
-  resumed run plans, so it partitions its rounds identically; the
-  pipeline flag is validated up front with a fast mismatch error.  Rounds
+  resumed run plans, so it partitions its rounds identically.  Rounds
   carry no other state from one to the next, so nothing else about them
   is saved;
 * for admission-controlled runs, the **controller state** — overload flag,
@@ -107,7 +106,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: v8: stateless rounds — the per-shard RNG states, the EWMA
 #:     shard-packing config and state, the layout cells' component ids and
 #:     the per-round layout-change metrics column are gone.  A v7
-#:     checkpoint is refused; re-run it from the start.
+#:     checkpoint is refused; re-run it from the start.  Early v8 manifests
+#:     also carry a ``pipeline`` flag in their meta; restores ignore it,
+#:     since pipelined rounds were always identical to serial ones.
 CHECKPOINT_VERSION = 8
 
 #: Canonical checkpoint suffix, appended when the user supplies none —
@@ -216,7 +217,6 @@ def _save_checkpoint(
         "patience_hours": runtime.patience_hours,
         "trigger_kind": runtime.trigger.kind,
         "trigger": runtime.trigger.state_dict(),
-        "pipeline": runtime.pipeline,
         "rng_state": (
             runtime.rng.bit_generator.state if runtime.rng is not None else None
         ),
@@ -450,7 +450,6 @@ def validate_checkpoint_meta(
     sharded: bool,
     shard_request: dict | None = None,
     admission: dict | None = None,
-    pipeline: bool = False,
     segmented: bool | None = None,
 ) -> None:
     """Check a checkpoint's meta against a run configuration.
@@ -492,7 +491,7 @@ def validate_checkpoint_meta(
         built = "sharded" if sharded else "unsharded"
         raise DataError(
             f"checkpoint was taken from {saved} run, this run is "
-            f"{built} — pass the same shards/executor configuration"
+            f"{built} — pass the same shards configuration"
         )
     if sharded and shard_request is not None:
         saved_request = meta["shards"].get("requested")
@@ -503,13 +502,6 @@ def validate_checkpoint_meta(
                 f"shards={shard_request['shards']}, "
                 f"cell_km={shard_request['cell_km']}"
             )
-    if bool(meta.get("pipeline")) != bool(pipeline):
-        saved = "a pipelined" if meta.get("pipeline") else "a non-pipelined"
-        built = "pipelined" if pipeline else "non-pipelined"
-        raise DataError(
-            f"checkpoint was taken from {saved} run, this run is {built} — "
-            "pass the same pipeline configuration"
-        )
     saved_admission = meta.get("admission")
     if (saved_admission is None) != (admission is None):
         saved = "without" if saved_admission is None else "with"
@@ -590,7 +582,6 @@ def _restore_runtime(runtime: "StreamRuntime", path: str | Path) -> "StreamRunti
             if runtime.admission is not None
             else None
         ),
-        pipeline=runtime.pipeline,
     )
     shard_meta = meta.get("shards")
     if (

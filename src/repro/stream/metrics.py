@@ -50,18 +50,17 @@ class RoundRecord:
       that fed the round;
     * ``prepare_seconds`` is the sum of the round's ``shard.prepare``
       spans, each ending when the shard's prepare returns;
-    * ``solve_seconds`` is the sum of its ``shard.solve`` spans, measured
-      by whichever thread ran the solve;
+    * ``solve_seconds`` is the sum of its ``shard.solve`` spans;
     * ``merge_seconds`` is the ``round.merge`` span;
     * ``round_seconds`` runs from the end of the drain until the sharded
       round returns; it has no span of its own (``round`` also covers the
       drain and the bookkeeping).
 
-    A pool submit belongs to no phase.  Prepare and solve are
-    *cumulative across shards* — on the thread backend the shards' solve
-    intervals overlap each other and later prepares, so the phase sums can
-    exceed ``round_seconds``.  The first shard's prepare also covers the
-    round's pair enumeration.
+    Prepare and solve are *cumulative across shards*.  Every phase runs in
+    the calling thread, one after another, so the spans never overlap and
+    ``prepare_seconds + solve_seconds + merge_seconds`` never exceeds
+    ``round_seconds``.  The first shard's prepare also covers the round's
+    pair enumeration.
     """
 
     index: int
@@ -199,8 +198,8 @@ class StreamMetrics:
     def phase_totals(self) -> dict[str, float]:
         """Cumulative per-phase seconds across all recorded rounds.
 
-        Sums can exceed ``wall_seconds`` on the thread backend — the
-        phases are measured as per-shard spans, which overlap in time.
+        The phases of a round never overlap, so the four sums together
+        stay within ``wall_seconds``.
         """
         return {
             phase: sum(getattr(r, f"{phase}_seconds") for r in self.rounds)

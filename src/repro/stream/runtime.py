@@ -20,18 +20,17 @@ Every round runs through :class:`ShardExecutor`: it splits the round's
 pools along a :class:`~repro.stream.shards.ShardLayout` (planned once per
 run, radius-aware, so no feasible pair is ever split), enumerates the
 round's feasible-pair graph once
-(:func:`~repro.assignment.candidates.pair_graph`, in the calling thread)
-and slices it per shard, solves the shards — serially or on a thread
-pool — and merges per-shard assignments in deterministic sorted-shard
-order through the same
-:func:`~repro.assignment.partitioned.merge_assignments` core the offline
-:class:`~repro.assignment.PartitionedAssigner` uses.  Because no feasible
-pair crosses shards, the sharded round solves the same problem as the
-unsharded one, split into independent sub-problems.  An unsharded runtime
-is simply the one-shard case: a fixed single-bin layout on the serial
-backend, so there is one round path.  A round is a function of the pools
-at round time; the fixed layout is the only state rounds share.
-Per-phase timings (drain/prepare/solve/merge) land on every
+(:func:`~repro.assignment.candidates.pair_graph`) and slices it per shard,
+prepares and solves each shard in turn in the calling thread, and merges
+per-shard assignments in deterministic sorted-shard order through the
+same :func:`~repro.assignment.partitioned.merge_assignments` core the
+offline :class:`~repro.assignment.PartitionedAssigner` uses.  Because no
+feasible pair crosses shards, the sharded round solves the same problem as
+the unsharded one, split into independent sub-problems.  An unsharded
+runtime is simply the one-shard case: a fixed single-bin layout, so there
+is one round path.  A round is a function of the pools at round time; the
+fixed layout is the only state rounds share.  Per-phase timings
+(drain/prepare/solve/merge) land on every
 :class:`~repro.stream.metrics.RoundRecord`.
 
 The runtime is resumable: ``run(max_rounds=...)`` stops after a bounded
@@ -43,9 +42,8 @@ state to disk (including the shard layout), and
 
 from __future__ import annotations
 
-import os
+import warnings
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -117,9 +115,6 @@ class StreamResult:
         """Aggregate metrics snapshot."""
         return self.metrics.summary()
 
-
-#: Recognized :class:`ShardExecutor` backends.
-EXECUTOR_BACKENDS = ("serial", "thread")
 
 #: Recognized :class:`AdmissionController` policies.
 ADMISSION_POLICIES = ("defer", "shed")
@@ -292,19 +287,6 @@ def _entity_rows(columns: EntityColumns, start: int, stop: int) -> EntityColumns
     return EntityColumns(*(array[start:stop] for array in columns))
 
 
-def _solve_shard(
-    assigner: Assigner, shard: int, prepared: PreparedInstance
-) -> tuple[int, Assignment, Interval]:
-    """One shard's timed solve, in the calling thread or on a pool thread.
-
-    The interval carries the thread that ran the solve, so its trace span
-    lands on that thread's row.
-    """
-    start_ns = clock_ns()
-    part = assigner.assign(prepared)
-    return shard, part, Interval.since(start_ns)
-
-
 class _ShardWork(NamedTuple):
     """One shard's round instance and the pool slots of its workers and
     tasks, in the instance's order."""
@@ -321,11 +303,11 @@ class RoundExecution:
     ``prepare`` and ``solve`` map each solved shard to its interval, and
     ``merge`` is the merge interval; the runtime derives the round
     record's seconds and the trace spans from these same intervals.  The
-    phase seconds are *cumulative across shards*: on the thread backend
-    the solve intervals overlap each other and the later shards' prepares,
-    so their sum can exceed the round's wall clock.  ``events`` holds each
-    pair's recorded ``(worker_event, task_event)`` log indices, in pair
-    order.
+    phase seconds are *cumulative across shards*.  The intervals run one
+    after another in the calling thread and never overlap, so the three
+    phase sums together never exceed the round's wall clock.  ``events``
+    holds each pair's recorded ``(worker_event, task_event)`` log indices,
+    in pair order.
     """
 
     assignment: Assignment
@@ -359,52 +341,25 @@ class ShardExecutor:
     in shard-major order (:func:`~repro.assignment.candidates.pair_graph`)
     and give each shard its slice, prepare each shard through the one
     :class:`~repro.assignment.RoundState` (which holds only the influence
-    model, so a shard's prepare reads nothing of earlier rounds), solve the
-    shards on the configured backend, and merge the per-shard assignments
-    in ascending shard order.  An unsharded :class:`StreamRuntime` runs a
-    one-shard serial executor, so this is the only round path.
+    model, so a shard's prepare reads nothing of earlier rounds), solve
+    each shard right after preparing it, and merge the per-shard
+    assignments in ascending shard order.  An unsharded
+    :class:`StreamRuntime` runs a one-shard executor, so this is the only
+    round path.
 
-    Every prepare — the enumeration, the slicing and any influence fill —
-    runs in the calling thread; pool threads only run solves, each
-    submitted as soon as its shard is prepared, so the influence model is
-    only ever used from one thread.  Results are collected in ascending
-    shard order and every prepared instance is deterministic, so rounds
-    are bit-identical whichever backend solved them.
-
-    Backends
-    --------
-    ``serial``
-        Solve shards one after another in the calling thread.
-    ``thread``
-        A :class:`~concurrent.futures.ThreadPoolExecutor` for the solves.
-        An exception raised by a shard's solve on a pool thread propagates
-        unchanged out of :meth:`run_round`.
+    Everything runs in the calling thread, one shard after another, and
+    every prepared instance is deterministic, so rounds are bit-identical
+    from run to run.
     """
 
     def __init__(
         self,
         layout: ShardLayout,
         influence: InfluenceModel | None = None,
-        backend: str = "serial",
-        max_workers: int | None = None,
     ) -> None:
-        if backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown executor backend {backend!r}; "
-                f"choose from {', '.join(EXECUTOR_BACKENDS)}"
-            )
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.layout = layout
         self.influence = influence
-        self.backend = backend
-        # Cap the default at the core count: threads beyond it only queue
-        # on the GIL and add handoffs.
-        self.max_workers = max_workers or min(
-            layout.num_shards, os.cpu_count() or 1
-        )
         self.round_state = RoundState(influence)
-        self._pool: ThreadPoolExecutor | None = None
 
     # ----------------------------------------------------------------- round
     def _prepare_shard(
@@ -416,16 +371,11 @@ class ShardExecutor:
         if columns is not None:
             return self.round_state.prepare(work.instance, *columns, pairs=pairs)
         prepared = PreparedInstance(work.instance, self.influence)
-        # Force the lazy caches now, in the calling thread (see class doc).
+        # Force the lazy caches now, so their cost is timed as prepare.
         prepared.feasible
         prepared.influence_matrix
         prepared.entropy_by_task
         return prepared
-
-    def _pool_executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._pool
 
     def _route(self, pool) -> list[np.ndarray]:
         """The pool's live slots in ascending id order, split by shard."""
@@ -510,15 +460,9 @@ class ShardExecutor:
         prepare: dict[int, Interval] = {}
         solve: dict[int, Interval] = {}
         parts: list[Assignment] = []
-        pool = (
-            self._pool_executor()
-            if self.backend == "thread" and len(shard_work) > 1 else None
-        )
-        outcomes = []
-        # Every prepare runs here, in the calling thread; only solves go to
-        # the pool, each submitted as soon as its shard is prepared.  The
-        # first shard's prepare interval also covers the round's pair
-        # enumeration, so the prepare intervals tile all preparation.
+        # Each phase starts where the previous one ended, so the intervals
+        # tile the round's work without overlap.  The first shard's prepare
+        # interval also covers the round's pair enumeration.
         start_ns = clock_ns()
         inputs = (
             self._shard_inputs(state, shard_work, now) if state.incremental
@@ -527,18 +471,10 @@ class ShardExecutor:
         for (shard, work), (columns, pairs) in zip(shard_work, inputs):
             prepared = self._prepare_shard(work, columns, pairs)
             prepare[shard] = Interval.since(start_ns)
-            if pool is None:
-                outcomes.append(_solve_shard(assigner, shard, prepared))
-            else:
-                outcomes.append(pool.submit(_solve_shard, assigner, shard, prepared))
-            start_ns = clock_ns()
-        # Collected in ascending shard order, whichever thread solved.
-        for outcome in outcomes:
-            shard, part, solved = outcome if pool is None else outcome.result()
-            parts.append(part)
-            solve[shard] = solved
+            parts.append(assigner.assign(prepared))
+            solve[shard] = Interval.since(prepare[shard].end_ns)
+            start_ns = solve[shard].end_ns
 
-        start_ns = clock_ns()
         merged = merge_assignments(parts)
         waits, events = state.retire_pairs(merged, now)
         return RoundExecution(
@@ -549,17 +485,6 @@ class ShardExecutor:
             solve=solve,
             merge=Interval.since(start_ns),
         )
-
-    # ------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Shut down the thread pool, waiting for its threads (idempotent).
-
-        The executor stays reusable — the next pooled round recreates the
-        pool.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
 
 class StreamRuntime:
@@ -602,20 +527,20 @@ class StreamRuntime:
         When set, rounds execute sharded: a
         :class:`~repro.stream.shards.ShardLayout` is planned from the log
         (radius-aware, at most ``shards`` shards).  ``None`` runs every
-        round as one shard on the serial backend.  Either way rounds run
-        through a :class:`ShardExecutor`.
+        round as one shard.  Either way rounds run through a
+        :class:`ShardExecutor`, in the calling thread.
     executor:
-        Shard backend: ``"serial"`` (default) or ``"thread"``; ignored
-        without ``shards``.
+        Deprecated and ignored: ``"serial"`` (default) or ``"thread"``.
+        Every round solves in the calling thread; an unknown name is still
+        rejected and ``"thread"`` emits a :class:`DeprecationWarning`.
     shard_cell_km:
         Planning cell size for the shard layout (default: the log's
         largest worker radius).
     pipeline:
-        Accepted for compatibility with runs and checkpoints that set it,
-        and still requires ``shards``.  Rounds run the same way either way:
-        every shard is prepared in the calling thread and, on the thread
-        backend, each shard's solve goes to the pool as soon as the shard
-        is prepared (see :class:`ShardExecutor`).
+        Deprecated and ignored; ``True`` still requires ``shards`` and
+        emits a :class:`DeprecationWarning`.  ``executor`` and
+        ``pipeline`` remain only because a registered benchmark workload
+        still passes them; they go once that workload stops doing so.
     admission:
         Optional :class:`AdmissionController` deferring/shedding low-value
         task admissions when observed round latency exceeds its budget.
@@ -651,15 +576,26 @@ class StreamRuntime:
             raise ValueError(
                 f"patience_hours must be non-negative, got {patience_hours}"
             )
+        if executor not in ("serial", "thread"):
+            raise ValueError(
+                f"unknown executor backend {executor!r}; "
+                "choose from serial, thread"
+            )
         if pipeline and shards is None:
             raise ValueError("pipeline=True requires shards")
+        if executor != "serial" or pipeline:
+            warnings.warn(
+                "StreamRuntime's executor= and pipeline= are ignored: every "
+                "round solves in the calling thread",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.assigner = assigner
         self.trigger = trigger
         self.log = log
         self.patience_hours = patience_hours
         self.rng = rng
         self.admission = admission
-        self.pipeline = pipeline
         self.obs = obs if obs is not None else NULL_OBS
         self._instruments: dict[str, Any] | None = None
         if self.obs.registry.enabled:
@@ -680,10 +616,7 @@ class StreamRuntime:
                 cell_km=DEFAULT_CELL_KM, num_shards=1,
                 max_radius_km=float("inf"),
             )
-            executor = "serial"
-        self.shard_executor = ShardExecutor(
-            layout, influence=influence_model, backend=executor
-        )
+        self.shard_executor = ShardExecutor(layout, influence=influence_model)
         self.state = StreamState(base_instance, incremental=incremental)
         self._result = StreamResult()
         self._cursor = 0
@@ -890,8 +823,7 @@ class StreamRuntime:
 
         def emit(name: str, cat: str, interval: Interval, args: dict) -> None:
             tracer.complete(
-                name, interval.start_ns, interval.end_ns, cat=cat,
-                tid=interval.tid, args=args,
+                name, interval.start_ns, interval.end_ns, cat=cat, args=args
             )
 
         index = record.index
@@ -1029,10 +961,8 @@ class StreamRuntime:
         return self._result
 
     def close(self) -> None:
-        """Release the executor's worker threads; the runtime stays
-        resumable — a later ``run`` simply recreates them.  Idempotent:
-        closing twice (or a runtime that never ran) is a no-op."""
-        self.shard_executor.close()
+        """A no-op: rounds run in the calling thread, so the runtime holds
+        nothing to release.  Kept so ``with StreamRuntime(...)`` works."""
 
     def __enter__(self) -> "StreamRuntime":
         return self
@@ -1066,10 +996,8 @@ class StreamRuntime:
         incremental: bool = True,
         rng: np.random.Generator | None = None,
         shards: int | None = None,
-        executor: str = "serial",
         shard_cell_km: float | None = None,
         admission: AdmissionController | None = None,
-        pipeline: bool = False,
         obs: Observability | None = None,
     ) -> "StreamRuntime":
         """Reconstruct a runtime from a checkpoint and the original log.
@@ -1079,8 +1007,7 @@ class StreamRuntime:
         accumulated results, trigger adaptation state, admission-control
         state (overload flag + deferred backlog) and the runtime's RNG
         state, after verifying the log fingerprint — and, for sharded
-        runs, the replanned layout — matches.  The pipeline flag must
-        match the checkpointed run too.
+        runs, the replanned layout — matches.
         """
         from repro.stream.checkpoint import restore_runtime
 
@@ -1094,10 +1021,8 @@ class StreamRuntime:
             incremental=incremental,
             rng=rng,
             shards=shards,
-            executor=executor,
             shard_cell_km=shard_cell_km,
             admission=admission,
-            pipeline=pipeline,
             obs=obs,
         )
         restore_runtime(runtime, path)

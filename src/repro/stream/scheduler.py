@@ -56,11 +56,11 @@ class Trigger(abc.ABC):
 
         The record carries per-phase timings
         (``drain_seconds``/``prepare_seconds``/``solve_seconds``/
-        ``merge_seconds``) alongside ``round_seconds``; note the phase
-        spans are cumulative across shards and can exceed the wall clock
-        on the thread executor, so latency-budget policies (like
-        :class:`AdaptiveTrigger`'s default ``cost_of``) should keep keying
-        off ``round_seconds``, the true per-round wall time.
+        ``merge_seconds``) alongside ``round_seconds``, the per-round wall
+        time that latency-budget policies (like :class:`AdaptiveTrigger`'s
+        default ``cost_of``) key off.  The prepare, solve and merge
+        seconds are cumulative across shards and sum to at most
+        ``round_seconds``.
         """
 
     def state_dict(self) -> dict[str, Any]:

@@ -15,8 +15,8 @@ Every scenario claims, and ``test_differential.py`` asserts:
   **bit-identical** to ``OnlineSimulator(batch_hours)`` on
   ``sim_arrivals``/``sim_tasks`` — pairs, per-round assigned counts and
   pool sizes;
-* sharded == unsharded on the full ``log``, for every assigner and
-  backend exercised;
+* sharded == unsharded on the full ``log``, for every assigner
+  exercised;
 * a v3 checkpoint taken mid-stream (mid-relocation where the scenario has
   relocations) resumes event-for-event identically;
 * admission control disabled (or configured but never overloaded) is a

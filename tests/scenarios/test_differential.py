@@ -8,19 +8,21 @@ asserts the three equivalences the streaming stack claims, bit for bit:
    (pairs, per-round assigned/expired/churned counts, pool sizes).  The
    rush-hour scenario asserts this *with relocations included* (mapped to
    re-arrivals — see the generator docstring for why that is exact).
-2. **Sharded == unsharded** — across shard counts, assigners and
-   executor backends, on the full scenario log (relocations, churn,
-   cancellations and all).
-3. **Pipelined == serial** — the overlapped executor changes wall-clock
-   behaviour only: pairs, round records and wait distributions stay
-   bit-identical across the same scenario / assigner / backend matrix.
+2. **Sharded == unsharded** — across shard counts and assigners, on the
+   full scenario log (relocations, churn, cancellations and all).
+3. **Deprecated executor arguments change nothing** — ``executor="thread"``
+   and ``pipeline=True`` are still accepted and ignored (every round
+   solves in the calling thread): pairs, round records and wait
+   distributions stay bit-identical across the scenario / assigner
+   matrix.  These cases go with the arguments.
 4. **Checkpoint/resume** — a checkpoint taken mid-stream (mid-
    relocation wave where the scenario has one) resumes event-for-event
-   identically, admission-control state included.
+   identically, admission-control state included, and a checkpoint
+   written by a pipelined thread-executor run resumes too.
 5. **Observability on == off** — full telemetry (live registry + tracer)
    reads values the runtime already computed and nothing else: pairs,
    round records and wait distributions stay bit-identical across the
-   scenario matrix and every executor backend.
+   scenario matrix, sharded and unsharded.
 6. **Recorded event indices** — the log row each pooled and assigned
    entity records as it is applied rebuilds the same ``Worker``/``Task``
    as the full-history rescan the checkpoint save used to run (kept
@@ -33,6 +35,9 @@ as documented under a deterministic cost signal.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,11 +109,7 @@ def make_runtime(scenario, assigner, *, log=None, **kwargs):
 
 
 def run_stream(scenario, assigner, *, log=None, **kwargs):
-    runtime = make_runtime(scenario, assigner, log=log, **kwargs)
-    try:
-        return runtime.run()
-    finally:
-        runtime.close()
+    return make_runtime(scenario, assigner, log=log, **kwargs).run()
 
 
 @pytest.fixture(scope="module", params=sorted(SCENARIOS))
@@ -227,7 +228,8 @@ class TestShardedUnsharded:
 
 
 class TestPipelinedSerial:
-    """Pipelining changes wall clock only — never output."""
+    """The deprecated ``executor="thread"`` / ``pipeline=True`` arguments
+    are ignored: output equals the plain sharded run."""
 
     def test_all_scenarios_pipelined_thread(self, scenario, nn_reference):
         shards = scenario.shard_counts[-1]
@@ -361,7 +363,8 @@ class TestDistanceLexDifferential:
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("pipeline", [False, True])
     def test_sharded_backends_through_relocation_waves(self, backend, pipeline):
-        """mass_relocation moves entities across shards on every backend."""
+        """mass_relocation moves entities across shards, whatever the
+        (deprecated, ignored) executor arguments say."""
         scenario = SCENARIOS["mass_relocation"]()
         assert scenario.has_relocations
         plain = run_stream(scenario, DistanceLexAssigner())
@@ -373,8 +376,8 @@ class TestDistanceLexDifferential:
         assert round_rows(sharded) == round_rows(plain)
 
     def test_pipelined_stack_and_observability(self):
-        """The full stack — pipelined shards + live telemetry — stays
-        pinned."""
+        """The full stack — shards under the deprecated pipeline arguments
+        + live telemetry — stays pinned."""
         scenario = SCENARIOS["rush_hour_relocation"]()
         shards = scenario.shard_counts[-1]
         plain = run_stream(scenario, DistanceLexAssigner())
@@ -403,7 +406,8 @@ class TestSegmentedMaterialized:
     The bounded-memory event-log segments claim: windowing the horizon
     changes *when slabs exist in memory*, never what replays — pairs,
     per-round records and wait distributions stay identical across the
-    scenario matrix, every assigner and every executor backend.
+    scenario matrix, every assigner, sharded and unsharded (and under the
+    deprecated executor arguments).
     """
 
     def test_all_scenarios_unsharded(self, scenario, nn_reference):
@@ -475,7 +479,6 @@ class TestSegmentedMaterialized:
         assert 0 < segment < segmented.segment_count - 1
         assert offset > 0, "cursor must land strictly inside the segment"
         saved = interrupted.checkpoint(tmp_path / "segmented.npz")
-        interrupted.close()
         resumed = StreamRuntime.resume(
             saved, NearestNeighborAssigner(), None,
             TimeWindowTrigger(scenario.batch_hours), scenario.base,
@@ -494,7 +497,6 @@ class TestSegmentedMaterialized:
         )
         interrupted.run(max_rounds=2)
         saved = interrupted.checkpoint(tmp_path / "seg.npz")
-        interrupted.close()
         resume_args = (
             saved, NearestNeighborAssigner(), None,
             TimeWindowTrigger(scenario.batch_hours), scenario.base,
@@ -575,26 +577,48 @@ class TestCheckpointResume:
         assert pairs(resumed) == pairs(full)
         assert round_rows(resumed) == round_rows(full)
 
-    def test_pipelined_resume(self, tmp_path):
-        """A checkpoint taken mid-pipeline — overlapped executor live —
-        resumes event-for-event identically."""
-        scenario = SCENARIOS["mass_relocation"]()
-        kwargs = dict(shards=4, executor="thread", pipeline=True)
-        full = run_stream(scenario, NearestNeighborAssigner(), **kwargs)
-        interrupted = make_runtime(scenario, NearestNeighborAssigner(), **kwargs)
-        try:
-            interrupted.run(max_rounds=mid_relocation_round(full, scenario.log))
-            saved = interrupted.checkpoint(tmp_path / "pipelined.npz")
-        finally:
-            interrupted.close()
-        with StreamRuntime.resume(
-            saved, NearestNeighborAssigner(), None,
-            TimeWindowTrigger(scenario.batch_hours), scenario.base, scenario.log,
-            patience_hours=scenario.patience_hours, **kwargs,
-        ) as runtime:
-            resumed = runtime.run()
-        assert pairs(resumed) == pairs(full)
-        assert round_rows(resumed) == round_rows(full)
+    def test_pipelined_resume(self):
+        """A v8 checkpoint written mid-run by a 2-shard thread-executor,
+        pipelined run (``tests/golden/pipelined_checkpoint``) resumes on the
+        one round path: its saved ``pipeline`` flag is ignored and the
+        resumed run ends with the uninterrupted run's pairs and rounds,
+        frozen in ``expected.json`` by the writing run."""
+        from repro.stream import HybridTrigger, load_checkpoint_meta, synthetic_stream
+
+        golden = Path(__file__).parent.parent / "golden" / "pipelined_checkpoint"
+        manifest = golden / "pipelined.ckpt"
+        assert load_checkpoint_meta(manifest)["pipeline"] is True
+        expected = json.loads((golden / "expected.json").read_text())
+        base, log = synthetic_stream(
+            num_workers=60, num_tasks=70, duration_hours=24.0, area_km=20.0,
+            valid_hours=4.0, reachable_km=8.0, churn_fraction=0.05,
+            cancel_fraction=0.02, clusters=4, seed=47,
+        )
+
+        def counts(result):
+            return [
+                [r.index, r.time, r.online_workers, r.open_tasks,
+                 r.drained_events, r.assigned, r.expired_tasks,
+                 r.churned_workers, r.cancelled_tasks]
+                for r in result.rounds
+            ]
+
+        def runtime():
+            return StreamRuntime(
+                NearestNeighborAssigner(), None, HybridTrigger(16, 1.0),
+                base, log, patience_hours=6.0, shards=2,
+            )
+
+        full = runtime().run()
+        resumed_runtime = StreamRuntime.resume(
+            manifest, NearestNeighborAssigner(), None, HybridTrigger(16, 1.0),
+            base, log, patience_hours=6.0, shards=2,
+        )
+        assert 0 < len(resumed_runtime.result.rounds) < len(full.rounds)
+        resumed = resumed_runtime.run()
+        for result in (full, resumed):
+            assert [list(pair) for pair in pairs(result)] == expected["pairs"]
+            assert counts(result) == expected["round_counts"]
 
 
 class TestAdmissionControl:
@@ -790,8 +814,9 @@ class TestDeferredExpiryInBacklog:
             )
 
     def test_cross_engine_identical_under_backlog_expiry(self):
-        """The differential: unsharded == sharded on every backend, with
-        the backlog-expiry storm active — no engine resurrects a task."""
+        """The differential: unsharded == sharded (also under the
+        deprecated ``executor="thread"``), with the backlog-expiry storm
+        active — no engine resurrects a task."""
         scenario = SCENARIOS["quiet_then_burst"]()
         reference = run_stream(
             scenario, NearestNeighborAssigner(), admission=self._controller()
@@ -855,10 +880,9 @@ def assert_recorded_indices_rebuild(runtime) -> int:
 
 def run_checking_indices(runtime, every=3):
     """Play ``runtime`` to the end, checking the indices every few rounds."""
-    with runtime:
-        while not runtime.done:
-            runtime.run(max_rounds=every)
-            assert_recorded_indices_rebuild(runtime)
+    while not runtime.done:
+        runtime.run(max_rounds=every)
+        assert_recorded_indices_rebuild(runtime)
     assert len(runtime.result.assignment) > 0
     return runtime.result
 

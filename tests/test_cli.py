@@ -23,15 +23,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["info", "--world", "gowalla"])
 
-    def test_executor_choices_are_the_runtime_backends(self, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--executor", "thread"], ["--pipeline"],
+    ], ids=["executor", "pipeline"])
+    def test_stream_has_no_executor_flags(self, capsys, flags):
+        """Rounds always solve in the calling thread: nothing to choose."""
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(
-                ["stream", "--shards", "2", "--executor", "process"]
-            )
+            main(["stream", *FAST, "--shards", "2", *flags])
         assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'process'" in err
-        assert "'serial', 'thread'" in err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_defaults(self):
         args = build_parser().parse_args(["info"])
@@ -203,6 +203,7 @@ class TestStream:
         out = capsys.readouterr().out
         assert "sharded:" in out
         assert "rounds:" in out
+        assert "phases (s):" in out
 
     def test_segmented_run(self, capsys):
         assert main(["stream", *FAST, "--no-influence", "--days", "3",
@@ -229,11 +230,6 @@ class TestStream:
         err = capsys.readouterr().err
         assert "segmented event-log run" in err
         assert "--segment-days" in err
-
-    def test_executor_requires_shards(self, capsys):
-        assert main(["stream", *FAST, "--no-influence",
-                     "--executor", "thread"]) == 2
-        assert "--executor requires --shards" in capsys.readouterr().err
 
     def test_resume_missing_checkpoint_fails_fast(self, tmp_path, capsys):
         assert main(["stream", *FAST, "--no-influence",
@@ -297,13 +293,12 @@ class TestStreamObservability:
         names = {event["name"] for event in payload["traceEvents"]}
         assert {"process_name", "round", "round.drain"} <= names
 
-    def test_trace_covers_sharded_pipelined_runs(self, tmp_path, capsys):
+    def test_trace_covers_sharded_runs(self, tmp_path, capsys):
         from repro.obs import validate_trace_events
 
-        trace = tmp_path / "pipelined.json"
+        trace = tmp_path / "sharded.json"
         assert main(["stream", *FAST, "--no-influence", "--shards", "4",
-                     "--executor", "thread", "--pipeline", "--show-rounds", "0",
-                     "--trace", str(trace)]) == 0
+                     "--show-rounds", "0", "--trace", str(trace)]) == 0
         capsys.readouterr()
         payload = json.loads(trace.read_text())
         validate_trace_events(payload)
@@ -429,37 +424,3 @@ class TestStreamMultiDayAndAdmission:
                      "--admission-budget", "1.0", "--days", "2", "--day", "5",
                      "--resume", str(checkpoint), "--show-rounds", "0"]) == 0
         assert "resumed from" in capsys.readouterr().out
-
-
-class TestStreamPipelineFlags:
-    def test_pipelined_sharded_run(self, capsys):
-        assert main(["stream", *FAST, "--no-influence", "--shards", "4",
-                     "--executor", "thread", "--pipeline"]) == 0
-        out = capsys.readouterr().out
-        assert "pipelined" in out
-        assert "phases (s):" in out
-
-    def test_pipeline_requires_shards(self, capsys):
-        assert main(["stream", *FAST, "--no-influence", "--pipeline"]) == 2
-        assert "--pipeline requires --shards" in capsys.readouterr().err
-
-    def test_resume_with_mismatched_pipeline_fails_fast(self, tmp_path, capsys):
-        checkpoint = tmp_path / "stream.npz"
-        assert main(["stream", *FAST, "--no-influence", "--max-rounds", "2",
-                     "--shards", "2", "--checkpoint", str(checkpoint)]) == 0
-        capsys.readouterr()
-        assert main(["stream", *FAST, "--no-influence", "--shards", "2",
-                     "--pipeline", "--resume", str(checkpoint)]) == 2
-        assert "pipelin" in capsys.readouterr().err
-
-    def test_pipelined_resume_round_trip(self, tmp_path, capsys):
-        checkpoint = tmp_path / "stream.npz"
-        flags = ["--shards", "2", "--executor", "thread", "--pipeline"]
-        assert main(["stream", *FAST, "--no-influence", "--max-rounds", "2",
-                     *flags, "--checkpoint", str(checkpoint)]) == 0
-        capsys.readouterr()
-        assert main(["stream", *FAST, "--no-influence", *flags,
-                     "--resume", str(checkpoint), "--show-rounds", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "resumed from" in out
-        assert "pipelined" in out

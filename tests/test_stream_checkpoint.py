@@ -781,7 +781,6 @@ class TestSaveReadsRecordedIndices:
                 and len(runtime.result.assignment) > 0
             )
         assert late_saves > 0
-        runtime.close()
 
     def test_index_maps_stay_the_size_of_the_pools(self):
         base, log = relocation_world()

@@ -1,6 +1,7 @@
 """Tests for repro.stream.runtime — golden cross-checks and edge cases."""
 
 import threading
+import warnings
 
 import pytest
 
@@ -467,7 +468,8 @@ def round_rows(result):
 
 
 class TestPipelinedRuntime:
-    """The overlapped executor: same output, phase timings recorded."""
+    """Round phases, the deprecated ``executor``/``pipeline`` arguments and
+    the context-manager surface."""
 
     def test_pipeline_requires_shards(self):
         base, log = clustered(num_workers=10, num_tasks=10)
@@ -479,79 +481,80 @@ class TestPipelinedRuntime:
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_pipelined_matches_serial(self, backend):
+        """``pipeline=True``, under either executor name, is a deprecated
+        no-op: it warns, and the rounds equal plain serial ones."""
         base, log = clustered()
         plain = StreamRuntime(
             NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
         ).run()
-        with StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            shards=4, executor=backend, pipeline=True,
-        ) as runtime:
+        with pytest.warns(DeprecationWarning, match="calling thread"):
+            runtime = StreamRuntime(
+                NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
+                base, log, shards=4, executor=backend, pipeline=True,
+            )
+        with runtime:
             pipelined = runtime.run()
         assert pairs(pipelined) == pairs(plain)
         assert round_rows(pipelined) == round_rows(plain)
 
-    def test_pipelined_influence_matches_serial(self, tiny_dataset, fast_config):
-        """IA over a freshly fitted model: the shared propagation kernel and
-        willingness cache are first built under concurrent shard prepares."""
-        # A short reach lets the planner split the small world into shards.
-        base, log = multi_day_stream(tiny_dataset, [6, 7], reachable_km=3.0)
-
-        def fresh_model():
-            return DITAPipeline(fast_config).fit(base).influence_model()
-
-        with StreamRuntime(
-            IAAssigner(), fresh_model(), TimeWindowTrigger(1.0), base, log,
-            shards=4, executor="thread", pipeline=True,
-        ) as runtime:
-            assert runtime.shard_executor.layout.num_shards > 1
-            pipelined = runtime.run()
-        serial = StreamRuntime(
-            IAAssigner(), fresh_model(), TimeWindowTrigger(1.0), base, log,
+    def test_deprecated_executor_argument_warns_and_changes_nothing(self):
+        base, log = clustered()
+        plain = StreamRuntime(
+            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
+            shards=4,
         ).run()
-        assert serial.total_assigned > 0
-        assert pairs(pipelined) == pairs(serial)
-        assert round_rows(pipelined) == round_rows(serial)
+        with pytest.warns(DeprecationWarning, match="calling thread"):
+            runtime = StreamRuntime(
+                NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
+                base, log, shards=4, executor="thread",
+            )
+        assert pairs(runtime.run()) == pairs(plain)
+        assert round_rows(runtime.result) == round_rows(plain)
 
-    def test_influence_is_computed_in_the_calling_thread(
+    def test_default_arguments_do_not_warn(self):
+        base, log = clustered(num_workers=10, num_tasks=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            StreamRuntime(
+                NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
+                base, log, shards=2, executor="serial", pipeline=False,
+            )
+
+    def test_every_phase_runs_in_the_calling_thread(
         self, tiny_dataset, fast_config, monkeypatch
     ):
-        """Pool threads only solve: every influence fill, and so every use
-        of the model's unlocked caches, runs in the thread that runs the
-        rounds, while IA solves run on the pool."""
+        """Influence fills and IA solves all run in the thread that runs the
+        rounds, so no lock guards the model's caches."""
         base, log = multi_day_stream(tiny_dataset, [6, 7], reachable_km=3.0)
         model = DITAPipeline(fast_config).fit(base).influence_model()
-        fill_threads, solve_threads = [], []
+        threads = []
         influence_matrix = model.influence_matrix
         solve = IAAssigner.assign
 
         def fill_spy(workers, tasks):
-            fill_threads.append(threading.current_thread())
+            threads.append(threading.current_thread())
             return influence_matrix(workers, tasks)
 
         def solve_spy(assigner, prepared):
-            solve_threads.append(threading.current_thread())
+            threads.append(threading.current_thread())
             return solve(assigner, prepared)
 
         monkeypatch.setattr(model, "influence_matrix", fill_spy)
         monkeypatch.setattr(IAAssigner, "assign", solve_spy)
-        with StreamRuntime(
-            IAAssigner(), model, TimeWindowTrigger(1.0), base, log,
-            shards=4, executor="thread", pipeline=True,
-        ) as runtime:
-            assert runtime.shard_executor.layout.num_shards > 1
-            result = runtime.run()
+        runtime = StreamRuntime(
+            IAAssigner(), model, TimeWindowTrigger(1.0), base, log, shards=4,
+        )
+        assert runtime.shard_executor.layout.num_shards > 1
+        result = runtime.run()
         assert result.total_assigned > 0
-        assert fill_threads and set(fill_threads) == {threading.current_thread()}
-        assert set(solve_threads) - {threading.current_thread()}, "no solve ran on the pool"
+        assert threads and set(threads) == {threading.current_thread()}
 
     def test_phase_timings_recorded(self):
         base, log = clustered()
-        with StreamRuntime(
+        result = StreamRuntime(
             NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            shards=4, executor="thread", pipeline=True,
-        ) as runtime:
-            result = runtime.run()
+            shards=4,
+        ).run()
         busy = [r for r in result.rounds if r.assigned > 0]
         assert busy, "world must assign something"
         for record in busy:
@@ -575,7 +578,7 @@ class TestPipelinedRuntime:
         base, log = clustered(num_workers=20, num_tasks=20)
         runtime = StreamRuntime(
             NearestNeighborAssigner(), None, TimeWindowTrigger(2.0), base, log,
-            shards=2, executor="thread", pipeline=True,
+            shards=2,
         )
         runtime.run()
         runtime.close()
@@ -583,10 +586,13 @@ class TestPipelinedRuntime:
 
         with StreamRuntime(
             NearestNeighborAssigner(), None, TimeWindowTrigger(2.0), base, log,
-            shards=2, executor="thread",
+            shards=2,
         ) as managed:
             managed.run(max_rounds=2)
         managed.close()  # close after __exit__ is also a no-op
+        assert not managed.done
+        managed.run()  # and the runtime keeps running after close
+        assert managed.done
 
     def test_context_manager_returns_runtime(self):
         base, log = clustered(num_workers=10, num_tasks=10)
@@ -594,49 +600,3 @@ class TestPipelinedRuntime:
             NearestNeighborAssigner(), None, TimeWindowTrigger(4.0), base, log,
         ) as runtime:
             assert isinstance(runtime, StreamRuntime)
-
-
-class PoolThreadFailure(Exception):
-    """Raised by :class:`FailingOffMainThread` on a pool thread."""
-
-
-class FailingOffMainThread(NearestNeighborAssigner):
-    """Raises whenever it solves off the main thread — on a pool thread.
-
-    Single-shard rounds solve in the calling thread, where this behaves
-    like its parent class, so only pooled solves fail.
-    """
-
-    message = "shard solve failed off the main thread"
-
-    def assign(self, prepared):
-        if threading.current_thread() is threading.main_thread():
-            return super().assign(prepared)
-        raise PoolThreadFailure(self.message)
-
-
-def pool_threads() -> set[threading.Thread]:
-    """Live ``ThreadPoolExecutor`` worker threads (named by its default
-    prefix)."""
-    return {
-        thread for thread in threading.enumerate()
-        if thread.name.startswith("ThreadPoolExecutor")
-    }
-
-
-class TestThreadPoolFailure:
-    def test_pool_thread_exception_surfaces_and_close_joins_the_pool(self):
-        before = pool_threads()
-        base, log = clustered()
-        runtime = StreamRuntime(
-            FailingOffMainThread(), None, HybridTrigger(32, 1.0), base, log,
-            shards=4, executor="thread", pipeline=True,
-        )
-        with pytest.raises(PoolThreadFailure) as failure:
-            runtime.run()
-        assert type(failure.value) is PoolThreadFailure
-        assert str(failure.value) == FailingOffMainThread.message
-        assert pool_threads() - before, "the failing solve ran on the pool"
-        runtime.close()
-        runtime.close()  # a second close after the failure is a no-op
-        assert pool_threads() - before == set()

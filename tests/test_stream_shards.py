@@ -1,7 +1,7 @@
 """Tests for the sharded round path: layout planning + executor determinism.
 
 The load-bearing property: a sharded :class:`StreamRuntime` — any shard
-count, any executor backend — produces **bit-identical** assignments and
+count — produces **bit-identical** assignments and
 metrics to the unsharded runtime (and hence, under window triggers, to the
 batched ``OnlineSimulator``), because the radius-aware layout never splits
 a feasible (worker, task) pair.
@@ -20,7 +20,6 @@ from repro.geo import Point, cell_key
 from repro.geo.grid import MAX_CELL_INDEX
 from repro.stream import (
     HybridTrigger,
-    ShardExecutor,
     ShardLayout,
     StreamRuntime,
     TimeWindowTrigger,
@@ -124,7 +123,9 @@ class TestShardLayoutPlanning:
 
 
 class TestShardedRoundDeterminism:
-    """Sharded == unsharded, bit for bit, across counts and backends."""
+    """Sharded == unsharded, bit for bit, across shard counts.  The
+    ``thread`` case pins that the deprecated ``executor`` argument changes
+    nothing."""
 
     @pytest.mark.parametrize("assigner_cls", [NearestNeighborAssigner, IAAssigner])
     @pytest.mark.parametrize("shards,backend", [
@@ -142,7 +143,6 @@ class TestShardedRoundDeterminism:
             patience_hours=6.0, shards=shards, executor=backend,
         )
         sharded = runtime.run()
-        runtime.close()
         assert plain.total_assigned > 0
         assert sorted_pairs(sharded) == sorted_pairs(plain)
         assert round_rows(sharded) == round_rows(plain)
@@ -208,10 +208,9 @@ class TestShardedRoundDeterminism:
         ).run()
         runtime = StreamRuntime(
             IAAssigner(), None, TimeWindowTrigger(1.0), base, log,
-            incremental=False, shards=4, executor="thread",
+            incremental=False, shards=4,
         )
         sharded = runtime.run()
-        runtime.close()
         assert sorted_pairs(sharded) == sorted_pairs(plain)
 
     def test_matches_online_simulator_on_clustered_world(self):
@@ -335,14 +334,14 @@ class TestArrayRouting:
 
 class TestShardExecutor:
     def test_rejects_unknown_backend(self):
-        _, log = clustered_world(num_workers=10, num_tasks=10)
-        layout = ShardLayout.plan(log, 2)
-        with pytest.raises(ValueError):
-            ShardExecutor(layout, backend="gpu")
-        with pytest.raises(ValueError, match="choose from serial, thread"):
-            ShardExecutor(layout, backend="process")
-        with pytest.raises(ValueError):
-            ShardExecutor(layout, max_workers=0)
+        """The runtime still validates its deprecated ``executor`` name."""
+        base, log = clustered_world(num_workers=10, num_tasks=10)
+        for executor in ("gpu", "process"):
+            with pytest.raises(ValueError, match="choose from serial, thread"):
+                StreamRuntime(
+                    NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
+                    base, log, shards=2, executor=executor,
+                )
 
     def test_round_state_holds_only_its_model(self):
         """Every shard prepares through one stateless RoundState: each
@@ -373,10 +372,10 @@ class TestShardExecutor:
 
 
 class TestShardedCheckpoint:
-    def _runtime(self, base, log, shards=4, executor="serial"):
+    def _runtime(self, base, log, shards=4):
         return StreamRuntime(
             NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            patience_hours=6.0, shards=shards, executor=executor,
+            patience_hours=6.0, shards=shards,
         )
 
     def test_resume_is_bit_identical(self, tmp_path):
@@ -441,20 +440,5 @@ class TestShardedCheckpoint:
         with pytest.raises(DataError, match="trigger"):
             StreamRuntime.resume(
                 saved, NearestNeighborAssigner(), None, TimeWindowTrigger(1.0),
-                base, log, patience_hours=6.0, shards=4,
-            )
-
-    def test_refuses_pipeline_mismatch(self, tmp_path):
-        base, log = clustered_world(seed=47)
-        pipelined = StreamRuntime(
-            NearestNeighborAssigner(), None, HybridTrigger(32, 1.0), base, log,
-            patience_hours=6.0, shards=4, executor="thread", pipeline=True,
-        )
-        pipelined.run(max_rounds=2)
-        saved = pipelined.checkpoint(tmp_path / "pipelined.npz")
-        pipelined.close()
-        with pytest.raises(DataError, match="pipelin"):
-            StreamRuntime.resume(
-                saved, NearestNeighborAssigner(), None, HybridTrigger(32, 1.0),
                 base, log, patience_hours=6.0, shards=4,
             )

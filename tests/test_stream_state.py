@@ -52,7 +52,7 @@ def state():
 
 @pytest.fixture()
 def executor():
-    """The unsharded runtime's round path: one bin, serial backend."""
+    """The unsharded runtime's round path: one bin."""
     return ShardExecutor(
         ShardLayout(cell_km=25.0, num_shards=1, max_radius_km=float("inf"))
     )

@@ -4,8 +4,8 @@ The stream runtime measures every phase once, as a monotonic interval, and
 derives the :class:`~repro.stream.metrics.RoundRecord` seconds, the
 ``round.*`` / ``shard.*`` trace spans and the
 ``repro_stream_phase_seconds`` histograms from it.  These tests pin that
-agreement on every executor configuration, and pin that solve intervals
-measured on pool threads land inside their round on one timeline.
+agreement, and pin that a round's phases run one after another in the
+round's thread, inside the round, without overlap.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ import pytest
 from repro.assignment import MTAAssigner
 from repro.obs import MetricsRegistry, Observability, Tracer, validate_trace_events
 from repro.stream import StreamRuntime, TimeWindowTrigger, synthetic_stream
-
-#: (executor, pipeline) pairs: every round path the runtime has.
-CONFIGURATIONS = [
-    ("serial", False),
-    ("thread", False),
-    ("thread", True),
-]
 
 #: Record field -> the span(s) it is measured by.
 PHASE_SPANS = {
@@ -39,24 +32,19 @@ def world():
     return synthetic_stream(240, 240, duration_hours=6.0, clusters=4, seed=3)
 
 
-def traced_run(world, executor, pipeline):
+def traced_run(world):
     base, log = world
     obs = Observability(registry=MetricsRegistry(), tracer=Tracer())
-    runtime = StreamRuntime(
+    result = StreamRuntime(
         MTAAssigner(), None, TimeWindowTrigger(0.5), base, log,
-        shards=4, executor=executor, pipeline=pipeline, obs=obs,
-    )
-    try:
-        result = runtime.run()
-    finally:
-        runtime.close()
+        shards=4, obs=obs,
+    ).run()
     return result, obs
 
 
-@pytest.mark.parametrize("executor,pipeline", CONFIGURATIONS)
 class TestPhaseAgreement:
-    def test_spans_equal_round_records(self, world, executor, pipeline):
-        result, obs = traced_run(world, executor, pipeline)
+    def test_spans_equal_round_records(self, world):
+        result, obs = traced_run(world)
         assert result.total_assigned > 0
         span_seconds: dict[tuple[int, str], float] = defaultdict(float)
         shards_per_round: dict[int, int] = defaultdict(int)
@@ -65,7 +53,7 @@ class TestPhaseAgreement:
                 key = (event["args"]["round"], event["name"])
                 span_seconds[key] += event["dur"] / 1e6
                 shards_per_round[key[0]] += event["name"] == "shard.solve"
-        # Several shards solve in one round, so the pooled path runs.
+        # Several shards solve in one round.
         assert max(shards_per_round.values()) > 1
         mismatches = [
             (record.index, phase, spanned, recorded)
@@ -79,8 +67,8 @@ class TestPhaseAgreement:
         ]
         assert mismatches == []
 
-    def test_histograms_equal_record_sums(self, world, executor, pipeline):
-        result, obs = traced_run(world, executor, pipeline)
+    def test_histograms_equal_record_sums(self, world):
+        result, obs = traced_run(world)
         (family,) = [
             family for family in obs.registry.families()
             if family.name == "repro_stream_phase_seconds"
@@ -95,11 +83,15 @@ class TestPhaseAgreement:
             )
 
 
+#: Span timestamps are float microseconds; 1 ns absorbs their rounding.
+NS_IN_US = 1e-3
+
+
 class TestTimeline:
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_worker_solves_lie_inside_their_round(self, world, pipeline):
-        """Pool threads read the caller's clock: no span leaves its round."""
-        _, obs = traced_run(world, "thread", pipeline)
+    def test_round_phases_are_disjoint_and_inside_their_round(self, world):
+        """A round's prepare, solve and merge spans run one after another
+        on the round's thread, inside the ``round`` span."""
+        result, obs = traced_run(world)
         payload = obs.tracer.to_payload()
         validate_trace_events(payload)
         events = payload["traceEvents"]
@@ -107,16 +99,25 @@ class TestTimeline:
             event["args"]["round"]: event
             for event in events if event["name"] == "round"
         }
-        worker_solves = [
-            event for event in events
-            if event["name"] == "shard.solve"
-            and event["tid"] != rounds[event["args"]["round"]]["tid"]
-        ]
-        assert worker_solves
-        for event in worker_solves:
-            enclosing = rounds[event["args"]["round"]]
-            assert enclosing["ts"] <= event["ts"]
-            assert event["ts"] + event["dur"] <= enclosing["ts"] + enclosing["dur"]
+        phases: dict[int, list[dict]] = defaultdict(list)
+        for event in events:
+            if event["name"] in ("shard.prepare", "shard.solve", "round.merge"):
+                phases[event["args"]["round"]].append(event)
+        assert max(len(spans) for spans in phases.values()) > 3
+        for index, spans in phases.items():
+            enclosing = rounds[index]
+            spans.sort(key=lambda event: event["ts"])
+            for event in spans:
+                assert event["tid"] == enclosing["tid"]
+                assert enclosing["ts"] <= event["ts"] + NS_IN_US
+                assert (event["ts"] + event["dur"]
+                        <= enclosing["ts"] + enclosing["dur"] + NS_IN_US)
+            for before, after in zip(spans, spans[1:]):
+                assert before["ts"] + before["dur"] <= after["ts"] + NS_IN_US
+        for record in result.rounds:
+            phase_sum = (record.prepare_seconds + record.solve_seconds
+                         + record.merge_seconds)
+            assert phase_sum <= record.round_seconds + 1e-9
 
     def test_durations_are_measured_not_clamped(self, world, monkeypatch):
         """Every span interval is non-negative as measured, before emission."""
@@ -128,7 +129,7 @@ class TestTimeline:
             original(self, name, start_ns, end_ns, **kwargs)
 
         monkeypatch.setattr(Tracer, "complete", spy)
-        _, obs = traced_run(world, "thread", True)
+        _, obs = traced_run(world)
         assert emitted
         assert all(end >= start for _, start, end in emitted)
         assert all(
